@@ -18,23 +18,10 @@
  *  - MsortDelta      real workload, TaskStream class (pipelined
  *                    dependences keep more of the machine awake).
  *
- * A second family measures the sharded conservative-PDES core
- * (`sh:1` vs `sh:4`):
- *  - ShardedBusy     a partitioned always-busy crowd — the
- *                    embarrassingly parallel extreme that bounds the
- *                    per-cycle barrier overhead (the >= 2.5x floor
- *                    at 4 shards lives here);
- *  - ShardedSpmvStatic / ShardedMsortDelta
- *                    the same real workloads through DeltaConfig::
- *                    shards, one per execution-model class (the
- *                    >= 1.5x geomean floor).
- *
  * Every bench reports `sim_cycles_per_sec` (simulated cycles per
  * wall-clock second of Simulator::run) and `sim_cycles`.  CI runs
- * this with --benchmark_format=json and gates the ff:1 / ff:0 and
- * sh:4 / sh:1 speedups against the host-* floors in
- * ci/perf-floors.txt (the shard floors are skipped on runners with
- * fewer than 4 CPUs — there is nothing to parallelize onto).
+ * this with --benchmark_format=json and gates the ff:1 / ff:0
+ * speedups against the host-* floors in ci/perf-floors.txt.
  *
  * Shared run options (--scale, --seed, --workloads, ...) are parsed
  * first; the rest of argv goes to google-benchmark.
@@ -158,32 +145,6 @@ BM_SyntheticBusy(benchmark::State& state)
         static_cast<double>(simCycles), benchmark::Counter::kIsRate);
 }
 
-void
-BM_ShardedBusy(benchmark::State& state)
-{
-    const auto shards = static_cast<std::uint32_t>(state.range(0));
-    std::uint64_t simCycles = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        Simulator sim;
-        std::vector<std::unique_ptr<Grinder>> crowd;
-        for (std::size_t i = 0; i < kComponents; ++i) {
-            // One partition per component: the partition map is
-            // identical for every shard count (only the executor
-            // count varies), exactly like the mesh-node map in Delta.
-            sim.setPartition(static_cast<std::uint32_t>(i));
-            crowd.push_back(std::make_unique<Grinder>(50'000));
-            sim.add(crowd.back().get());
-        }
-        sim.setShards(shards);
-        state.ResumeTiming();
-        simCycles += sim.run(1'000'000);
-    }
-    state.counters["sim_cycles"] = static_cast<double>(simCycles);
-    state.counters["sim_cycles_per_sec"] = benchmark::Counter(
-        static_cast<double>(simCycles), benchmark::Counter::kIsRate);
-}
-
 // ---------------------------------------------------------------------
 // Real workloads (one per execution-model class).
 // ---------------------------------------------------------------------
@@ -225,43 +186,6 @@ BM_MsortDelta(benchmark::State& state)
     runWorkload(state, Wk::Msort, DeltaConfig::delta());
 }
 
-/** Same harness, sweeping the executor shard count instead of the
- *  execution mode (results are bit-identical by contract; only the
- *  host rate may move). */
-void
-runWorkloadSharded(benchmark::State& state, Wk wk, DeltaConfig cfg)
-{
-    cfg.shards = static_cast<std::uint32_t>(state.range(0));
-    double simCycles = 0;
-    double wallNs = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        auto wl = makeWorkload(wk, suiteParams());
-        Delta delta(cfg);
-        TaskGraph graph;
-        wl->build(delta, graph);
-        state.ResumeTiming();
-        const StatSet stats = delta.run(graph);
-        simCycles += stats.get("sim.cycles");
-        wallNs += stats.get("sim.host.wallNs");
-    }
-    state.counters["sim_cycles"] = simCycles;
-    state.counters["sim_cycles_per_sec"] =
-        wallNs > 0 ? simCycles / (wallNs / 1e9) : 0.0;
-}
-
-void
-BM_ShardedSpmvStatic(benchmark::State& state)
-{
-    runWorkloadSharded(state, Wk::Spmv, DeltaConfig::staticBaseline());
-}
-
-void
-BM_ShardedMsortDelta(benchmark::State& state)
-{
-    runWorkloadSharded(state, Wk::Msort, DeltaConfig::delta());
-}
-
 BENCHMARK(BM_SyntheticIdle)
     ->ArgName("ff")
     ->Arg(1)
@@ -282,22 +206,6 @@ BENCHMARK(BM_MsortDelta)
     ->Arg(1)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShardedBusy)
-    ->ArgName("sh")
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShardedSpmvStatic)
-    ->ArgName("sh")
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShardedMsortDelta)
-    ->ArgName("sh")
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int

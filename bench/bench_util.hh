@@ -73,7 +73,7 @@ suiteParams()
 using RunResult = driver::RunResult;
 
 /** Build and simulate one workload under one configuration (trace,
- *  stats, shards, and bench-JSON outputs injected from the shared
+ *  stats, and bench-JSON outputs injected from the shared
  *  options via driver::runOne). */
 inline RunResult
 runOnce(Wk w, const DeltaConfig& cfg, const SuiteParams& sp)

@@ -28,23 +28,13 @@ Deterministic like --steal: no machine-noise slack.
 In the default mode:
 
 Reads google-benchmark JSON output from bench_host, computes the
-ff:1 / ff:0 speedup of every fast-forward benchmark and the
-sh:4 / sh:1 speedup of every sharded benchmark from their
-sim_cycles_per_sec counters, and checks:
+ff:1 / ff:0 speedup of every benchmark from its sim_cycles_per_sec
+counters, and checks:
 
   host-idle-speedup         floor on BM_SyntheticIdle's speedup
   host-real-geomean         floor on the geomean speedup of the real
                             workload benches (everything except the
                             BM_Synthetic* pair)
-  host-shards-busy          floor on BM_ShardedBusy's sh:4 / sh:1
-                            speedup
-  host-shards-real-geomean  floor on the geomean sh:4 / sh:1 speedup
-                            of the real sharded benches (every
-                            BM_Sharded* family except BM_ShardedBusy)
-
-The host-shards-* floors are skipped (reported, not failed) when the
-benchmark context reports fewer than 4 CPUs: four shards cannot beat
-one executor without cores to run on.
 
 Prints a Markdown table (suitable for $GITHUB_STEP_SUMMARY) to
 stdout and exits non-zero when a floor is violated.  Failures also
@@ -232,12 +222,8 @@ def main():
         report = json.load(f)
 
     rate = {}  # benchmark family -> {ff: sim_cycles_per_sec}
-    srate = {}  # sharded family -> {shard count: sim_cycles_per_sec}
     for b in report["benchmarks"]:
         name, _, arg = b["name"].partition("/")
-        if arg.startswith("sh:"):
-            srate.setdefault(name, {})[int(arg[3:])] = b["sim_cycles_per_sec"]
-            continue
         ff = arg == "ff:1"
         rate.setdefault(name, {})[ff] = b["sim_cycles_per_sec"]
 
@@ -253,28 +239,8 @@ def main():
         else:
             speedup[name] = r[True] / r[False]
 
-    shard_speedup = {}
-    for name, r in sorted(srate.items()):
-        if 1 not in r:
-            incomplete.append(f"{name}: no sh:1 run in {sys.argv[1]}")
-        elif 4 not in r:
-            incomplete.append(f"{name}: no sh:4 run in {sys.argv[1]}")
-        elif r[1] <= 0:
-            incomplete.append(f"{name}: sh:1 rate is {r[1]}")
-        else:
-            shard_speedup[name] = r[4] / r[1]
-
     real = [s for n, s in speedup.items() if not n.startswith("BM_Synthetic")]
     geomean = math.exp(sum(math.log(s) for s in real) / len(real)) if real else 0.0
-
-    shard_real = [
-        s for n, s in shard_speedup.items() if n != "BM_ShardedBusy"
-    ]
-    shard_geomean = (
-        math.exp(sum(math.log(s) for s in shard_real) / len(shard_real))
-        if shard_real
-        else 0.0
-    )
 
     floors = load_floors(sys.argv[2])
     checks = [
@@ -290,22 +256,6 @@ def main():
         ),
     ]
 
-    num_cpus = report.get("context", {}).get("num_cpus", 0)
-    shard_checks = [
-        (
-            "host-shards-busy",
-            shard_speedup.get("BM_ShardedBusy"),
-            "BM_ShardedBusy sh:4 / sh:1 speedup",
-        ),
-        (
-            "host-shards-real-geomean",
-            shard_geomean if shard_real else None,
-            f"sh:4 / sh:1 geomean over {len(shard_real)} real sharded benches",
-        ),
-    ]
-    if num_cpus >= 4:
-        checks += shard_checks
-
     print("### Host throughput (bench_host, ff:1 vs ff:0)")
     print()
     print("| benchmark | ff:1 cycles/s | ff:0 cycles/s | speedup |")
@@ -317,25 +267,6 @@ def main():
         )
     print(f"| real-workload geomean | | | {geomean:.2f}x |")
     print()
-
-    if srate:
-        print("### Shard scaling (bench_host, sh:4 vs sh:1)")
-        print()
-        print("| benchmark | sh:1 cycles/s | sh:4 cycles/s | speedup |")
-        print("| --- | --- | --- | --- |")
-        for name, r in sorted(srate.items()):
-            print(
-                f"| {name} | {r.get(1, 0):,.0f} | {r.get(4, 0):,.0f} "
-                f"| {shard_speedup.get(name, 0):.2f}x |"
-            )
-        print(f"| real-workload geomean | | | {shard_geomean:.2f}x |")
-        print()
-
-    if num_cpus < 4:
-        print(
-            f"- host-shards-* floors skipped: benchmark context reports "
-            f"{num_cpus} CPUs (< 4); shard scaling needs cores to run on"
-        )
 
     for reason in incomplete:
         print(f"- unscored benchmark — {reason}")

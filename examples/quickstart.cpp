@@ -20,7 +20,7 @@ using namespace ts;
 int
 main(int argc, char** argv)
 {
-    // Shared flags (--trace, --stats-json, --shards, --log, ...),
+    // Shared flags (--trace, --stats-json, --log, ...),
     // each with a TS_* environment fallback.  This is the only layer
     // that reads the environment; Delta itself never does.
     const driver::RunOptions opt =

@@ -76,24 +76,14 @@ Delta::Delta(const DeltaConfig& cfg)
     if (cfg_.lanes == 0 || cfg_.lanes > 62)
         fatal("Delta supports 1..62 lanes, got ", cfg_.lanes);
 
-    // Executor shard count.  Tracing and the naive loop are
-    // single-threaded by contract; partitions are still declared
-    // identically below, so the forced --shards 1 run stays
-    // bit-identical to any sharded one.
-    std::uint32_t shards = cfg_.shards == 0 ? 1 : cfg_.shards;
-    if (cfg_.noFastForward || cfg_.trace.enabled)
-        shards = 1;
-    sim_.setShards(shards);
-
     sim_.setFastForward(!cfg_.noFastForward);
     tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
 
     // Partition map: every mesh node is its own partition — the
     // dispatcher, each lane (with its task unit, engines, and
     // scratchpad), and the memory node, plus any spare mesh corners.
-    // The declaration is a property of the simulated structure, made
-    // identically for every shard count (results would otherwise
-    // depend on K through boundary-channel credits).
+    // The declaration is a property of the simulated structure: it
+    // shapes results through the boundary-channel credit rule.
     const NocConfig mesh = meshFor(cfg_.lanes, cfg_.nocLinks);
     std::vector<std::uint32_t> nodeParts(mesh.width * mesh.height);
     for (std::uint32_t i = 0; i < nodeParts.size(); ++i)
@@ -146,42 +136,12 @@ Delta::Delta(const DeltaConfig& cfg)
         sim_.setFlightRecorder(recorder_.get());
     }
     if (cfg_.hostProfile) {
-        // After every component is registered: the profiler
-        // classifies components by name at attach time.
         profiler_ = std::make_unique<obs::HostProfiler>();
         sim_.setHostProfiler(profiler_.get());
     }
 }
 
 Delta::~Delta() = default;
-
-std::unique_ptr<DeltaSnapshot>
-Delta::snapshot() const
-{
-    // Tracing keeps append-only side state (track ids, open spans)
-    // that a rewind would corrupt.
-    TS_ASSERT(!tracer_->enabled(),
-              "snapshot/fork does not compose with tracing");
-    auto s = std::make_unique<DeltaSnapshot>();
-    s->sim_ = sim_.snapshot();
-    s->img_ = img_;
-    s->registryMark_ = registry_.mark();
-    s->noc_ = noc_->counters();
-    s->ran_ = ran_;
-    return s;
-}
-
-void
-Delta::restore(const DeltaSnapshot& s)
-{
-    TS_ASSERT(!tracer_->enabled(),
-              "snapshot/fork does not compose with tracing");
-    registry_.rollback(s.registryMark_);
-    img_ = s.img_;
-    noc_->restoreCounters(s.noc_);
-    sim_.restore(s.sim_);
-    ran_ = s.ran_;
-}
 
 namespace
 {
@@ -219,7 +179,7 @@ Delta::run(const TaskGraph& graph)
     // Ahead-of-time spatial mapping: plan lane placement from the
     // fully-known graph before the first dispatch.  The plan is a
     // pure function of (graph, image, registry, mesh), so it is
-    // bit-identical across shard counts and snapshot forks.
+    // bit-identical across execution modes.
     spatial::SpatialPlan plan;
     if (cfg_.policy == SchedPolicy::Spatial) {
         std::vector<std::uint32_t> laneNodes;
@@ -234,9 +194,9 @@ Delta::run(const TaskGraph& graph)
     dispatcher_->loadGraph(graph);
 
     // Time-series sampler: weak events at exact simulated ticks, so
-    // the timeline is bit-identical across execution modes, thread
-    // counts, and snapshot forks.  run() drops any still-armed
-    // sample event, so the captures below cannot outlive this call.
+    // the timeline is bit-identical across execution modes and
+    // thread counts.  run() drops any still-armed sample event, so
+    // the captures below cannot outlive this call.
     std::unique_ptr<obs::Timeline> timeline;
     if (cfg_.timelineInterval > 0) {
         obs::TimelineConfig tlc;

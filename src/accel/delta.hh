@@ -31,7 +31,7 @@ struct DeltaConfig
     std::uint32_t lanes = 8;
 
     SchedPolicy policy = SchedPolicy::WorkAware;
-    /** NoC work stealing between lane task units (DESIGN.md §9). */
+    /** NoC work stealing between lane task units (DESIGN.md §7). */
     StealPolicy steal = StealPolicy::None;
     bool enablePipeline = true;
     bool enableMulticast = true;
@@ -41,7 +41,7 @@ struct DeltaConfig
 
     /** Per-lane scratchpad budget (words) for spatial landing zones;
      *  groups that do not fit spill to the DRAM round-trip
-     *  (SchedPolicy::Spatial only, DESIGN.md §10). */
+     *  (SchedPolicy::Spatial only, DESIGN.md §8). */
     std::uint64_t spatialBufferWords = 1u << 15;
 
     /** Spawned tasks inherit their spawner's mapped lane unless that
@@ -82,25 +82,11 @@ struct DeltaConfig
     bool noFastForward = false;
 
     /**
-     * Executor shards for the conservative-PDES core: the mesh nodes
-     * (dispatcher, each lane, the memory node — each its own
-     * partition) are distributed over this many host threads, with
-     * inter-router links as the only cross-shard channels.  Results
-     * are bit-identical for every value (CI-gated like
-     * noFastForward), so like hostProfile it is results-neutral and
-     * excluded from driver::canonicalConfig / cache keys.  Forced to
-     * 1 when tracing or noFastForward is on (both are
-     * single-threaded by contract).  --shards / TS_SHARDS via
-     * RunOptions::applyTo().
-     */
-    std::uint32_t shards = 1;
-
-    /**
      * Time-series sampling interval in simulated cycles; 0 (default)
      * disables the timeline.  When on, the run JSON gains a columnar
      * `delta.timeline.*` section sampled at exact simulated ticks —
-     * bit-identical across execution modes, thread counts, and
-     * snapshot forks.  Behaviour-relevant for cache keys (it changes
+     * bit-identical across execution modes and thread counts.
+     * Behaviour-relevant for cache keys (it changes
      * the emitted stats), so it participates in
      * driver::canonicalConfig.
      */
@@ -136,11 +122,9 @@ struct DeltaConfig
     static DeltaConfig staticBaseline(std::uint32_t lanes = 8);
 
     /** Ahead-of-time spatial mapping: producer/consumer co-location
-     *  with lane-to-lane forwarding (DESIGN.md §10). */
+     *  with lane-to-lane forwarding (DESIGN.md §8). */
     static DeltaConfig spatial(std::uint32_t lanes = 8);
 };
-
-class DeltaSnapshot;
 
 /** The accelerator instance. */
 class Delta
@@ -151,21 +135,6 @@ class Delta
 
     Delta(const Delta&) = delete;
     Delta& operator=(const Delta&) = delete;
-
-    /**
-     * Capture the accelerator's complete mutable state (simulated
-     * time, every component, the memory image, the registry
-     * watermark).  Taken at a quiescent point — typically right after
-     * construction — and restored any number of times with restore(),
-     * so one construction serves many runs (snapshot/fork warm
-     * starts).  Forked runs are bit-identical to from-scratch runs;
-     * see DESIGN.md §7 for the ownership/copy contract.  Does not
-     * compose with tracing (checked).
-     */
-    std::unique_ptr<DeltaSnapshot> snapshot() const;
-
-    /** Rewind to a snapshot taken on this same instance. */
-    void restore(const DeltaSnapshot& s);
 
     /** The functional memory image (workload setup and checking). */
     MemImage& image() { return img_; }
@@ -210,24 +179,6 @@ class Delta
     std::unique_ptr<Dispatcher> dispatcher_;
     std::unique_ptr<obs::FlightRecorder> recorder_;
     std::unique_ptr<obs::HostProfiler> profiler_;
-    bool ran_ = false;
-};
-
-/**
- * Opaque value capture of a Delta's state.  Only the Delta instance
- * that produced it can restore it (restore happens in place on the
- * same object graph, which is what keeps component cross-pointers
- * valid).
- */
-class DeltaSnapshot
-{
-  private:
-    friend class Delta;
-
-    SimSnapshot sim_;
-    MemImage img_;
-    TaskTypeRegistry::Mark registryMark_;
-    Noc::Counters noc_;
     bool ran_ = false;
 };
 

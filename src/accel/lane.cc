@@ -293,35 +293,4 @@ Lane::reportStats(StatSet& stats) const
     }
 }
 
-std::unique_ptr<ComponentSnap>
-Lane::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->pipes = pipes_;
-    s->landing = landing_->saveLandingState();
-    s->spatialLanding = spatialLanding_;
-    s->spatialHopWords = spatialHopWords_;
-    s->nextTag = nextTag_;
-    s->inflight = inflight_;
-    s->lineReads = lineReads_;
-    s->lineWrites = lineWrites_;
-    s->chunksSent = chunksSent_;
-    return s;
-}
-
-void
-Lane::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    pipes_ = s.pipes;
-    landing_->restoreLandingState(s.landing);
-    spatialLanding_ = s.spatialLanding;
-    spatialHopWords_ = s.spatialHopWords;
-    nextTag_ = s.nextTag;
-    inflight_ = s.inflight;
-    lineReads_ = s.lineReads;
-    lineWrites_ = s.lineWrites;
-    chunksSent_ = s.chunksSent;
-}
-
 } // namespace ts

@@ -91,28 +91,7 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     /** Spatial chunks this lane's producers sent. */
     std::uint64_t spatialChunksSent() const;
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
-    /** Owned sub-components (fabric, engines, spm, task unit) are
-     *  registered Ticked and snapshot themselves; this snap covers
-     *  only the adapter's own state.  inflight_ callbacks capture
-     *  stable component pointers, and the map is empty at the
-     *  quiescent points where snapshots are taken. */
-    struct Snap final : ComponentSnap
-    {
-        PipeSet pipes;
-        SharedLanding::State landing;
-        spatial::LandingTracker spatialLanding;
-        std::uint64_t spatialHopWords = 0;
-        std::uint64_t nextTag = 1;
-        std::map<std::uint64_t, std::function<void()>> inflight;
-        std::uint64_t lineReads = 0;
-        std::uint64_t lineWrites = 0;
-        std::uint64_t chunksSent = 0;
-    };
-
     Noc& noc_;
     std::uint32_t selfNode_;
     std::uint32_t memNode_;

@@ -27,16 +27,6 @@ class MemNode : public Ticked
     bool busy() const override;
     void reportStats(StatSet& stats) const override;
 
-    /** The adapter is stateless: its channels are simulator-owned and
-     *  the DRAM model snapshots itself. */
-    std::unique_ptr<ComponentSnap>
-    saveState() const override
-    {
-        return std::make_unique<EmptySnap>();
-    }
-
-    void restoreState(const ComponentSnap&) override {}
-
     const MainMemory& memory() const { return *mem_; }
 
   private:

@@ -396,47 +396,4 @@ Fabric::reportStats(StatSet& stats) const
               static_cast<double>(activeCycles_));
 }
 
-std::unique_ptr<ComponentSnap>
-Fabric::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->current = current_;
-    s->configReadyAt = configReadyAt_;
-    s->routes = routes_;
-    s->pes = pes_;
-    s->inExt = inExt_;
-    s->outExt = outExt_;
-    s->firings = firings_;
-    s->reconfigs = reconfigs_;
-    s->configCycles = configCycles_;
-    s->activeCycles = activeCycles_;
-    return s;
-}
-
-void
-Fabric::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    current_ = s.current;
-    configReadyAt_ = s.configReadyAt;
-    routes_ = s.routes;
-    pes_ = s.pes;
-    inExt_ = s.inExt;
-    outExt_ = s.outExt;
-    firings_ = s.firings;
-    reconfigs_ = s.reconfigs;
-    configCycles_ = s.configCycles;
-    activeCycles_ = s.activeCycles;
-
-    // Re-anchor the external-port aliases into the freshly restored
-    // FIFO vectors.
-    for (PeState& pe : pes_) {
-        pe.ext = nullptr;
-        if (pe.node->op == Op::Input)
-            pe.ext = &inExt_[pe.node->portIdx];
-        if (pe.node->op == Op::Output)
-            pe.ext = &outExt_[pe.node->portIdx];
-    }
-}
-
 } // namespace ts

@@ -89,9 +89,6 @@ class Fabric : public Ticked
     /** Cycles spent reconfiguring. */
     std::uint64_t configCycles() const { return configCycles_; }
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
     struct RouteState
     {
@@ -118,22 +115,6 @@ class Fabric : public Ticked
         bool segDoneA = false, segDoneB = false;
         bool streamEndA = false, streamEndB = false;
         std::int64_t count = 0;
-    };
-
-    /** pes[i].ext is not copied: it aliases inExt_/outExt_ elements
-     *  and is re-derived from the node after restore (the same fix-up
-     *  configure() performs), so FIFO reallocation cannot dangle it. */
-    struct Snap final : ComponentSnap
-    {
-        const MappedDfg* current = nullptr;
-        Tick configReadyAt = 0;
-        std::vector<RouteState> routes;
-        std::vector<PeState> pes;
-        std::vector<TokenFifo> inExt, outExt;
-        std::uint64_t firings = 0;
-        std::uint64_t reconfigs = 0;
-        std::uint64_t configCycles = 0;
-        std::uint64_t activeCycles = 0;
     };
 
     void advanceRoutes();

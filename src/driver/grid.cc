@@ -202,11 +202,6 @@ const GridKeyDef kGridKeys[] = {
      [](const std::string& v, RunOptions&, GridSettings& g) {
          g.cacheCapBytes = parseCapBytes(v);
      }},
-    {"no-snapshot-fork", "0 | 1",
-     "fresh Delta per point instead of snapshot/fork warm starts",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.noSnapshotFork = v != "0";
-     }},
     {"timeline", "non-negative integer (cycles; 0 = off)",
      "delta.timeline.* sampling interval",
      [](const std::string& v, RunOptions& o, GridSettings&) {
@@ -227,11 +222,6 @@ const GridKeyDef kGridKeys[] = {
      "host wall-time attribution (sim.host.profile.*)",
      [](const std::string& v, RunOptions& o, GridSettings&) {
          o.hostProfile = v != "0";
-     }},
-    {"shards", "positive integer",
-     "executor shards inside every run (bit-identical for every N)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.shards = parsePositive(v, "shards");
      }},
 };
 
@@ -318,13 +308,11 @@ buildSweepSpec(const RunOptions& opt, const GridSettings& grid)
     spec.timelineInterval = opt.timelineInterval;
     spec.timelineSeries = opt.timelineSeries;
     spec.hostProfile = opt.hostProfile;
-    spec.shards = opt.shards;
     spec.steal = opt.steal;
     spec.sched = opt.sched;
     spec.schedSet = opt.schedSet;
     spec.cacheDir = grid.cacheDir;
     spec.cacheCapBytes = grid.cacheCapBytes;
-    spec.noSnapshotFork = grid.noSnapshotFork;
     return spec;
 }
 

@@ -38,7 +38,6 @@ struct GridSettings
 
     std::string cacheDir;            ///< run cache ("" = off)
     std::uint64_t cacheCapBytes = 0; ///< cache budget (0 = unbounded)
-    bool noSnapshotFork = false;     ///< fresh Delta per point
     bool dryRun = false;             ///< expand + predict, no runs
 };
 

@@ -132,8 +132,6 @@ RunOptions::applyTo(DeltaConfig cfg) const
         cfg.statsJsonPath = statsJsonPath;
     if (noFastForward)
         cfg.noFastForward = true;
-    if (cfg.shards == 1)
-        cfg.shards = shards;
     if (cfg.steal == StealPolicy::None)
         cfg.steal = steal;
     if (schedSet)
@@ -189,12 +187,6 @@ RunOptions::fromEnv()
     opt.benchJsonDir = env("TS_BENCH_JSON");
     if (const std::string s = env("TS_NO_FAST_FORWARD"); !s.empty())
         opt.noFastForward = s != "0";
-    if (const std::string s = env("TS_SHARDS"); !s.empty()) {
-        const std::uint64_t v = parseCount(s, "TS_SHARDS");
-        if (v < 1)
-            fatal("TS_SHARDS must be at least 1, got '", s, "'");
-        opt.shards = static_cast<std::uint32_t>(v);
-    }
     if (const std::string s = env("TS_STEAL"); !s.empty())
         opt.steal = parseSteal(s, "TS_STEAL");
     if (const std::string s = env("TS_SCHED"); !s.empty()) {
@@ -229,9 +221,6 @@ optionsHelp()
         "  --log N            stderr verbosity 0|1|2 [TS_LOG]\n"
         "  --no-fast-forward  naive per-cycle ticking (bit-identical\n"
         "                     reference mode) [TS_NO_FAST_FORWARD]\n"
-        "  --shards N         executor shards per run (host threads\n"
-        "                     inside one simulation; bit-identical\n"
-        "                     for every N) [TS_SHARDS]\n"
         "  --steal P          lane work stealing over the NoC:\n"
         "                     none|steal-one|steal-half (behaviour-\n"
         "                     relevant: part of run-cache keys)\n"
@@ -297,12 +286,6 @@ parseCommandLine(int& argc, char** argv, bool strict)
             opt.benchJsonDir = value("--bench-json");
         } else if (arg == "--no-fast-forward") {
             opt.noFastForward = true;
-        } else if (arg == "--shards") {
-            const std::uint64_t v =
-                parseCount(value("--shards"), "--shards");
-            if (v < 1)
-                fatal("--shards must be at least 1");
-            opt.shards = static_cast<std::uint32_t>(v);
         } else if (arg == "--steal") {
             opt.steal = parseSteal(value("--steal"), "--steal");
         } else if (arg == "--sched") {

@@ -69,12 +69,6 @@ struct RunOptions
      *  and host-performance comparison. */
     bool noFastForward = false;
 
-    /** Executor shards for the conservative-PDES core (host threads
-     *  per run).  Results are bit-identical for every value; forced
-     *  to 1 with tracing or --no-fast-forward.  --shards N /
-     *  TS_SHARDS. */
-    std::uint32_t shards = 1;
-
     /** NoC work stealing between lane task units
      *  (none|steal-one|steal-half).  Behaviour-relevant: participates
      *  in canonicalConfig / cache keys.  --steal P / TS_STEAL. */

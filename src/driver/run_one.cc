@@ -1,6 +1,7 @@
 #include "driver/run_one.hh"
 
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 
 #include "sim/logging.hh"
@@ -32,11 +33,9 @@ emitBenchJson(const RunOptions& opt, const std::string& tag,
         opt.benchJsonDir + "/" +
         std::to_string(seq.fetch_add(1, std::memory_order_relaxed)) +
         "_" + tag + ".json";
+    std::error_code ec;
+    std::filesystem::create_directories(opt.benchJsonDir, ec);
     std::ofstream os(path);
-    if (!os) {
-        warn("runOne: cannot write '", path, "'");
-        return;
-    }
     os << "{\n  \"workload\": \"" << name << "\",\n"
        << "  \"policy\": \"" << schedPolicyName(cfg.policy) << "\",\n"
        << "  \"steal\": \"" << stealPolicyName(cfg.steal) << "\",\n"
@@ -45,6 +44,9 @@ emitBenchJson(const RunOptions& opt, const std::string& tag,
        << "  \"stats\": ";
     r.stats.dumpJson(os);
     os << "}\n";
+    os.close();
+    if (!os)
+        fatal("runOne: cannot write bench JSON '", path, "'");
 }
 
 } // namespace

@@ -7,8 +7,8 @@
  * workload, build a Delta with the options applied, emit the graph,
  * run, check, and hand-write a bench-JSON wrapper.  That glue lives
  * here once.  The sweep engine (sweep.hh) remains separate: it adds
- * caching, snapshot forking, and deterministic grid aggregation on
- * top of the same underlying steps.
+ * caching and deterministic grid aggregation on top of the same
+ * underlying steps.
  *
  * Three entry points, most-derived first:
  *   runOne(opt, spec)       custom build/check callbacks (examples
@@ -18,7 +18,7 @@
  *                           opt.suiteParams()
  *
  * All of them inject the options' outputs (trace, stats-json,
- * bench-json, shards, ...) via RunOptions::applyTo, and write the
+ * bench-json, ...) via RunOptions::applyTo, and write the
  * bench-JSON wrapper to opt.benchJsonDir when set — callers never
  * touch StatSet serialization themselves.
  */

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -225,10 +226,6 @@ resolvePointConfig(const SweepSpec& spec, const RunPoint& point)
     // results, so it stays out of canonicalConfig/cache keys.
     if (spec.hostProfile)
         cfg.hostProfile = true;
-    // Results-neutral like hostProfile (bit-identity is CI-gated),
-    // so it is likewise excluded from canonicalConfig/cache keys.
-    if (cfg.shards == 1)
-        cfg.shards = spec.shards;
     // Behaviour-relevant: canonicalConfig covers cfg.steal, so a
     // spec-level override changes every point's cache key.
     if (cfg.steal == StealPolicy::None)
@@ -327,17 +324,22 @@ benchWrapperJson(const RunOutcome& out)
     return os.str();
 }
 
+/** Write @p payload as the point's per-run bench JSON.  A failed
+ *  write fails the point, naming the path, so the sweep exits
+ *  nonzero instead of silently dropping the file. */
 void
 writeBenchJson(const SweepSpec& spec, const RunPoint& point,
-               const std::string& payload)
+               const std::string& payload, RunOutcome& out)
 {
     const std::string path =
         spec.benchJsonDir + "/" + point.tag() + ".json";
     std::ofstream os(path, std::ios::binary);
-    if (!os)
-        warn("sweep: cannot write '", path, "'");
-    else
-        os << payload;
+    os << payload;
+    os.close();
+    if (!os) {
+        out.failed = true;
+        out.error = "cannot write bench JSON '" + path + "'";
+    }
 }
 
 /**
@@ -377,45 +379,9 @@ rehydrateOutcome(const std::string& payload, const RunPoint& point,
     return true;
 }
 
-/**
- * One warm-start slot: a constructed accelerator plus its pristine
- * post-construction snapshot.  Each worker thread keeps a few slots
- * keyed by canonical config, so a sweep builds each distinct
- * configuration once per thread and forks it for every (workload,
- * seed, scale) cell.
- */
-struct ForkSlot
-{
-    std::string key;
-    std::unique_ptr<Delta> delta;
-    std::unique_ptr<DeltaSnapshot> snap;
-};
-
-constexpr std::size_t kMaxForkSlots = 8;
-
-std::vector<ForkSlot>&
-forkSlots()
-{
-    thread_local std::vector<ForkSlot> slots;
-    return slots;
-}
-
-void
-dropForkSlot(const std::string& key)
-{
-    auto& slots = forkSlots();
-    for (auto it = slots.begin(); it != slots.end(); ++it) {
-        if (it->key == key) {
-            slots.erase(it);
-            return;
-        }
-    }
-}
-
 /** Execute one grid point in full isolation on the calling thread.
- *  Consults the run cache first (when given); on a miss, runs —
- *  forking a per-config snapshot unless disabled — and publishes
- *  the finished result. */
+ *  Consults the run cache first (when given); on a miss, runs on a
+ *  freshly built Delta and publishes the finished result. */
 RunOutcome
 executePoint(const SweepSpec& spec, const RunPoint& point,
              const cache::RunCache* cache, bool& fromCache)
@@ -434,7 +400,7 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
             RunOutcome cached;
             if (rehydrateOutcome(payload, point, cached)) {
                 if (!spec.benchJsonDir.empty())
-                    writeBenchJson(spec, point, payload);
+                    writeBenchJson(spec, point, payload, cached);
                 fromCache = true;
                 return cached;
             }
@@ -443,10 +409,6 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
         }
     }
 
-    // Tracing holds external state a rewind would corrupt, so traced
-    // sweeps always build from scratch.
-    const bool fork = spec.tracePath.empty() && !spec.noSnapshotFork;
-    std::string cfgKey;
     try {
         DeltaConfig cfg = resolvePointConfig(spec, point);
         if (!spec.tracePath.empty())
@@ -456,53 +418,24 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
         sp.seed = point.seed;
         sp.scale = point.scale;
         auto wl = makeWorkload(point.workload, sp);
-
-        Delta* delta = nullptr;
-        std::unique_ptr<Delta> fresh;
-        if (fork) {
-            cfgKey = canonicalConfig(cfg);
-            auto& slots = forkSlots();
-            for (ForkSlot& s : slots) {
-                if (s.key == cfgKey) {
-                    s.delta->restore(*s.snap);
-                    delta = s.delta.get();
-                    break;
-                }
-            }
-            if (delta == nullptr) {
-                ForkSlot slot;
-                slot.key = cfgKey;
-                slot.delta = std::make_unique<Delta>(cfg);
-                slot.snap = slot.delta->snapshot();
-                slots.push_back(std::move(slot));
-                if (slots.size() > kMaxForkSlots)
-                    slots.erase(slots.begin());
-                delta = slots.back().delta.get();
-            }
-        } else {
-            fresh = std::make_unique<Delta>(cfg);
-            delta = fresh.get();
-        }
+        Delta delta(cfg);
 
         TaskGraph graph;
-        wl->build(*delta, graph);
-        out.stats = delta->run(graph);
+        wl->build(delta, graph);
+        out.stats = delta.run(graph);
         out.cycles = out.stats.get("delta.cycles");
-        out.correct = wl->check(delta->image());
+        out.correct = wl->check(delta.image());
     } catch (const std::exception& e) {
         out.failed = true;
         out.error = e.what();
-        // The slot's Delta may be stuck mid-run; rebuild next time.
-        if (fork && !cfgKey.empty())
-            dropForkSlot(cfgKey);
     }
 
     if (!out.failed) {
         const std::string payload = benchWrapperJson(out);
-        if (!spec.benchJsonDir.empty())
-            writeBenchJson(spec, point, payload);
         if (cache != nullptr && out.ok())
             cache->publish(cacheKey, cellKey, payload);
+        if (!spec.benchJsonDir.empty())
+            writeBenchJson(spec, point, payload, out);
     }
     return out;
 }
@@ -552,6 +485,15 @@ Sweep::run()
     SweepReport report;
     report.spec = spec_;
     report.runs.resize(points_.size());
+
+    if (!spec_.benchJsonDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(spec_.benchJsonDir, ec);
+        if (ec || !std::filesystem::is_directory(spec_.benchJsonDir))
+            fatal("sweep: cannot create bench-json directory '",
+                  spec_.benchJsonDir, "'",
+                  ec ? ": " + ec.message() : std::string());
+    }
 
     std::unique_ptr<cache::RunCache> cache;
     if (!spec_.cacheDir.empty()) {

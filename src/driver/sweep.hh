@@ -90,7 +90,8 @@ struct SweepSpec
 
     /** When non-empty, each run writes its StatSet in the bench-JSON
      *  wrapper shape to `<dir>/<tag>.json` (delta-report ingestible,
-     *  deterministic names). */
+     *  deterministic names).  Sweep::run creates the directory and
+     *  fails loudly when it cannot; a failed write fails its point. */
     std::string benchJsonDir;
 
     /** When non-empty, each run writes a Perfetto trace to
@@ -121,15 +122,8 @@ struct SweepSpec
      *  relevant, and excluded from byte-compared dumps. */
     bool hostProfile = false;
 
-    /** Executor shards inside every run (host threads per
-     *  simulation).  Results are bit-identical for every value, so
-     *  like hostProfile it stays out of canonicalConfig/cache keys:
-     *  a cached single-shard result is a valid answer for a sharded
-     *  request and vice versa. */
-    std::uint32_t shards = 1;
-
     /** Work-stealing override applied to every config whose preset
-     *  left stealing off.  Behaviour-relevant (unlike shards): the
+     *  left stealing off.  Behaviour-relevant (unlike hostProfile): the
      *  resolved policy lands in canonicalConfig and so in every
      *  point's cache key. */
     StealPolicy steal = StealPolicy::None;
@@ -153,11 +147,6 @@ struct SweepSpec
 
     /** Cache size budget in bytes (0 = unbounded). */
     std::uint64_t cacheCapBytes = 0;
-
-    /** Disable snapshot/fork warm starts: build a fresh Delta for
-     *  every point instead of forking each config's one-time
-     *  snapshot.  Bit-identical; for differential checks. */
-    bool noSnapshotFork = false;
 
     /**
      * Called once per retired point, in completion order under the

@@ -122,31 +122,4 @@ MainMemory::reportStats(StatSet& stats) const
               static_cast<double>(bankConflictStalls_));
 }
 
-std::unique_ptr<ComponentSnap>
-MainMemory::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->pending = pending_;
-    s->bankFreeAt = bankFreeAt_;
-    s->tracedPending = tracedPending_;
-    s->linesRead = linesRead_;
-    s->linesWritten = linesWritten_;
-    s->bankConflictStalls = bankConflictStalls_;
-    s->inflight = inflight_;
-    return s;
-}
-
-void
-MainMemory::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    pending_ = s.pending;
-    bankFreeAt_ = s.bankFreeAt;
-    tracedPending_ = s.tracedPending;
-    linesRead_ = s.linesRead;
-    linesWritten_ = s.linesWritten;
-    bankConflictStalls_ = s.bankConflictStalls;
-    inflight_ = s.inflight;
-}
-
 } // namespace ts

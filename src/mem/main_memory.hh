@@ -63,9 +63,6 @@ class MainMemory : public Ticked
         return pending_.size() + static_cast<std::size_t>(inflight_);
     }
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
     /** A request waiting to issue, with its arrival cycle (queue-wait
      *  attribution in the trace). */
@@ -73,20 +70,6 @@ class MainMemory : public Ticked
     {
         MemReq req;
         Tick enqueuedAt;
-    };
-
-    /** inflight_ responses live in the event queue, whose emptiness
-     *  the simulator asserts at snapshot time — so inflight is always
-     *  zero when this snap is taken, but it is copied regardless. */
-    struct Snap final : ComponentSnap
-    {
-        std::deque<Pending> pending;
-        std::vector<Tick> bankFreeAt;
-        std::size_t tracedPending = static_cast<std::size_t>(-1);
-        std::uint64_t linesRead = 0;
-        std::uint64_t linesWritten = 0;
-        std::uint64_t bankConflictStalls = 0;
-        std::uint64_t inflight = 0;
     };
 
     std::uint32_t bankOf(Addr lineAddr) const;

@@ -63,29 +63,4 @@ Scratchpad::reportStats(StatSet& stats) const
     stats.set(name() + ".portStalls", static_cast<double>(portStalls_));
 }
 
-std::unique_ptr<ComponentSnap>
-Scratchpad::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->data = data_;
-    s->brk = brk_;
-    s->budgetCycle = budgetCycle_;
-    s->budgetLeft = budgetLeft_;
-    s->accesses = accesses_;
-    s->portStalls = portStalls_;
-    return s;
-}
-
-void
-Scratchpad::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    data_ = s.data;
-    brk_ = s.brk;
-    budgetCycle_ = s.budgetCycle;
-    budgetLeft_ = s.budgetLeft;
-    accesses_ = s.accesses;
-    portStalls_ = s.portStalls;
-}
-
 } // namespace ts

@@ -68,20 +68,7 @@ class Scratchpad : public Ticked
     /** Words currently allocated. */
     std::size_t allocated() const { return brk_; }
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
-    struct Snap final : ComponentSnap
-    {
-        std::vector<Word> data;
-        std::size_t brk = 0;
-        Tick budgetCycle = ~Tick(0);
-        std::uint32_t budgetLeft = 0;
-        std::uint64_t accesses = 0;
-        std::uint64_t portStalls = 0;
-    };
-
     ScratchpadConfig cfg_;
     std::vector<Word> data_;
     std::size_t brk_ = 0;

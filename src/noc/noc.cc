@@ -78,53 +78,10 @@ class NocRouter : public Ticked
 
     bool busy() const override { return false; }
 
-    std::unique_ptr<ComponentSnap>
-    saveState() const override
-    {
-        auto s = std::make_unique<Snap>();
-        s->linkFreeAt = linkFreeAt_;
-        s->delivered = delivered_;
-        s->wordHops = wordHops_;
-        s->mcastWordHops = mcastWordHops_;
-        s->mcastDeliveries = mcastDeliveries_;
-        return s;
-    }
-
-    void
-    restoreState(const ComponentSnap& snap) override
-    {
-        const Snap& s = snapCast<Snap>(snap);
-        linkFreeAt_ = s.linkFreeAt;
-        delivered_ = s.delivered;
-        wordHops_ = s.wordHops;
-        mcastWordHops_ = s.mcastWordHops;
-        mcastDeliveries_ = s.mcastDeliveries;
-    }
-
     std::array<Channel<Packet>*, NumDirs> in_;
     std::array<Channel<Packet>*, NumDirs> out_;
 
-    /** Forwarding-side traffic counters, owned by this router so the
-     *  sharded core's parallel ticks never contend on the mesh-wide
-     *  totals; Noc's accessors sum them. */
-    std::uint64_t delivered_ = 0;
-    std::uint64_t wordHops_ = 0;
-    std::uint64_t mcastWordHops_ = 0;
-    std::uint64_t mcastDeliveries_ = 0;
-
   private:
-    /** Mutable router state: per-link serialization maturity plus
-     *  this router's traffic counters.  in_/out_ are wiring, and the
-     *  round-robin pointer is a pure function of simulated time. */
-    struct Snap final : ComponentSnap
-    {
-        std::array<Tick, NumDirs> linkFreeAt{};
-        std::uint64_t delivered = 0;
-        std::uint64_t wordHops = 0;
-        std::uint64_t mcastWordHops = 0;
-        std::uint64_t mcastDeliveries = 0;
-    };
-
     unsigned
     routeDir(std::uint32_t dst) const
     {
@@ -201,9 +158,9 @@ class NocRouter : public Ticked
             const bool ok = out_[d]->push(std::move(copy));
             TS_ASSERT(ok);
             if (d == LocalPort) {
-                ++delivered_;
+                ++noc_.delivered_;
                 if (head.mcast)
-                    ++mcastDeliveries_;
+                    ++noc_.mcastDeliveries_;
                 if (statsOn()) {
                     const auto lat =
                         static_cast<double>(now - head.injectedAt);
@@ -213,20 +170,18 @@ class NocRouter : public Ticked
                                lat);
                 }
                 if (trace::on()) {
-                    // Tracing forces single-shard execution, so the
-                    // mesh-wide sum is safe to read here.
                     trace::active()->counter(
                         "noc.traffic", "delivered",
-                        static_cast<double>(noc_.delivered()));
+                        static_cast<double>(noc_.delivered_));
                 }
             } else {
                 const Tick ser = std::max<Tick>(
                     1, divCeil<std::uint32_t>(head.sizeWords,
                                               noc_.cfg_.linkWords));
                 linkFreeAt_[d] = now + ser;
-                wordHops_ += head.sizeWords;
+                noc_.wordHops_ += head.sizeWords;
                 if (head.mcast)
-                    mcastWordHops_ += head.sizeWords;
+                    noc_.mcastWordHops_ += head.sizeWords;
             }
         }
     }
@@ -251,10 +206,6 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
         return nodeParts.empty() ? basePart : nodeParts[node];
     };
 
-    injected_.assign(n, 0);
-    mcastPackets_.assign(n, 0);
-    mcastUnicastEquivWordHops_.assign(n, 0);
-
     routers_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<NocRouter>(*this, i));
@@ -263,8 +214,8 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
     }
 
     // A node's inject/eject channels stay inside the node's
-    // partition: the local component and its router always share a
-    // shard, so only inter-router links ever cross shards.
+    // partition, which its router and local component share, so only
+    // inter-router links ever cross partitions.
     injectCh_.resize(n);
     ejectCh_.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -335,19 +286,19 @@ Noc::inject(Packet pkt)
     const bool mcast = pkt.mcast;
     if (!injectCh_[pkt.src]->push(std::move(pkt)))
         return false;
-    ++injected_[src];
+    ++injected_;
     if (mcast) {
-        ++mcastPackets_[src];
+        ++mcastPackets_;
         // What this fanout would cost as one unicast per member:
-        // the tree's actual word-hops accumulate per router as
-        // branches traverse links, and the difference is the
-        // traffic the multicast mechanism saved.
+        // the tree's actual word-hops accumulate as branches
+        // traverse links, and the difference is the traffic the
+        // multicast mechanism saved.
         std::uint64_t rest = dstMask;
         while (rest != 0) {
             const auto dst =
                 static_cast<std::uint32_t>(__builtin_ctzll(rest));
             rest &= rest - 1;
-            mcastUnicastEquivWordHops_[src] +=
+            mcastUnicastEquivWordHops_ +=
                 static_cast<std::uint64_t>(hopDistance(src, dst)) *
                 words;
         }
@@ -390,106 +341,18 @@ Noc::packetsInFlight() const
     return n;
 }
 
-namespace
-{
-
-std::uint64_t
-sumVec(const std::vector<std::uint64_t>& v)
-{
-    std::uint64_t t = 0;
-    for (const std::uint64_t x : v)
-        t += x;
-    return t;
-}
-
-} // namespace
-
-std::uint64_t
-Noc::wordHops() const
-{
-    std::uint64_t t = 0;
-    for (const auto& r : routers_)
-        t += r->wordHops_;
-    return t;
-}
-
-std::uint64_t
-Noc::delivered() const
-{
-    std::uint64_t t = 0;
-    for (const auto& r : routers_)
-        t += r->delivered_;
-    return t;
-}
-
-std::uint64_t
-Noc::mcastWordHops() const
-{
-    std::uint64_t t = 0;
-    for (const auto& r : routers_)
-        t += r->mcastWordHops_;
-    return t;
-}
-
-std::uint64_t
-Noc::mcastDeliveries() const
-{
-    std::uint64_t t = 0;
-    for (const auto& r : routers_)
-        t += r->mcastDeliveries_;
-    return t;
-}
-
-std::uint64_t
-Noc::injected() const
-{
-    return sumVec(injected_);
-}
-
-std::uint64_t
-Noc::mcastPackets() const
-{
-    return sumVec(mcastPackets_);
-}
-
-std::uint64_t
-Noc::mcastUnicastEquivWordHops() const
-{
-    return sumVec(mcastUnicastEquivWordHops_);
-}
-
-Noc::Counters
-Noc::counters() const
-{
-    Counters c;
-    c.injected = injected_;
-    c.mcastPackets = mcastPackets_;
-    c.mcastUnicastEquivWordHops = mcastUnicastEquivWordHops_;
-    return c;
-}
-
-void
-Noc::restoreCounters(const Counters& c)
-{
-    injected_ = c.injected;
-    mcastPackets_ = c.mcastPackets;
-    mcastUnicastEquivWordHops_ = c.mcastUnicastEquivWordHops;
-}
-
 void
 Noc::reportStats(StatSet& stats) const
 {
-    stats.set("noc.wordHops", static_cast<double>(wordHops()));
-    stats.set("noc.delivered", static_cast<double>(delivered()));
-    stats.set("noc.injected", static_cast<double>(injected()));
-    stats.set("noc.mcast.packets",
-              static_cast<double>(mcastPackets()));
+    stats.set("noc.wordHops", static_cast<double>(wordHops_));
+    stats.set("noc.delivered", static_cast<double>(delivered_));
+    stats.set("noc.injected", static_cast<double>(injected_));
+    stats.set("noc.mcast.packets", static_cast<double>(mcastPackets_));
     stats.set("noc.mcast.deliveries",
-              static_cast<double>(mcastDeliveries()));
-    stats.set("noc.mcast.wordHops",
-              static_cast<double>(mcastWordHops()));
+              static_cast<double>(mcastDeliveries_));
+    stats.set("noc.mcast.wordHops", static_cast<double>(mcastWordHops_));
     stats.set("noc.mcast.unicastEquivWordHops",
-              static_cast<double>(mcastUnicastEquivWordHops()));
+              static_cast<double>(mcastUnicastEquivWordHops_));
 }
 
 } // namespace ts

@@ -43,7 +43,7 @@ class Noc
      *        numNodes()): router @c i and its inject/eject channels
      *        are declared in partition nodeParts[i], making every
      *        inter-router link of differently-partitioned nodes a
-     *        boundary channel (credit back-pressure, shardable).
+     *        boundary channel (credit back-pressure).
      *        Empty (default) keeps the whole mesh in the simulator's
      *        current registration partition — single-partition, as
      *        before.
@@ -67,56 +67,36 @@ class Noc
     /** The ejection channel of a node; consumers pop from it. */
     Channel<Packet>& eject(std::uint32_t node);
 
-    /**
-     * Traffic totals.  Forwarding-side counts (word-hops,
-     * deliveries) accumulate per router and injection-side counts
-     * per source node — each mutated only by its owning partition,
-     * so shards never contend — and these accessors sum them.
-     */
     /** Total word-hops traversed (traffic metric for Fig-5). */
-    std::uint64_t wordHops() const;
+    std::uint64_t wordHops() const { return wordHops_; }
 
     /** Total packets delivered to local ports. */
-    std::uint64_t delivered() const;
+    std::uint64_t delivered() const { return delivered_; }
 
     /** Total packets accepted by inject(). */
-    std::uint64_t injected() const;
+    std::uint64_t injected() const { return injected_; }
 
     /** Word-hops traversed by multicast (fanout > 1) packets. */
-    std::uint64_t mcastWordHops() const;
+    std::uint64_t mcastWordHops() const { return mcastWordHops_; }
 
     /** Word-hops the same multicast traffic would have cost as one
      *  unicast packet per destination (sum of Manhattan distances
      *  times payload size, accumulated at injection). */
-    std::uint64_t mcastUnicastEquivWordHops() const;
+    std::uint64_t
+    mcastUnicastEquivWordHops() const
+    {
+        return mcastUnicastEquivWordHops_;
+    }
 
     /** Multicast packets injected / local deliveries they produced. */
-    std::uint64_t mcastPackets() const;
-    std::uint64_t mcastDeliveries() const;
+    std::uint64_t mcastPackets() const { return mcastPackets_; }
+    std::uint64_t mcastDeliveries() const { return mcastDeliveries_; }
 
     /** Report traffic statistics. */
     void reportStats(StatSet& stats) const;
 
     /** Manhattan distance between two nodes (for tests). */
     std::uint32_t hopDistance(std::uint32_t a, std::uint32_t b) const;
-
-    /**
-     * The mesh's accumulated injection-side traffic counters
-     * (snapshot/fork support), per source node.  Routers and
-     * channels are Simulator-registered and snapshot through it —
-     * including the per-router forwarding counters — so the Noc
-     * itself only owns these.
-     */
-    struct Counters
-    {
-        std::vector<std::uint64_t> injected;
-        std::vector<std::uint64_t> mcastPackets;
-        std::vector<std::uint64_t> mcastUnicastEquivWordHops;
-    };
-
-    /** Copy out / restore the traffic counters. */
-    Counters counters() const;
-    void restoreCounters(const Counters& c);
 
     /**
      * Packets currently buffered in the network: visible occupancy
@@ -138,12 +118,15 @@ class Noc
     std::vector<Channel<Packet>*> ejectCh_;
     std::vector<Channel<Packet>*> linkCh_;
 
-    /** Injection-side counters, indexed by source node: inject() is
-     *  called from the source node's partition, so each slot has a
-     *  single writing shard. */
-    std::vector<std::uint64_t> injected_;
-    std::vector<std::uint64_t> mcastPackets_;
-    std::vector<std::uint64_t> mcastUnicastEquivWordHops_;
+    /** Traffic counters: injection-side ones bumped by inject(),
+     *  forwarding-side ones by the routers. */
+    std::uint64_t injected_ = 0;
+    std::uint64_t mcastPackets_ = 0;
+    std::uint64_t mcastUnicastEquivWordHops_ = 0;
+    std::uint64_t wordHops_ = 0;
+    std::uint64_t delivered_ = 0;
+    std::uint64_t mcastWordHops_ = 0;
+    std::uint64_t mcastDeliveries_ = 0;
 };
 
 } // namespace ts

@@ -9,7 +9,7 @@
  * `sim.host.profile.*` (excluded from byte-compared dumps like every
  * `sim.host.*` counter) and rendered by `delta-report` as the "Host
  * hotspots" section — the measurement that tells us which component
- * class a sharded simulation core should shard first.
+ * class the host spends its time on.
  *
  * Profiling is opt-in (DeltaConfig::hostProfile, default off): the
  * instrumented sections take two steady_clock reads per section per
@@ -65,14 +65,6 @@ class HostProfiler
     }
 
     std::uint64_t ns(unsigned bucket) const { return ns_[bucket]; }
-
-    /** Accumulate another profiler's buckets (per-shard merge). */
-    void
-    mergeFrom(const HostProfiler& o)
-    {
-        for (unsigned b = 0; b < kBuckets; ++b)
-            ns_[b] += o.ns_[b];
-    }
 
     std::uint64_t
     totalNs() const

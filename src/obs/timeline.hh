@@ -8,8 +8,8 @@
  * fast-forward loop stops at weak ticks; the naive loop reaches every
  * tick anyway) without keeping the simulation alive or perturbing it:
  * a sampled run's `delta.*` stats are bit-identical to an unsampled
- * one, and the timeline itself is bit-identical across `-j1`/`-jN`,
- * snapshot-forked runs, and `--no-fast-forward`.
+ * one, and the timeline itself is bit-identical across `-j1`/`-jN`
+ * and `--no-fast-forward`.
  *
  * Probes come in two flavours.  A *counter* probe reads a cumulative
  * value (e.g. a lane's busy-cycle bucket); the report emits

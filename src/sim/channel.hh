@@ -31,26 +31,22 @@
  * capacity therefore becomes visible one cycle after the pop — the
  * same next-cycle rule values already follow — which makes the
  * producer's view independent of within-cycle tick order across
- * partitions.  That is the lookahead property the sharded
- * (conservative-PDES) core synchronizes on, and it is declared per
- * *partition*, never per shard count, so simulated results are
- * bit-identical for every --shards value including 1.
+ * partitions.  Partitions are part of the simulated system's
+ * structure, so the rule changes results only through the declared
+ * endpoints.
  */
 
 #ifndef TS_SIM_CHANNEL_HH
 #define TS_SIM_CHANNEL_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace ts
 {
@@ -103,9 +99,6 @@ class ChannelBase
             dirtyList_->push_back(this);
     }
 
-    /** Whether a push this cycle has not yet been committed. */
-    bool dirty() const { return dirty_; }
-
     /**
      * Declare the producer/consumer partitions (called by
      * Simulator::addChannel before any traffic).  A cross-partition
@@ -127,63 +120,8 @@ class ChannelBase
     /** Whether the endpoints live in different partitions. */
     bool boundary() const { return boundary_; }
 
-    /**
-     * Bind the sharded core's per-cycle work flags (consumer-shard
-     * inbox).  @p stagedFlag is raised by every push (any producer
-     * shard; atomic), @p popFlag by every pop (consumer shard only).
-     * Null detaches (single-shard execution).
-     */
-    void
-    setShardFlags(std::atomic<std::uint8_t>* stagedFlag,
-                  std::uint8_t* popFlag)
-    {
-        stagedFlag_ = stagedFlag;
-        popFlag_ = popFlag;
-        shardDetached_ = popFlag != nullptr;
-    }
-
-    /** Whether the sharded integrate phase has work here: staged
-     *  pushes to commit or pops whose credits are unapplied. */
-    bool integratePending() const { return dirty_ || pendingPops_ != 0; }
-
-    /**
-     * Re-bind the live-counter/dirty-list hooks (sharded core:
-     * intra-shard channels move onto their shard's structures,
-     * boundary channels detach — their liveness is scanned at the
-     * coordinator's serialized decision point instead).  Must be
-     * called between cycles (never while dirty).
-     */
-    void
-    rebindHooks(std::int64_t* liveCounter,
-                std::vector<ChannelBase*>* dirtyList)
-    {
-        if (live_) {
-            if (liveCounter_ != nullptr)
-                --*liveCounter_;
-            if (liveCounter != nullptr)
-                ++*liveCounter;
-        }
-        liveCounter_ = liveCounter;
-        dirtyList_ = dirtyList;
-    }
-
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
-
-    /**
-     * Copy all queued/staged values and counters (snapshot/fork
-     * support).  Must be called between cycles: a dirty channel
-     * cannot be snapshotted.
-     */
-    virtual std::unique_ptr<ComponentSnap> saveState() const = 0;
-
-    /**
-     * Restore a prior saveState() in place.  The external live
-     * counter (installHooks) is re-synchronized incrementally via
-     * setLive, so the owning simulator's quiescence accounting stays
-     * exact.
-     */
-    virtual void restoreState(const ComponentSnap& s) = 0;
 
   protected:
     /** First push of the cycle enqueues us for the commit phase. */
@@ -201,19 +139,14 @@ class ChannelBase
     void
     notePush()
     {
-        if (!boundary_)
-            return;
-        ++credit_;
-        if (stagedFlag_ != nullptr)
-            stagedFlag_->store(1, std::memory_order_relaxed);
+        if (boundary_)
+            ++credit_;
     }
 
     /**
      * Consumer-side pop accounting on a boundary channel: the freed
-     * slot is credited back at the next commit.  Outside the sharded
-     * core the channel marks itself dirty so the commit phase visits
-     * it even on pop-only cycles; inside it the consumer shard's
-     * integrate phase walks its boundary list instead.
+     * slot is credited back at the next commit, so the channel marks
+     * itself dirty to be visited even on pop-only cycles.
      */
     void
     notePop()
@@ -221,10 +154,7 @@ class ChannelBase
         if (!boundary_)
             return;
         ++pendingPops_;
-        if (popFlag_ != nullptr)
-            *popFlag_ = 1;
-        else
-            markDirty();
+        markDirty();
     }
 
     /** Commit-time credit application (boundary channels). */
@@ -238,32 +168,13 @@ class ChannelBase
     /** Producer-visible occupancy of a boundary channel. */
     std::size_t credit() const { return credit_; }
 
-    /** Reset credit accounting from restored queue contents. */
-    void
-    resetCredits(std::size_t occupancy)
-    {
-        credit_ = occupancy;
-        pendingPops_ = 0;
-    }
-
     /** Commit served this channel; re-arm for the next cycle. */
     void clearDirty() { dirty_ = false; }
-
-    /**
-     * Whether the sharded core owns this boundary channel's commit
-     * (setShardFlags).  Producer and consumer shards then touch it
-     * concurrently within a cycle, so liveness tracking is frozen —
-     * quiescence scans the boundary list at a serialized point
-     * instead — and pop() must not read producer-side staging.
-     */
-    bool shardDetached() const { return shardDetached_; }
 
     /** Track the visible-or-staged liveness transition. */
     void
     setLive(bool v)
     {
-        if (shardDetached_)
-            return;
         if (v != live_) {
             live_ = v;
             if (liveCounter_ != nullptr)
@@ -276,12 +187,6 @@ class ChannelBase
     std::vector<Ticked*> observers_;
     std::int64_t* liveCounter_ = nullptr;
     std::vector<ChannelBase*>* dirtyList_ = nullptr;
-    /** Consumer-shard inbox flag raised on every push (sharded). */
-    std::atomic<std::uint8_t>* stagedFlag_ = nullptr;
-    /** Consumer-shard flag raised on every pop (sharded). */
-    std::uint8_t* popFlag_ = nullptr;
-    /** Commit ownership moved to the sharded integrate phase. */
-    bool shardDetached_ = false;
     /** Producer-view occupancy (boundary channels only). */
     std::size_t credit_ = 0;
     /** Pops since the last commit (boundary channels only). */
@@ -360,9 +265,7 @@ class Channel : public ChannelBase
         T v = std::move(queue_.front());
         queue_.pop_front();
         notePop();
-        // A shard-detached boundary channel must not read staging_
-        // here: the producer's shard may be appending concurrently.
-        if (!shardDetached() && queue_.empty() && staging_.empty())
+        if (queue_.empty() && staging_.empty())
             setLive(false);
         return v;
     }
@@ -396,42 +299,7 @@ class Channel : public ChannelBase
     /** Configured capacity (0 = unbounded). */
     std::size_t capacity() const { return capacity_; }
 
-    std::unique_ptr<ComponentSnap>
-    saveState() const override
-    {
-        TS_ASSERT(!dirty(), "snapshot of dirty channel ", name());
-        auto s = std::make_unique<Snap>();
-        s->queue = queue_;
-        s->staging = staging_;
-        s->pushed = pushed_;
-        s->maxOccupancy = maxOccupancy_;
-        return s;
-    }
-
-    void
-    restoreState(const ComponentSnap& snap) override
-    {
-        TS_ASSERT(!dirty(), "restore into dirty channel ", name());
-        const Snap& s = snapCast<Snap>(snap);
-        queue_ = s.queue;
-        staging_ = s.staging;
-        pushed_ = s.pushed;
-        maxOccupancy_ = s.maxOccupancy;
-        // Snapshots are taken between cycles, where credit occupancy
-        // equals the stored contents and no pop is pending.
-        resetCredits(queue_.size() + staging_.size());
-        setLive(!queue_.empty() || !staging_.empty());
-    }
-
   private:
-    struct Snap final : ComponentSnap
-    {
-        std::deque<T> queue;
-        std::vector<T> staging;
-        std::uint64_t pushed = 0;
-        std::size_t maxOccupancy = 0;
-    };
-
     std::size_t capacity_;
     std::deque<T> queue_;
     std::vector<T> staging_;

@@ -1,11 +1,8 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "obs/host_profiler.hh"
 #include "sim/logging.hh"
@@ -27,39 +24,39 @@ nsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * The shard whose tick/integrate phase is running on this thread, or
- * -1.  schedule() uses it to route ownerless events scheduled from a
- * component's tick to that component's shard queue.
+ * Times its scope into one host-profiler bucket when Obs is set and a
+ * profiler is attached.  The Obs=false instantiation compiles to
+ * nothing, which keeps the uninstrumented loops free of profiling.
  */
-thread_local std::int32_t tlsShard = -1;
-
-void
-cpuRelax()
+template <bool Obs>
+class ProfScope
 {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-}
-
-/**
- * Spin-then-yield until @p v reaches @p target.  The short spin keeps
- * the per-cycle barrier in the tens of nanoseconds when every shard
- * has a core; the yield fallback keeps oversubscribed hosts (and CI
- * runners) from burning a timeslice per phase.
- */
-void
-waitAtLeast(const std::atomic<std::uint64_t>& v, std::uint64_t target)
-{
-    int spins = 0;
-    while (v.load(std::memory_order_acquire) < target) {
-        if (++spins < 256)
-            cpuRelax();
-        else
-            std::this_thread::yield();
+  public:
+    ProfScope(obs::HostProfiler* prof, unsigned bucket)
+        : prof_(prof), bucket_(bucket)
+    {
+        if constexpr (Obs) {
+            if (prof_ != nullptr)
+                t0_ = obs::HostProfiler::now();
+        }
     }
-}
+
+    ~ProfScope()
+    {
+        if constexpr (Obs) {
+            if (prof_ != nullptr)
+                prof_->add(bucket_, t0_, obs::HostProfiler::now());
+        }
+    }
+
+    ProfScope(const ProfScope&) = delete;
+    ProfScope& operator=(const ProfScope&) = delete;
+
+  private:
+    obs::HostProfiler* prof_;
+    unsigned bucket_;
+    obs::HostProfiler::Clock::time_point t0_{};
+};
 
 template <typename W>
 void
@@ -79,109 +76,7 @@ heapPop(std::vector<W>& h)
     return w;
 }
 
-constexpr int kCmdTick = 1;
-constexpr int kCmdIntegrate = 2;
-constexpr int kCmdExit = 3;
-
 } // namespace
-
-/**
- * Everything one executor shard owns for a cycle: its component
- * slice, a private copy of the activity-core working state (bitmaps,
- * sleep heap, dirty list, live counter), its strong-event queue, the
- * boundary channels it consumes, and per-shard observability sinks.
- * Heap-allocated one per shard so shards never share cache lines.
- */
-struct Simulator::ShardState
-{
-    /** Components of this shard, in ascending global index order, so
-     *  each shard walks in the exact order the single-shard walk
-     *  would visit them. */
-    std::vector<Ticked*> comps;
-    std::vector<std::uint64_t> active;
-    std::vector<std::uint64_t> pending;
-    std::uint32_t activeCount = 0;
-    bool walking = false;
-    std::uint32_t walkPos = 0;
-    /** Timed wakes of this shard's sleepers (global indices). */
-    std::vector<TimedWake> sleepHeap;
-    /** Sleeping-but-busy components (global indices). */
-    std::vector<std::uint32_t> sleepersBusy;
-    /** Live counter for this shard's intra-shard channels. */
-    std::int64_t liveChannels = 0;
-    /** Intra-shard channels pushed this cycle. */
-    std::vector<ChannelBase*> dirtyCh;
-    /** Strong events owned by this shard's partitions; fired by the
-     *  coordinator, serialized, in shard order. */
-    EventQueue events;
-    /** Boundary channels this shard consumes (integrate phase). */
-    std::vector<ChannelBase*> consumedBoundary;
-    /** Raised by any producer shard pushing a boundary channel we
-     *  consume; read by the coordinator after the tick barrier. */
-    alignas(64) std::atomic<std::uint8_t> inboundStaged{0};
-    /** Raised by our own pops of consumed boundary channels. */
-    std::uint8_t popWork = 0;
-    /** Observers of channels committed by this shard that live on
-     *  another shard.  Waking them here would race with their own
-     *  shard's bookkeeping, so the coordinator applies these
-     *  serially at the end of the cycle — the commit-phase wake
-     *  already takes effect next cycle in the single-shard core, so
-     *  the deferral changes nothing observable. */
-    std::vector<Ticked*> crossWakes;
-    /** Tick-phase statSample() sink, merged into the run StatSet in
-     *  shard index order after the run. */
-    StatSet stats;
-    std::unique_ptr<obs::FlightRecorder> recorder;
-    std::unique_ptr<obs::HostProfiler> profiler;
-    std::vector<unsigned char> profClass;
-    std::uint64_t ticksExecuted = 0;
-    std::uint64_t wallNs = 0;
-};
-
-/**
- * The worker crew of one sharded run()/step(): shards 1..K-1 each get
- * a thread; the coordinator (caller's thread) executes shard 0 and
- * releases phases through per-worker epoch slots.  Spawned per run —
- * thread start-up is microseconds against runs that are milliseconds
- * and up — so no threads linger between runs or across snapshots.
- */
-struct Simulator::ShardRuntime
-{
-    struct alignas(64) Slot
-    {
-        std::atomic<std::uint64_t> epoch{0};
-        std::atomic<std::uint64_t> done{0};
-        std::atomic<int> cmd{0};
-    };
-    std::vector<std::unique_ptr<Slot>> slots;
-    std::vector<std::thread> threads;
-    std::uint64_t phase = 0;
-    std::atomic<bool> failed{false};
-    std::mutex failMx;
-    std::string failMsg;
-};
-
-Simulator::Simulator() = default;
-
-Simulator::~Simulator()
-{
-    // The crew never outlives a run; nothing to join here.
-    TS_ASSERT(rt_ == nullptr, "simulator destroyed mid-run");
-}
-
-std::unique_ptr<ComponentSnap>
-Ticked::saveState() const
-{
-    fatal("component '", name_,
-          "' does not implement saveState(); snapshot/fork requires "
-          "every registered component to copy its mutable state");
-}
-
-void
-Ticked::restoreState(const ComponentSnap&)
-{
-    fatal("component '", name_, "' does not implement restoreState()");
-}
 
 void
 Simulator::add(Ticked* t)
@@ -189,13 +84,12 @@ Simulator::add(Ticked* t)
     TS_ASSERT(t != nullptr);
     TS_ASSERT(t->sim_ == nullptr,
               "component registered with two simulators: ", t->name());
-    TS_ASSERT(!sharded_, "component '", t->name(),
-              "' registered after Simulator::finalize() built the "
-              "shard state");
     t->sim_ = this;
     t->simIndex_ = static_cast<std::uint32_t>(ticked_.size());
     t->partition_ = currentPartition_;
     ticked_.push_back(t);
+    profClass_.push_back(static_cast<unsigned char>(
+        obs::HostProfiler::tickBucketForName(t->name())));
     const std::uint32_t idx = t->simIndex_;
     if ((idx >> 6) >= active_.size()) {
         active_.push_back(0);
@@ -203,15 +97,6 @@ Simulator::add(Ticked* t)
     }
     active_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     ++activeCount_;
-}
-
-void
-Simulator::setShards(std::uint32_t k)
-{
-    TS_ASSERT(k >= 1, "shard count must be at least 1");
-    TS_ASSERT(!finalized_,
-              "setShards after Simulator::finalize()");
-    shards_ = k;
 }
 
 void
@@ -226,140 +111,14 @@ Simulator::addChannel(ChannelBase* c, std::uint32_t producerPartition,
 {
     TS_ASSERT(c != nullptr);
     c->setEndpoints(producerPartition, consumerPartition);
-    if (finalized_ && c->boundary()) {
-        // The shard boundary lists are frozen; silently missing one
-        // would corrupt the conservative synchronization, so this is
-        // an API error even at --shards 1 (a config must be legal for
-        // every shard count or none).
-        fatal("cross-partition channel '", c->name(),
-              "' (partition ", producerPartition, " -> ",
-              consumerPartition,
-              ") registered after Simulator::finalize(); declare "
-              "boundary channels before finalization");
-    }
     channels_.push_back(c);
-    if (sharded_) {
-        ShardState& sh = *shardState_[producerPartition % shards_];
-        c->installHooks(&sh.liveChannels, &sh.dirtyCh);
-        return;
-    }
     c->installHooks(&liveChannels_, &dirtyCh_);
-}
-
-void
-Simulator::finalize()
-{
-    if (finalized_)
-        return;
-    finalized_ = true;
-    if (shards_ <= 1)
-        return;
-    TS_ASSERT(!walking_, "finalize from inside the tick walk");
-    TS_ASSERT(dirtyCh_.empty(), "finalize with uncommitted pushes");
-    sharded_ = true;
-
-    shardState_.clear();
-    for (std::uint32_t s = 0; s < shards_; ++s)
-        shardState_.push_back(std::make_unique<ShardState>());
-
-    for (Ticked* t : ticked_) {
-        t->shard_ = t->partition_ % shards_;
-        ShardState& sh = *shardState_[t->shard_];
-        t->shardIndex_ = static_cast<std::uint32_t>(sh.comps.size());
-        sh.comps.push_back(t);
-    }
-    for (auto& shp : shardState_) {
-        ShardState& sh = *shp;
-        const std::size_t words = (sh.comps.size() + 63) / 64;
-        sh.active.assign(words, 0);
-        sh.pending.assign(words, 0);
-        for (std::size_t i = 0; i < sh.comps.size(); ++i) {
-            if (!sh.comps[i]->sleeping_) {
-                sh.active[i >> 6] |= std::uint64_t{1} << (i & 63);
-                ++sh.activeCount;
-            }
-        }
-    }
-
-    // Hand the global activity-core working state to the shards.
-    while (!sleepHeap_.empty()) {
-        const TimedWake w = heapPop(sleepHeap_);
-        heapPush(shardState_[ticked_[w.idx]->shard_]->sleepHeap, w);
-    }
-    for (const std::uint32_t idx : sleepersBusy_)
-        shardState_[ticked_[idx]->shard_]->sleepersBusy.push_back(idx);
-    sleepersBusy_.clear();
-
-    for (ChannelBase* c : channels_) {
-        if (c->boundary()) {
-            boundaryCh_.push_back(c);
-            // Liveness of boundary channels is scanned at the
-            // coordinator's serialized decision point; counters would
-            // race.
-            c->rebindHooks(nullptr, nullptr);
-            ShardState& cs =
-                *shardState_[c->consumerPartition() % shards_];
-            cs.consumedBoundary.push_back(c);
-            c->setShardFlags(&cs.inboundStaged, &cs.popWork);
-        } else {
-            ShardState& ps =
-                *shardState_[c->producerPartition() % shards_];
-            c->rebindHooks(&ps.liveChannels, &ps.dirtyCh);
-        }
-    }
-    TS_ASSERT(liveChannels_ == 0,
-              "channel liveness left behind on the global counter");
-    bindShardObs();
-}
-
-void
-Simulator::bindShardObs()
-{
-    if (!sharded_)
-        return;
-    for (auto& shp : shardState_) {
-        ShardState& sh = *shp;
-        if (recorder_ != nullptr) {
-            if (sh.recorder == nullptr)
-                sh.recorder = std::make_unique<obs::FlightRecorder>(
-                    recorder_->capacity());
-        } else {
-            sh.recorder.reset();
-        }
-        sh.events.setRecorder(sh.recorder.get());
-        if (profiler_ != nullptr) {
-            if (sh.profiler == nullptr)
-                sh.profiler = std::make_unique<obs::HostProfiler>();
-            sh.profClass.clear();
-            sh.profClass.reserve(sh.comps.size());
-            for (const Ticked* t : sh.comps)
-                sh.profClass.push_back(static_cast<unsigned char>(
-                    obs::HostProfiler::tickBucketForName(t->name())));
-        } else {
-            sh.profiler.reset();
-            sh.profClass.clear();
-        }
-    }
 }
 
 void
 Simulator::schedule(Tick delay, EventQueue::Callback cb, Ticked* owner)
 {
     TS_ASSERT(delay >= 1, "events must be scheduled at least 1 cycle out");
-    if (sharded_) {
-        // Route to the owning shard's queue so the coordinator fires
-        // it in deterministic shard order; ownerless events stick to
-        // the shard whose tick (or event chain) scheduled them.
-        const std::int32_t s =
-            owner != nullptr ? static_cast<std::int32_t>(owner->shard_)
-            : tlsShard >= 0  ? tlsShard
-                             : firingShard_;
-        if (s >= 0) {
-            shardState_[static_cast<std::uint32_t>(s)]->events.schedule(
-                now_ + delay, std::move(cb), owner);
-            return;
-        }
-    }
     events_.schedule(now_ + delay, std::move(cb), owner);
 }
 
@@ -376,21 +135,6 @@ Simulator::setFlightRecorder(obs::FlightRecorder* rec)
 {
     recorder_ = rec;
     events_.setRecorder(rec);
-    bindShardObs();
-}
-
-void
-Simulator::setHostProfiler(obs::HostProfiler* prof)
-{
-    profiler_ = prof;
-    profClass_.clear();
-    if (prof != nullptr) {
-        profClass_.reserve(ticked_.size());
-        for (const Ticked* t : ticked_)
-            profClass_.push_back(static_cast<unsigned char>(
-                obs::HostProfiler::tickBucketForName(t->name())));
-    }
-    bindShardObs();
 }
 
 void
@@ -426,51 +170,6 @@ Simulator::applySleep(Ticked* t)
 }
 
 void
-Simulator::applySleepSharded(ShardState& sh, Ticked* t)
-{
-    t->sleepPending_ = false;
-    t->sleeping_ = true;
-    if (sh.recorder != nullptr)
-        sh.recorder->record(now_, obs::FlightRecorder::Kind::Sleep,
-                            &t->name_,
-                            t->sleepAt_ == kNoWakeTick
-                                ? obs::FlightRecorder::kNoAux
-                                : t->sleepAt_);
-    const std::uint32_t lidx = t->shardIndex_;
-    sh.active[lidx >> 6] &= ~(std::uint64_t{1} << (lidx & 63));
-    --sh.activeCount;
-    if (t->sleepAt_ != kNoWakeTick) {
-        const Tick at = t->sleepAt_ > now_ + 1 ? t->sleepAt_ : now_ + 1;
-        if (at < t->queuedWakeAt_) {
-            t->queuedWakeAt_ = at;
-            heapPush(sh.sleepHeap, TimedWake{at, t->simIndex_});
-        }
-    }
-    if (!t->inBusyList_ && t->busy()) {
-        t->inBusyList_ = true;
-        sh.sleepersBusy.push_back(t->simIndex_);
-    }
-}
-
-void
-Simulator::wakeShardedSlow(Ticked* t)
-{
-    // Only the component's own shard phase or a serialized
-    // coordinator phase may reach here (partition contract), so the
-    // shard-local structures are single-writer.
-    ShardState& sh = *shardState_[t->shard_];
-    if (sh.recorder != nullptr)
-        sh.recorder->record(now_, obs::FlightRecorder::Kind::Wake,
-                            &t->name_);
-    t->sleeping_ = false;
-    const std::uint32_t lidx = t->shardIndex_;
-    sh.active[lidx >> 6] |= std::uint64_t{1} << (lidx & 63);
-    ++sh.activeCount;
-    if (sh.walking && lidx > sh.walkPos)
-        sh.pending[lidx >> 6] |= std::uint64_t{1} << (lidx & 63);
-}
-
-void
 Simulator::wakeDueSleepers()
 {
     while (!sleepHeap_.empty() && sleepHeap_.front().at <= now_) {
@@ -481,22 +180,6 @@ Simulator::wakeDueSleepers()
         if (w.at == t->queuedWakeAt_)
             t->queuedWakeAt_ = kNoWakeTick;
         wake(t);
-    }
-}
-
-void
-Simulator::wakeDueSleepersSharded()
-{
-    for (auto& shp : shardState_) {
-        ShardState& sh = *shp;
-        while (!sh.sleepHeap.empty() &&
-               sh.sleepHeap.front().at <= now_) {
-            const TimedWake w = heapPop(sh.sleepHeap);
-            Ticked* t = ticked_[w.idx];
-            if (w.at == t->queuedWakeAt_)
-                t->queuedWakeAt_ = kNoWakeTick;
-            wake(t);
-        }
     }
 }
 
@@ -532,123 +215,14 @@ Simulator::maybeQuiescent()
     return true;
 }
 
-bool
-Simulator::maybeQuiescentSharded()
-{
-    if (!events_.empty())
-        return false;
-    for (const auto& shp : shardState_) {
-        if (!shp->events.empty() || shp->liveChannels != 0)
-            return false;
-    }
-    // Boundary channels track no live counter (their push/pop sides
-    // live on different shards); scan them at this serialized point.
-    for (const ChannelBase* c : boundaryCh_) {
-        if (!c->quiescent())
-            return false;
-    }
-    for (auto& shp : shardState_) {
-        ShardState& sh = *shp;
-        for (std::size_t w = 0; w < sh.active.size(); ++w) {
-            for (std::uint64_t bits = sh.active[w]; bits != 0;
-                 bits &= bits - 1) {
-                const std::size_t lidx =
-                    (w << 6) + std::countr_zero(bits);
-                if (sh.comps[lidx]->busy())
-                    return false;
-            }
-        }
-    }
-    for (auto& shp : shardState_) {
-        ShardState& sh = *shp;
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < sh.sleepersBusy.size(); ++r) {
-            Ticked* t = ticked_[sh.sleepersBusy[r]];
-            if (t->sleeping_ && t->busy())
-                sh.sleepersBusy[w++] = sh.sleepersBusy[r];
-            else
-                t->inBusyList_ = false;
-        }
-        sh.sleepersBusy.resize(w);
-        if (w != 0)
-            return false;
-    }
-    TS_ASSERT(quiescent(),
-              "incremental quiescence disagrees with the full scan");
-    return true;
-}
-
-std::uint64_t
-Simulator::totalActiveSharded() const
-{
-    std::uint64_t n = 0;
-    for (const auto& shp : shardState_)
-        n += shp->activeCount;
-    return n;
-}
-
-Tick
-Simulator::nextEventTickSharded() const
-{
-    Tick t = kNoWakeTick;
-    if (!events_.empty())
-        t = events_.nextTick();
-    for (const auto& shp : shardState_) {
-        if (!shp->events.empty() && shp->events.nextTick() < t)
-            t = shp->events.nextTick();
-    }
-    return t;
-}
-
+template <bool Obs>
 void
 Simulator::doCycleFast()
 {
     if (trace::on())
         trace::active()->setNow(now_);
-    events_.fireUpTo(now_);
-
-    pending_ = active_;
-    walking_ = true;
-    for (std::size_t w = 0; w < pending_.size(); ++w) {
-        while (pending_[w] != 0) {
-            const std::uint32_t idx = static_cast<std::uint32_t>(
-                (w << 6) + std::countr_zero(pending_[w]));
-            pending_[w] &= pending_[w] - 1;
-            walkPos_ = idx;
-            Ticked* t = ticked_[idx];
-            t->sleepPending_ = false;
-            t->tick(now_);
-            ++ticksExecuted_;
-            if (t->sleepPending_)
-                applySleep(t);
-        }
-    }
-    walking_ = false;
-
-    for (ChannelBase* c : dirtyCh_) {
-        c->commit();
-        if (c->anyVisible()) {
-            for (Ticked* o : c->observers())
-                wake(o);
-        }
-    }
-    dirtyCh_.clear();
-
-    ++now_;
-    ++cyclesExecuted_;
-}
-
-void
-Simulator::doCycleFastObs()
-{
-    if (trace::on())
-        trace::active()->setNow(now_);
-    if (profiler_ != nullptr) {
-        const auto t0 = obs::HostProfiler::now();
-        events_.fireUpTo(now_);
-        profiler_->add(obs::HostProfiler::Events, t0,
-                       obs::HostProfiler::now());
-    } else {
+    {
+        ProfScope<Obs> ps(profiler_, obs::HostProfiler::Events);
         events_.fireUpTo(now_);
     }
 
@@ -662,12 +236,8 @@ Simulator::doCycleFastObs()
             walkPos_ = idx;
             Ticked* t = ticked_[idx];
             t->sleepPending_ = false;
-            if (profiler_ != nullptr) {
-                const auto t0 = obs::HostProfiler::now();
-                t->tick(now_);
-                profiler_->add(profClass_[idx], t0,
-                               obs::HostProfiler::now());
-            } else {
+            {
+                ProfScope<Obs> ps(profiler_, profClass_[idx]);
                 t->tick(now_);
             }
             ++ticksExecuted_;
@@ -677,85 +247,61 @@ Simulator::doCycleFastObs()
     }
     walking_ = false;
 
-    const auto c0 = profiler_ != nullptr
-                        ? obs::HostProfiler::now()
-                        : obs::HostProfiler::Clock::time_point{};
-    for (ChannelBase* c : dirtyCh_) {
-        c->commit();
-        if (c->anyVisible()) {
-            if (recorder_ != nullptr)
-                recorder_->record(now_,
-                                  obs::FlightRecorder::Kind::Commit,
-                                  &c->name());
-            for (Ticked* o : c->observers())
-                wake(o);
+    {
+        ProfScope<Obs> ps(profiler_, obs::HostProfiler::Commit);
+        for (ChannelBase* c : dirtyCh_) {
+            c->commit();
+            if (c->anyVisible()) {
+                if constexpr (Obs) {
+                    if (recorder_ != nullptr)
+                        recorder_->record(
+                            now_, obs::FlightRecorder::Kind::Commit,
+                            &c->name());
+                }
+                for (Ticked* o : c->observers())
+                    wake(o);
+            }
         }
+        dirtyCh_.clear();
     }
-    dirtyCh_.clear();
-    if (profiler_ != nullptr)
-        profiler_->add(obs::HostProfiler::Commit, c0,
-                       obs::HostProfiler::now());
 
     ++now_;
     ++cyclesExecuted_;
 }
 
+template <bool Obs>
 void
 Simulator::doCycleNaive()
 {
     if (trace::on())
         trace::active()->setNow(now_);
-    events_.fireUpTo(now_);
-    for (Ticked* t : ticked_)
+    {
+        ProfScope<Obs> ps(profiler_, obs::HostProfiler::Events);
+        events_.fireUpTo(now_);
+    }
+    std::size_t idx = 0;
+    for (Ticked* t : ticked_) {
+        ProfScope<Obs> ps(profiler_, profClass_[idx++]);
         t->tick(now_);
+    }
     ticksExecuted_ += ticked_.size();
-    for (ChannelBase* c : channels_)
-        c->commit();
-    dirtyCh_.clear();
-    ++now_;
-    ++cyclesExecuted_;
-}
-
-void
-Simulator::doCycleNaiveObs()
-{
-    if (trace::on())
-        trace::active()->setNow(now_);
-    if (profiler_ != nullptr) {
-        auto t0 = obs::HostProfiler::now();
-        events_.fireUpTo(now_);
-        auto t1 = obs::HostProfiler::now();
-        profiler_->add(obs::HostProfiler::Events, t0, t1);
-        for (std::size_t i = 0; i < ticked_.size(); ++i) {
-            ticked_[i]->tick(now_);
-            auto t2 = obs::HostProfiler::now();
-            profiler_->add(profClass_[i], t1, t2);
-            t1 = t2;
+    {
+        ProfScope<Obs> ps(profiler_, obs::HostProfiler::Commit);
+        for (ChannelBase* c : channels_)
+            c->commit();
+        if constexpr (Obs) {
+            // Record only channels pushed this cycle (the dirty list
+            // is maintained by the push hooks in both modes).
+            if (recorder_ != nullptr) {
+                for (ChannelBase* c : dirtyCh_)
+                    if (c->anyVisible())
+                        recorder_->record(
+                            now_, obs::FlightRecorder::Kind::Commit,
+                            &c->name());
+            }
         }
-    } else {
-        events_.fireUpTo(now_);
-        for (Ticked* t : ticked_)
-            t->tick(now_);
+        dirtyCh_.clear();
     }
-    ticksExecuted_ += ticked_.size();
-    const auto c0 = profiler_ != nullptr
-                        ? obs::HostProfiler::now()
-                        : obs::HostProfiler::Clock::time_point{};
-    for (ChannelBase* c : channels_)
-        c->commit();
-    if (recorder_ != nullptr) {
-        // Record only channels pushed this cycle (the dirty list is
-        // maintained by the push hooks in both execution modes).
-        for (ChannelBase* c : dirtyCh_)
-            if (c->anyVisible())
-                recorder_->record(
-                    now_, obs::FlightRecorder::Kind::Commit,
-                    &c->name());
-    }
-    dirtyCh_.clear();
-    if (profiler_ != nullptr)
-        profiler_->add(obs::HostProfiler::Commit, c0,
-                       obs::HostProfiler::now());
     ++now_;
     ++cyclesExecuted_;
 }
@@ -765,10 +311,6 @@ Simulator::quiescent() const
 {
     if (!events_.empty())
         return false;
-    for (const auto& shp : shardState_) {
-        if (!shp->events.empty())
-            return false;
-    }
     for (const ChannelBase* c : channels_) {
         if (!c->quiescent())
             return false;
@@ -791,48 +333,42 @@ Tick
 Simulator::run(Tick maxCycles)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    if (fastForward_ && shards_ > 1 && !finalized_)
-        finalize();
-    const Tick end = sharded_ && fastForward_ ? runSharded(maxCycles)
-                     : fastForward_           ? runFast(maxCycles)
-                                              : runNaive(maxCycles);
+    // One dispatch per run: the Obs=false loops carry no
+    // observability code at all (the sub-2%-overhead contract in obs/).
+    const bool o = obsActive();
+    const Tick end = fastForward_
+                         ? (o ? runFast<true>(maxCycles)
+                              : runFast<false>(maxCycles))
+                         : (o ? runNaive<true>(maxCycles)
+                              : runNaive<false>(maxCycles));
     // Weak observers beyond quiescence never fire; drop them so their
-    // captures cannot dangle and snapshot()'s empty-queue contract
-    // holds at quiescence.
+    // captures cannot dangle.
     events_.clearWeak();
     wallNs_ += nsSince(t0);
     return end;
 }
 
+template <bool Obs>
 bool
 Simulator::checkQuiescentFast()
 {
-    if (profiler_ == nullptr)
-        return maybeQuiescent();
-    const auto t0 = obs::HostProfiler::now();
-    const bool q = maybeQuiescent();
-    profiler_->add(obs::HostProfiler::Quiescence, t0,
-                   obs::HostProfiler::now());
-    return q;
+    ProfScope<Obs> ps(profiler_, obs::HostProfiler::Quiescence);
+    return maybeQuiescent();
 }
 
+template <bool Obs>
 Tick
 Simulator::runFast(Tick maxCycles)
 {
-    // The instrumented twin keeps every observability hook out of
-    // this loop: with no profiler or recorder attached the function
-    // below must compile to the same tight code as before obs/
-    // existed (the compiler inlines doCycleFast here only when the
-    // loop stays this small).
-    if (obsActive())
-        return runFastObs(maxCycles);
-
     const Tick start = now_;
     const Tick limit = start + maxCycles;
     for (;;) {
-        wakeDueSleepers();
+        {
+            ProfScope<Obs> ps(profiler_, obs::HostProfiler::FastForward);
+            wakeDueSleepers();
+        }
         if (activeCount_ == 0) {
-            if (maybeQuiescent()) {
+            if (checkQuiescentFast<Obs>()) {
                 catchUpAll();
                 return now_;
             }
@@ -864,7 +400,7 @@ Simulator::runFast(Tick maxCycles)
                 if (to == target)
                     continue; // wake the due sleepers at `to`
             }
-        } else if (maybeQuiescent()) {
+        } else if (checkQuiescentFast<Obs>()) {
             catchUpAll();
             return now_;
         }
@@ -877,523 +413,32 @@ Simulator::runFast(Tick maxCycles)
             }
             deadlockFatal(maxCycles, /*overrun=*/true);
         }
-        doCycleFast();
+        doCycleFast<Obs>();
     }
 }
 
-Tick
-Simulator::runFastObs(Tick maxCycles)
-{
-    const Tick start = now_;
-    const Tick limit = start + maxCycles;
-    for (;;) {
-        if (profiler_ != nullptr) {
-            const auto f0 = obs::HostProfiler::now();
-            wakeDueSleepers();
-            profiler_->add(obs::HostProfiler::FastForward, f0,
-                           obs::HostProfiler::now());
-        } else {
-            wakeDueSleepers();
-        }
-        if (activeCount_ == 0) {
-            if (checkQuiescentFast()) {
-                catchUpAll();
-                return now_;
-            }
-            // See runFast for the target math; the logic must stay
-            // identical or the two dispatch arms diverge.
-            Tick target = kNoWakeTick;
-            if (!events_.empty())
-                target = events_.nextTick();
-            if (!sleepHeap_.empty() && sleepHeap_.front().at < target)
-                target = sleepHeap_.front().at;
-            if (target == kNoWakeTick) {
-                deadlockFatal(maxCycles, /*overrun=*/false);
-            }
-            if (events_.hasWeak() &&
-                events_.nextWeakTick() < target)
-                target = events_.nextWeakTick();
-            if (target > now_) {
-                const Tick to = target < limit ? target : limit;
-                cyclesFastForwarded_ += to - now_;
-                now_ = to;
-                if (to == target)
-                    continue; // wake the due sleepers at `to`
-            }
-        } else if (checkQuiescentFast()) {
-            catchUpAll();
-            return now_;
-        }
-        if (now_ - start >= maxCycles) {
-            if (maybeQuiescent()) {
-                catchUpAll();
-                return now_;
-            }
-            deadlockFatal(maxCycles, /*overrun=*/true);
-        }
-        doCycleFastObs();
-    }
-}
-
+template <bool Obs>
 Tick
 Simulator::runNaive(Tick maxCycles)
 {
-    TS_ASSERT(!sharded_,
-              "naive execution after a sharded finalize(); run "
-              "--no-fast-forward with --shards 1");
-    // See runFast: the twin keeps observability hooks out of this
-    // loop so the uninstrumented path keeps the seed's codegen.
-    if (obsActive())
-        return runNaiveObs(maxCycles);
-
     const Tick start = now_;
     while (now_ - start < maxCycles) {
-        if (quiescent()) {
-            catchUpAll();
-            return now_;
-        }
-        doCycleNaive();
-    }
-    if (quiescent()) {
-        catchUpAll();
-        return now_;
-    }
-    deadlockFatal(maxCycles, /*overrun=*/true);
-}
-
-Tick
-Simulator::runNaiveObs(Tick maxCycles)
-{
-    const Tick start = now_;
-    while (now_ - start < maxCycles) {
-        if (profiler_ != nullptr) {
-            const auto t0 = obs::HostProfiler::now();
-            const bool q = quiescent();
-            profiler_->add(obs::HostProfiler::Quiescence, t0,
-                           obs::HostProfiler::now());
-            if (q) {
-                catchUpAll();
-                return now_;
-            }
-        } else if (quiescent()) {
-            catchUpAll();
-            return now_;
-        }
-        doCycleNaiveObs();
-    }
-    if (quiescent()) {
-        catchUpAll();
-        return now_;
-    }
-    deadlockFatal(maxCycles, /*overrun=*/true);
-}
-
-// ---------------------------------------------------------------------
-// Sharded (conservative-PDES) execution.
-// ---------------------------------------------------------------------
-
-void
-Simulator::startCrew()
-{
-    TS_ASSERT(rt_ == nullptr, "worker crew already running");
-    rt_ = std::make_unique<ShardRuntime>();
-    for (std::uint32_t s = 1; s < shards_; ++s)
-        rt_->slots.push_back(
-            std::make_unique<ShardRuntime::Slot>());
-    for (std::uint32_t s = 1; s < shards_; ++s)
-        rt_->threads.emplace_back([this, s] { workerLoop(s); });
-}
-
-void
-Simulator::stopCrew() noexcept
-{
-    if (rt_ == nullptr)
-        return;
-    const std::uint64_t e = ++rt_->phase;
-    for (auto& slot : rt_->slots) {
-        slot->cmd.store(kCmdExit, std::memory_order_relaxed);
-        slot->epoch.store(e, std::memory_order_release);
-    }
-    for (auto& th : rt_->threads) {
-        if (th.joinable())
-            th.join();
-    }
-    rt_.reset();
-}
-
-void
-Simulator::workerLoop(std::uint32_t shard)
-{
-    ShardRuntime& rt = *rt_;
-    ShardRuntime::Slot& slot = *rt.slots[shard - 1];
-    std::uint64_t last = 0;
-    for (;;) {
-        waitAtLeast(slot.epoch, last + 1);
-        last = slot.epoch.load(std::memory_order_acquire);
-        const int cmd = slot.cmd.load(std::memory_order_relaxed);
-        if (cmd == kCmdExit) {
-            slot.done.store(last, std::memory_order_release);
-            return;
-        }
-        if (!rt.failed.load(std::memory_order_relaxed)) {
-            try {
-                if (cmd == kCmdTick)
-                    shardPhaseTick(shard);
-                else
-                    shardPhaseIntegrate(shard);
-            } catch (const std::exception& e) {
-                std::lock_guard<std::mutex> g(rt.failMx);
-                if (rt.failMsg.empty())
-                    rt.failMsg = e.what();
-                rt.failed.store(true, std::memory_order_release);
-            } catch (...) {
-                std::lock_guard<std::mutex> g(rt.failMx);
-                if (rt.failMsg.empty())
-                    rt.failMsg = "unknown exception";
-                rt.failed.store(true, std::memory_order_release);
-            }
-        }
-        slot.done.store(last, std::memory_order_release);
-    }
-}
-
-void
-Simulator::runPhase(int cmd)
-{
-    ShardRuntime& rt = *rt_;
-    const std::uint64_t e = ++rt.phase;
-    for (auto& slot : rt.slots) {
-        slot->cmd.store(cmd, std::memory_order_relaxed);
-        slot->epoch.store(e, std::memory_order_release);
-    }
-    // The coordinator is shard 0's executor; run it between release
-    // and arrival so the barrier costs no extra hand-off.
-    if (cmd == kCmdTick)
-        shardPhaseTick(0);
-    else
-        shardPhaseIntegrate(0);
-    for (auto& slot : rt.slots)
-        waitAtLeast(slot->done, e);
-    if (rt.failed.load(std::memory_order_acquire)) {
-        std::string msg;
+        bool q;
         {
-            std::lock_guard<std::mutex> g(rt.failMx);
-            msg = rt.failMsg;
+            ProfScope<Obs> ps(profiler_, obs::HostProfiler::Quiescence);
+            q = quiescent();
         }
-        stopCrew();
-        fatal("shard worker failed: ", msg);
-    }
-}
-
-void
-Simulator::fireEventsSharded()
-{
-    const auto t0 = profiler_ != nullptr
-                        ? obs::HostProfiler::now()
-                        : obs::HostProfiler::Clock::time_point{};
-    // Strong events first, per-shard queues in shard order, then the
-    // unrouted queue (which also holds every weak observer) — the
-    // same all-strong-then-all-weak order the single-shard core
-    // fires.  Serialized: event callbacks may touch any state.
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-        firingShard_ = static_cast<std::int32_t>(s);
-        shardState_[s]->events.fireUpTo(now_);
-    }
-    firingShard_ = -1;
-    events_.fireUpTo(now_);
-    if (profiler_ != nullptr)
-        profiler_->add(obs::HostProfiler::Events, t0,
-                       obs::HostProfiler::now());
-}
-
-void
-Simulator::shardPhaseTick(std::uint32_t s)
-{
-    ShardState& sh = *shardState_[s];
-    const auto t0 = std::chrono::steady_clock::now();
-    tlsShard = static_cast<std::int32_t>(s);
-    StatSet* const prevStats = StatSet::active();
-    StatSet::setActive(&sh.stats);
-    const Tick now = now_;
-
-    sh.pending = sh.active;
-    sh.walking = true;
-    if (sh.profiler == nullptr) {
-        for (std::size_t w = 0; w < sh.pending.size(); ++w) {
-            while (sh.pending[w] != 0) {
-                const std::uint32_t lidx = static_cast<std::uint32_t>(
-                    (w << 6) + std::countr_zero(sh.pending[w]));
-                sh.pending[w] &= sh.pending[w] - 1;
-                sh.walkPos = lidx;
-                Ticked* t = sh.comps[lidx];
-                t->sleepPending_ = false;
-                t->tick(now);
-                ++sh.ticksExecuted;
-                if (t->sleepPending_)
-                    applySleepSharded(sh, t);
-            }
+        if (q) {
+            catchUpAll();
+            return now_;
         }
-    } else {
-        for (std::size_t w = 0; w < sh.pending.size(); ++w) {
-            while (sh.pending[w] != 0) {
-                const std::uint32_t lidx = static_cast<std::uint32_t>(
-                    (w << 6) + std::countr_zero(sh.pending[w]));
-                sh.pending[w] &= sh.pending[w] - 1;
-                sh.walkPos = lidx;
-                Ticked* t = sh.comps[lidx];
-                t->sleepPending_ = false;
-                const auto p0 = obs::HostProfiler::now();
-                t->tick(now);
-                sh.profiler->add(sh.profClass[lidx], p0,
-                                 obs::HostProfiler::now());
-                ++sh.ticksExecuted;
-                if (t->sleepPending_)
-                    applySleepSharded(sh, t);
-            }
-        }
+        doCycleNaive<Obs>();
     }
-    sh.walking = false;
-
-    const auto c0 = sh.profiler != nullptr
-                        ? obs::HostProfiler::now()
-                        : obs::HostProfiler::Clock::time_point{};
-    for (ChannelBase* c : sh.dirtyCh) {
-        c->commit();
-        if (c->anyVisible()) {
-            if (sh.recorder != nullptr)
-                sh.recorder->record(now,
-                                    obs::FlightRecorder::Kind::Commit,
-                                    &c->name());
-            for (Ticked* o : c->observers()) {
-                if (o->shard_ == s)
-                    wake(o);
-                else
-                    sh.crossWakes.push_back(o);
-            }
-        }
-    }
-    sh.dirtyCh.clear();
-    if (sh.profiler != nullptr)
-        sh.profiler->add(obs::HostProfiler::Commit, c0,
-                         obs::HostProfiler::now());
-
-    StatSet::setActive(prevStats);
-    tlsShard = -1;
-    sh.wallNs += nsSince(t0);
-}
-
-void
-Simulator::shardPhaseIntegrate(std::uint32_t s)
-{
-    ShardState& sh = *shardState_[s];
-    if (sh.inboundStaged.load(std::memory_order_relaxed) == 0 &&
-        sh.popWork == 0)
-        return;
-    const auto t0 = std::chrono::steady_clock::now();
-    tlsShard = static_cast<std::int32_t>(s);
-    // The consumer commits its boundary channels: staged values
-    // become visible and pop credits flow back to the producers, both
-    // with next-cycle visibility — exactly the single-shard commit,
-    // minus the channels that had no cross-shard traffic this cycle.
-    for (ChannelBase* c : sh.consumedBoundary) {
-        if (!c->integratePending())
-            continue;
-        c->commit();
-        if (c->anyVisible()) {
-            if (sh.recorder != nullptr)
-                sh.recorder->record(now_,
-                                    obs::FlightRecorder::Kind::Commit,
-                                    &c->name());
-            for (Ticked* o : c->observers()) {
-                if (o->shard_ == s)
-                    wake(o);
-                else
-                    sh.crossWakes.push_back(o);
-            }
-        }
-    }
-    tlsShard = -1;
-    sh.wallNs += nsSince(t0);
-}
-
-void
-Simulator::doCycleSharded()
-{
-    fireEventsSharded();
-    runPhase(kCmdTick);
-    bool boundaryWork = false;
-    for (const auto& shp : shardState_) {
-        if (shp->inboundStaged.load(std::memory_order_relaxed) != 0 ||
-            shp->popWork != 0) {
-            boundaryWork = true;
-            break;
-        }
-    }
-    if (boundaryWork) {
-        runPhase(kCmdIntegrate);
-        for (auto& shp : shardState_) {
-            shp->inboundStaged.store(0, std::memory_order_relaxed);
-            shp->popWork = 0;
-        }
-    }
-    // Apply deferred cross-shard observer wakes serially (see
-    // ShardState::crossWakes); spurious entries are harmless and
-    // order is irrelevant — waking is an idempotent bit-set.
-    for (auto& shp : shardState_) {
-        for (Ticked* o : shp->crossWakes)
-            wake(o);
-        shp->crossWakes.clear();
-    }
-    ++now_;
-    ++cyclesExecuted_;
-}
-
-Tick
-Simulator::runSharded(Tick maxCycles)
-{
-    TS_ASSERT(!trace::on(),
-              "tracing requires single-shard execution (--shards 1)");
-    const auto quiCheck = [this] {
-        if (profiler_ == nullptr)
-            return maybeQuiescentSharded();
-        const auto t0 = obs::HostProfiler::now();
-        const bool q = maybeQuiescentSharded();
-        profiler_->add(obs::HostProfiler::Quiescence, t0,
-                       obs::HostProfiler::now());
-        return q;
-    };
-    startCrew();
-    Tick end = 0;
-    try {
-        const Tick start = now_;
-        const Tick limit = start + maxCycles;
-        for (;;) {
-            if (profiler_ != nullptr) {
-                const auto f0 = obs::HostProfiler::now();
-                wakeDueSleepersSharded();
-                profiler_->add(obs::HostProfiler::FastForward, f0,
-                               obs::HostProfiler::now());
-            } else {
-                wakeDueSleepersSharded();
-            }
-            if (totalActiveSharded() == 0) {
-                if (quiCheck()) {
-                    catchUpAll();
-                    end = now_;
-                    break;
-                }
-                // Conservative fast-forward: the global target is the
-                // min-reduction of every shard's next event and timed
-                // wake (plus unrouted events) — no shard can have
-                // earlier work, so the skipped cycles are no-ops on
-                // every shard.
-                Tick target = nextEventTickSharded();
-                for (const auto& shp : shardState_) {
-                    if (!shp->sleepHeap.empty() &&
-                        shp->sleepHeap.front().at < target)
-                        target = shp->sleepHeap.front().at;
-                }
-                if (target == kNoWakeTick)
-                    deadlockFatal(maxCycles, /*overrun=*/false);
-                if (events_.hasWeak() &&
-                    events_.nextWeakTick() < target)
-                    target = events_.nextWeakTick();
-                if (target > now_) {
-                    const Tick to = target < limit ? target : limit;
-                    cyclesFastForwarded_ += to - now_;
-                    now_ = to;
-                    if (to == target)
-                        continue;
-                }
-            } else if (quiCheck()) {
-                catchUpAll();
-                end = now_;
-                break;
-            }
-            if (now_ - start >= maxCycles) {
-                if (maybeQuiescentSharded()) {
-                    catchUpAll();
-                    end = now_;
-                    break;
-                }
-                deadlockFatal(maxCycles, /*overrun=*/true);
-            }
-            doCycleSharded();
-        }
-    } catch (...) {
-        stopCrew();
-        mergeShardObservations();
-        throw;
-    }
-    stopCrew();
-    mergeShardObservations();
-    return end;
-}
-
-void
-Simulator::stepSharded(Tick cycles)
-{
-    TS_ASSERT(!trace::on(),
-              "tracing requires single-shard execution (--shards 1)");
-    startCrew();
-    try {
-        const Tick end = now_ + cycles;
-        while (now_ < end) {
-            wakeDueSleepersSharded();
-            if (totalActiveSharded() == 0) {
-                Tick target = end;
-                const Tick ev = nextEventTickSharded();
-                if (ev < target)
-                    target = ev;
-                for (const auto& shp : shardState_) {
-                    if (!shp->sleepHeap.empty() &&
-                        shp->sleepHeap.front().at < target)
-                        target = shp->sleepHeap.front().at;
-                }
-                if (events_.hasWeak() &&
-                    events_.nextWeakTick() < target)
-                    target = events_.nextWeakTick();
-                if (target > now_) {
-                    cyclesFastForwarded_ += target - now_;
-                    now_ = target;
-                    continue;
-                }
-            }
-            doCycleSharded();
-        }
+    if (quiescent()) {
         catchUpAll();
-    } catch (...) {
-        stopCrew();
-        mergeShardObservations();
-        throw;
+        return now_;
     }
-    stopCrew();
-    mergeShardObservations();
-}
-
-void
-Simulator::mergeShardObservations()
-{
-    if (!sharded_)
-        return;
-    // Tick-phase samples merge in shard index order; every sampled
-    // value is an integral cycle count, so the merged histograms and
-    // sums are exactly the interleaved single-shard ones.
-    StatSet* const parent = StatSet::active();
-    for (auto& shp : shardState_) {
-        if (parent != nullptr)
-            parent->mergeFrom(shp->stats);
-        shp->stats.clear();
-    }
-}
-
-std::uint64_t
-Simulator::totalTicksExecuted() const
-{
-    std::uint64_t n = ticksExecuted_;
-    for (const auto& shp : shardState_)
-        n += shp->ticksExecuted;
-    return n;
+    deadlockFatal(maxCycles, /*overrun=*/true);
 }
 
 void
@@ -1407,11 +452,8 @@ Simulator::deadlockFatal(Tick maxCycles, bool overrun)
         os << "simulation deadlocked at cycle " << now_
            << ": no component active and no event or timed wake "
               "pending; still live:";
-    std::size_t nEvents = events_.size();
-    for (const auto& shp : shardState_)
-        nEvents += shp->events.size();
-    if (nEvents != 0)
-        os << " [" << nEvents << " events]";
+    if (!events_.empty())
+        os << " [" << events_.size() << " events]";
     for (const ChannelBase* c : channels_) {
         if (!c->quiescent())
             os << " channel:" << c->name();
@@ -1436,8 +478,6 @@ Simulator::deadlockFatal(Tick maxCycles, bool overrun)
             os << "until woken";
         else
             os << "until @" << t->sleepAt_;
-        if (sharded_)
-            os << " (shard " << t->shard_ << ")";
         bool anyCh = false;
         for (const ChannelBase* c : channels_) {
             const auto& obsList = c->observers();
@@ -1467,15 +507,6 @@ Simulator::deadlockFatal(Tick maxCycles, bool overrun)
            << " of " << recorder_->capacity() << " records):\n";
         recorder_->dump(os);
     }
-    for (std::size_t s = 0; s < shardState_.size(); ++s) {
-        const auto& rec = shardState_[s]->recorder;
-        if (rec == nullptr || rec->size() == 0)
-            continue;
-        os << "\nshard " << s << " flight recorder (last "
-           << rec->size() << " of " << rec->capacity()
-           << " records):\n";
-        rec->dump(os);
-    }
     fatal(os.str());
 }
 
@@ -1483,210 +514,42 @@ void
 Simulator::step(Tick cycles)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    if (fastForward_ && shards_ > 1 && !finalized_)
-        finalize();
-    if (sharded_ && fastForward_) {
-        stepSharded(cycles);
-        wallNs_ += nsSince(t0);
-        return;
-    }
-    const bool instrumented = obsActive();
-    if (!fastForward_) {
-        for (Tick i = 0; i < cycles; ++i) {
-            if (instrumented)
-                doCycleNaiveObs();
-            else
-                doCycleNaive();
-        }
-    } else {
-        const Tick end = now_ + cycles;
-        while (now_ < end) {
-            wakeDueSleepers();
-            if (activeCount_ == 0) {
-                Tick target = end;
-                if (!events_.empty() && events_.nextTick() < target)
-                    target = events_.nextTick();
-                if (!sleepHeap_.empty() &&
-                    sleepHeap_.front().at < target)
-                    target = sleepHeap_.front().at;
-                if (events_.hasWeak() &&
-                    events_.nextWeakTick() < target)
-                    target = events_.nextWeakTick();
-                if (target > now_) {
-                    cyclesFastForwarded_ += target - now_;
-                    now_ = target;
-                    continue;
-                }
-            }
-            if (instrumented)
-                doCycleFastObs();
-            else
-                doCycleFast();
-        }
-    }
+    if (obsActive())
+        stepCycles<true>(cycles);
+    else
+        stepCycles<false>(cycles);
     catchUpAll();
     wallNs_ += nsSince(t0);
 }
 
-SimSnapshot
-Simulator::snapshot() const
-{
-    TS_ASSERT(!walking_, "snapshot from inside the tick walk");
-    TS_ASSERT(events_.empty() && !events_.hasWeak(),
-              "snapshot requires an empty event queue (callbacks are "
-              "move-only); snapshot post-configuration or at "
-              "quiescence");
-    TS_ASSERT(dirtyCh_.empty(),
-              "snapshot with uncommitted channel pushes");
-    for (const auto& shp : shardState_) {
-        TS_ASSERT(!shp->walking && shp->events.empty() &&
-                      shp->dirtyCh.empty(),
-                  "snapshot with in-flight shard state");
-    }
-
-    SimSnapshot s;
-    s.now = now_;
-    s.fastForward = fastForward_;
-    s.components.reserve(ticked_.size());
-    s.meta.reserve(ticked_.size());
-    for (const Ticked* t : ticked_) {
-        s.components.push_back(t->saveState());
-        SimSnapshot::TickedMeta m;
-        m.sleepPending = t->sleepPending_;
-        m.sleeping = t->sleeping_;
-        m.sleepAt = t->sleepAt_;
-        m.inBusyList = t->inBusyList_;
-        s.meta.push_back(m);
-    }
-    s.channels.reserve(channels_.size());
-    for (const ChannelBase* c : channels_)
-        s.channels.push_back(c->saveState());
-
-    // The sleep/wake bookkeeping is stored in shard-independent form
-    // (global indices, canonically sorted) so a snapshot restores
-    // bit-identically under any shard count of the same object graph.
-    const auto byAtThenIdx = [](const TimedWake& a,
-                                const TimedWake& b) { return b > a; };
-    if (!sharded_) {
-        s.active = active_;
-        s.activeCount = activeCount_;
-        s.sleepHeap = sleepHeap_;
-        s.sleepersBusy = sleepersBusy_;
-    } else {
-        s.active.assign(active_.size(), 0);
-        s.activeCount = 0;
-        for (const Ticked* t : ticked_) {
-            if (!t->sleeping_) {
-                s.active[t->simIndex_ >> 6] |=
-                    std::uint64_t{1} << (t->simIndex_ & 63);
-                ++s.activeCount;
-            }
-        }
-        for (const auto& shp : shardState_) {
-            s.sleepHeap.insert(s.sleepHeap.end(),
-                               shp->sleepHeap.begin(),
-                               shp->sleepHeap.end());
-            s.sleepersBusy.insert(s.sleepersBusy.end(),
-                                  shp->sleepersBusy.begin(),
-                                  shp->sleepersBusy.end());
-        }
-    }
-    std::sort(s.sleepHeap.begin(), s.sleepHeap.end(), byAtThenIdx);
-    std::sort(s.sleepersBusy.begin(), s.sleepersBusy.end());
-    s.wallNs = wallNs_;
-    s.ticksExecuted = totalTicksExecuted();
-    s.cyclesExecuted = cyclesExecuted_;
-    s.cyclesFastForwarded = cyclesFastForwarded_;
-    return s;
-}
-
+template <bool Obs>
 void
-Simulator::restore(const SimSnapshot& s)
+Simulator::stepCycles(Tick cycles)
 {
-    TS_ASSERT(!walking_, "restore from inside the tick walk");
-    TS_ASSERT(events_.empty() && !events_.hasWeak(),
-              "restore requires an empty event queue; restore at "
-              "quiescence (after run()) or before any cycle");
-    TS_ASSERT(dirtyCh_.empty(),
-              "restore with uncommitted channel pushes");
-    TS_ASSERT(s.components.size() == ticked_.size() &&
-                  s.channels.size() == channels_.size(),
-              "snapshot does not match this simulator's component/"
-              "channel registration");
-    TS_ASSERT(s.fastForward || !sharded_,
-              "cannot restore a naive-mode snapshot into a sharded "
-              "simulator");
-    for (const auto& shp : shardState_) {
-        TS_ASSERT(!shp->walking && shp->events.empty() &&
-                      shp->dirtyCh.empty(),
-                  "restore with in-flight shard state");
+    if (!fastForward_) {
+        for (Tick i = 0; i < cycles; ++i)
+            doCycleNaive<Obs>();
+        return;
     }
-
-    now_ = s.now;
-    fastForward_ = s.fastForward;
-    for (std::size_t i = 0; i < ticked_.size(); ++i) {
-        Ticked* t = ticked_[i];
-        t->restoreState(*s.components[i]);
-        const SimSnapshot::TickedMeta& m = s.meta[i];
-        t->sleepPending_ = m.sleepPending;
-        t->sleeping_ = m.sleeping;
-        t->sleepAt_ = m.sleepAt;
-        t->inBusyList_ = m.inBusyList;
-        t->queuedWakeAt_ = kNoWakeTick;
-    }
-    // Channel restores re-sync liveChannels_ incrementally (setLive),
-    // so the counter needs no explicit reset.
-    for (std::size_t i = 0; i < channels_.size(); ++i)
-        channels_[i]->restoreState(*s.channels[i]);
-    active_ = s.active;
-    std::fill(pending_.begin(), pending_.end(), 0);
-    activeCount_ = s.activeCount;
-    if (!sharded_) {
-        sleepHeap_ = s.sleepHeap;
-        std::make_heap(sleepHeap_.begin(), sleepHeap_.end(),
-                       std::greater<TimedWake>{});
-        sleepersBusy_ = s.sleepersBusy;
-    } else {
-        sleepHeap_.clear();
-        sleepersBusy_.clear();
-        for (auto& shp : shardState_) {
-            ShardState& sh = *shp;
-            std::fill(sh.active.begin(), sh.active.end(), 0);
-            std::fill(sh.pending.begin(), sh.pending.end(), 0);
-            sh.activeCount = 0;
-            sh.sleepHeap.clear();
-            sh.sleepersBusy.clear();
-            sh.inboundStaged.store(0, std::memory_order_relaxed);
-            sh.popWork = 0;
-            sh.ticksExecuted = 0;
-        }
-        for (const Ticked* t : ticked_) {
-            if (!t->sleeping_) {
-                ShardState& sh = *shardState_[t->shard_];
-                sh.active[t->shardIndex_ >> 6] |=
-                    std::uint64_t{1} << (t->shardIndex_ & 63);
-                ++sh.activeCount;
+    const Tick end = now_ + cycles;
+    while (now_ < end) {
+        wakeDueSleepers();
+        if (activeCount_ == 0) {
+            Tick target = end;
+            if (!events_.empty() && events_.nextTick() < target)
+                target = events_.nextTick();
+            if (!sleepHeap_.empty() && sleepHeap_.front().at < target)
+                target = sleepHeap_.front().at;
+            if (events_.hasWeak() && events_.nextWeakTick() < target)
+                target = events_.nextWeakTick();
+            if (target > now_) {
+                cyclesFastForwarded_ += target - now_;
+                now_ = target;
+                continue;
             }
         }
-        for (const TimedWake& w : s.sleepHeap)
-            heapPush(shardState_[ticked_[w.idx]->shard_]->sleepHeap,
-                     w);
-        for (const std::uint32_t idx : s.sleepersBusy)
-            shardState_[ticked_[idx]->shard_]->sleepersBusy.push_back(
-                idx);
+        doCycleFast<Obs>();
     }
-    // Recompute the wake-dedup slots: the snapshot heap is sorted by
-    // (at, idx), so the first entry seen per component is its
-    // earliest queued wake.
-    for (const TimedWake& w : s.sleepHeap) {
-        Ticked* t = ticked_[w.idx];
-        if (t->queuedWakeAt_ == kNoWakeTick)
-            t->queuedWakeAt_ = w.at;
-    }
-    wallNs_ = s.wallNs;
-    ticksExecuted_ = s.ticksExecuted;
-    cyclesExecuted_ = s.cyclesExecuted;
-    cyclesFastForwarded_ = s.cyclesFastForwarded;
 }
 
 void
@@ -1697,36 +560,16 @@ Simulator::reportStats(StatSet& stats) const
     stats.set("sim.cycles", static_cast<double>(now_));
     stats.set("sim.host.wallNs", static_cast<double>(wallNs_));
     stats.set("sim.host.ticksExecuted",
-              static_cast<double>(totalTicksExecuted()));
+              static_cast<double>(ticksExecuted_));
     stats.set("sim.host.cyclesFastForwarded",
               static_cast<double>(cyclesFastForwarded_));
     stats.set("sim.host.avgActiveComponents",
               cyclesExecuted_ == 0
                   ? 0.0
-                  : static_cast<double>(totalTicksExecuted()) /
+                  : static_cast<double>(ticksExecuted_) /
                         static_cast<double>(cyclesExecuted_));
-    if (sharded_) {
-        stats.set("sim.host.shards", static_cast<double>(shards_));
-        for (std::size_t s = 0; s < shardState_.size(); ++s) {
-            const ShardState& sh = *shardState_[s];
-            const std::string prefix =
-                "sim.host.shard" + std::to_string(s) + ".";
-            stats.set(prefix + "components",
-                      static_cast<double>(sh.comps.size()));
-            stats.set(prefix + "ticksExecuted",
-                      static_cast<double>(sh.ticksExecuted));
-            stats.set(prefix + "wallNs",
-                      static_cast<double>(sh.wallNs));
-        }
-    }
-    if (profiler_ != nullptr) {
-        obs::HostProfiler merged = *profiler_;
-        for (const auto& shp : shardState_) {
-            if (shp->profiler != nullptr)
-                merged.mergeFrom(*shp->profiler);
-        }
-        merged.reportStats(stats);
-    }
+    if (profiler_ != nullptr)
+        profiler_->reportStats(stats);
 }
 
 } // namespace ts

@@ -44,36 +44,24 @@
  * setFastForward(false) restores the naive everything-every-cycle
  * loop for differential testing (--no-fast-forward).
  *
- * Partitions and shards (the conservative-PDES core)
- * --------------------------------------------------
+ * Partitions
+ * ----------
  * Every component and channel endpoint carries a *partition* — a
- * host-independent affinity domain declared at registration time
- * (setPartition / the addChannel endpoint overloads).  Components of
- * one partition may touch each other's state directly; all traffic
- * between partitions must flow through channels or events, and a
- * cross-partition channel uses credit back-pressure (see channel.hh)
- * so within-cycle tick order never leaks across partitions.
+ * structural domain of the simulated system declared at registration
+ * time (setPartition / the addChannel endpoint overloads).
+ * Components of one partition may touch each other's state directly;
+ * all traffic between partitions must flow through channels or
+ * events, and a cross-partition channel uses credit back-pressure
+ * (see channel.hh) so within-cycle tick order never leaks across
+ * partitions.
  *
- * setShards(K) + finalize() split the partitions over K executors
- * (executor = partition mod K), each running its own active-list walk
- * for the cycle.  The cycle protocol:
- *
- *   1. (coordinator, serialized) due timed wakes, quiescence /
- *      fast-forward decision over the min of all shard-local next
- *      events, then every due strong event (per-shard queues, shard
- *      order) and weak event — event callbacks may touch any state.
- *   2. (parallel, barrier-bounded) each shard walks its active list
- *      and commits its intra-shard dirty channels.
- *   3. (parallel, only on cycles with boundary traffic) each shard
- *      commits the cross-partition channels it consumes, applying
- *      pop credits and waking observers.
- *
- * Because channels make results walk-order independent and boundary
- * credits make back-pressure pop-order independent, the simulated
- * results are bit-identical for every K, including K=1 — the same
- * hard gate --no-fast-forward holds to.  Registering a
- * cross-partition channel after finalize() is a fatal error; see
- * DESIGN.md §8 for the full sharding contract.
+ * Observability
+ * -------------
+ * Each execution mode has one cycle body and one run loop, templated
+ * on a compile-time Obs flag.  run() and step() dispatch once per
+ * call on whether a host profiler or flight recorder is attached; the
+ * Obs=false instantiation carries no observability code at all, so
+ * the uninstrumented loop keeps its tight codegen.
  */
 
 #ifndef TS_SIM_SIMULATOR_HH
@@ -88,7 +76,6 @@
 #include "obs/flight_recorder.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -96,7 +83,6 @@ namespace ts
 {
 
 class Simulator;
-class SimSnapshot;
 
 namespace obs
 {
@@ -138,30 +124,14 @@ class Ticked
      * Ensure this component ticks as soon as possible: during the
      * current cycle when the tick walk has not passed it yet,
      * otherwise on the next executed cycle.  Safe to call from
-     * anywhere at any time; spurious wakes are harmless.  Under the
-     * sharded core a wake may only originate from the component's own
-     * shard (or a serialized coordinator phase) — which is implied by
-     * the partition contract: only same-partition code holds a
-     * reference to poke.
+     * anywhere at any time; spurious wakes are harmless.
      */
     void requestWake();
-
-    /**
-     * Copy all mutable state into a value-semantic snap (see
-     * snapshot.hh for the ownership/copy contract).  The default
-     * fatal()s naming the component, so a snapshot over an unported
-     * component fails loudly rather than silently forking stale
-     * state; stateless components return EmptySnap.
-     */
-    virtual std::unique_ptr<ComponentSnap> saveState() const;
-
-    /** Restore a prior saveState() in place (same object graph). */
-    virtual void restoreState(const ComponentSnap& s);
 
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
 
-    /** Partition (shard-affinity domain) assigned at registration. */
+    /** Partition (affinity domain) assigned at registration. */
     std::uint32_t partition() const { return partition_; }
 
   protected:
@@ -182,10 +152,6 @@ class Ticked
     std::uint32_t simIndex_ = 0;
     /** Registration-time partition (Simulator::setPartition). */
     std::uint32_t partition_ = 0;
-    /** Executor shard (partition_ % shards); set by finalize(). */
-    std::uint32_t shard_ = 0;
-    /** Index within the shard's component slice (finalize()). */
-    std::uint32_t shardIndex_ = 0;
     /**
      * The earliest timed-wake heap entry currently queued for this
      * component, or kNoWakeTick.  sleepUntil() pushes a new entry
@@ -208,43 +174,16 @@ class Ticked
 class Simulator
 {
   public:
-    Simulator();
-    ~Simulator();
-
     /**
      * Partition assigned to subsequently registered components and
      * channel endpoints (default 0).  Partitions are part of the
-     * simulated system's structure: the same declaration must be made
-     * for every shard count, and results never depend on it beyond
-     * the boundary-channel credit rule (channel.hh).
+     * simulated system's structure; results never depend on it
+     * beyond the boundary-channel credit rule (channel.hh).
      */
     void setPartition(std::uint32_t p) { currentPartition_ = p; }
 
     /** The current registration partition. */
     std::uint32_t partition() const { return currentPartition_; }
-
-    /**
-     * Number of executor shards for run()/step() (default 1).  Must
-     * be set before finalize().  Shards only change host execution:
-     * results are bit-identical for every value.
-     */
-    void setShards(std::uint32_t k);
-
-    /** Configured executor shard count. */
-    std::uint32_t shards() const { return shards_; }
-
-    /**
-     * Freeze the component/channel registration and build the
-     * per-shard executor state (component slices, active bitmaps,
-     * event queues, boundary-channel lists).  Idempotent; called
-     * implicitly by the first sharded run.  After finalize(),
-     * registering a cross-partition channel is fatal — the shard
-     * boundary lists would silently miss it.
-     */
-    void finalize();
-
-    /** Whether finalize() has run. */
-    bool finalized() const { return finalized_; }
 
     /** Register a component (not owned); it starts active and
      *  belongs to the current registration partition. */
@@ -283,9 +222,7 @@ class Simulator
 
     /**
      * Schedule a callback @p delay cycles from now (delay >= 1).
-     * A non-null @p owner is woken when the callback fires.  Under
-     * the sharded core callbacks always fire in a serialized
-     * coordinator phase, in deterministic per-shard order.
+     * A non-null @p owner is woken when the callback fires.
      */
     void schedule(Tick delay, EventQueue::Callback cb,
                   Ticked* owner = nullptr);
@@ -333,40 +270,12 @@ class Simulator
      * Enable/disable activity-driven execution (default on).  When
      * off, every component ticks and every channel commits every
      * cycle — the naive reference loop used by --no-fast-forward
-     * differential testing.  Must be chosen before a sharded
-     * finalize(): the naive loop is single-threaded, so drivers force
-     * --shards 1 together with --no-fast-forward.
-     * Results are bit-identical either way.
+     * differential testing.  Results are bit-identical either way.
      */
-    void
-    setFastForward(bool on)
-    {
-        TS_ASSERT(on || !sharded_,
-                  "naive execution is single-threaded; select "
-                  "--no-fast-forward with --shards 1");
-        fastForward_ = on;
-    }
+    void setFastForward(bool on) { fastForward_ = on; }
 
     /** Whether activity-driven execution is enabled. */
     bool fastForward() const { return fastForward_; }
-
-    /**
-     * Capture the complete simulation state — time, every component's
-     * and channel's mutable state, the sleep/wake bookkeeping of the
-     * activity-driven core — as a value-semantic snapshot.  Must be
-     * called between cycles with an empty event queue (event
-     * callbacks are move-only); both are true post-configuration and
-     * at quiescence.  A run resumed from a restored snapshot is
-     * bit-identical to one that never snapshotted.  Snapshots store
-     * the sleep/wake bookkeeping in shard-independent (global
-     * registration order) form, so they are portable across shard
-     * counts of the same object graph.
-     */
-    SimSnapshot snapshot() const;
-
-    /** Restore a snapshot in place over the same components and
-     *  channels, in the same registration order. */
-    void restore(const SimSnapshot& s);
 
     /**
      * Flush deferred accounting on every component (see
@@ -381,10 +290,7 @@ class Simulator
      * Attach a flight recorder capturing sleep/wake/commit/event
      * records (null detaches).  Off the hot path when detached: the
      * hooks are single null-pointer branches, and the repeated-wake
-     * fast path is untouched either way.  Under the sharded core
-     * each shard records into its own ring (events, fired
-     * serialized, use the attached ring); deadlock diagnosis dumps
-     * them all.
+     * fast path is untouched either way.
      */
     void setFlightRecorder(obs::FlightRecorder* rec);
 
@@ -394,17 +300,13 @@ class Simulator
     /**
      * Attach a host profiler attributing wall-ns to events, per-class
      * ticks, commits, fast-forward, and quiescence checks (null
-     * detaches).  Components are classified by name at attach time,
-     * so attach after registering every component.  Under the sharded
-     * core each shard profiles into its own instance; reportStats
-     * merges them and additionally emits per-shard
-     * sim.host.shard<i>.* keys.
+     * detaches).  Components are classified by name when they
+     * register.
      */
-    void setHostProfiler(obs::HostProfiler* prof);
+    void setHostProfiler(obs::HostProfiler* prof) { profiler_ = prof; }
 
   private:
     friend class Ticked;
-    friend class SimSnapshot;
 
     static constexpr Tick kNoWakeTick =
         std::numeric_limits<Tick>::max();
@@ -423,54 +325,23 @@ class Simulator
         }
     };
 
-    /** Per-shard executor state (defined in simulator.cc). */
-    struct ShardState;
-    /** Per-run worker crew (threads + barrier; simulator.cc). */
-    struct ShardRuntime;
+    /**
+     * The cycle bodies and run loops, one per execution mode.  With
+     * Obs the host-profiler and flight-recorder hooks are compiled
+     * in; without it the loop carries no observability code.
+     */
+    template <bool Obs> void doCycleFast();
+    template <bool Obs> void doCycleNaive();
+    template <bool Obs> Tick runFast(Tick maxCycles);
+    template <bool Obs> Tick runNaive(Tick maxCycles);
+    template <bool Obs> void stepCycles(Tick cycles);
 
-    void doCycleFast();
-    void doCycleNaive();
-
-    /** Instrumented twins of the cycle bodies and run loops,
-     *  dispatched to once per run() when a profiler or flight
-     *  recorder is attached, so the uninstrumented hot loops carry
-     *  no observability code at all and keep the seed's inlining
-     *  (the sub-2%-overhead contract in obs/). */
-    void doCycleFastObs();
-    void doCycleNaiveObs();
-    Tick runFastObs(Tick maxCycles);
-    Tick runNaiveObs(Tick maxCycles);
-
-    /** Whether the per-cycle observability twins must run. */
+    /** Whether the Obs instantiations must run. */
     bool
     obsActive() const
     {
         return profiler_ != nullptr || recorder_ != nullptr;
     }
-
-    Tick runFast(Tick maxCycles);
-    Tick runNaive(Tick maxCycles);
-
-    // -- sharded (conservative-PDES) execution; simulator.cc --
-    Tick runSharded(Tick maxCycles);
-    void stepSharded(Tick cycles);
-    void doCycleSharded();
-    void fireEventsSharded();
-    void shardPhaseTick(std::uint32_t s);
-    void shardPhaseIntegrate(std::uint32_t s);
-    void wakeDueSleepersSharded();
-    bool maybeQuiescentSharded();
-    std::uint64_t totalActiveSharded() const;
-    Tick nextEventTickSharded() const;
-    void startCrew();
-    void stopCrew() noexcept;
-    void runPhase(int cmd);
-    void workerLoop(std::uint32_t shard);
-    void mergeShardObservations();
-    void bindShardObs();
-    std::uint64_t totalTicksExecuted() const;
-    void wakeShardedSlow(Ticked* t);
-    void applySleepSharded(ShardState& sh, Ticked* t);
 
     /** Core of requestWake(); no-op in naive mode. */
     void wake(Ticked* t);
@@ -492,8 +363,8 @@ class Simulator
     bool maybeQuiescent();
 
     /** maybeQuiescent(), timed into the profiler's Quiescence bucket
-     *  when one is attached. */
-    bool checkQuiescentFast();
+     *  under Obs when one is attached. */
+    template <bool Obs> bool checkQuiescentFast();
 
     [[noreturn]] void deadlockFatal(Tick maxCycles, bool overrun);
 
@@ -522,8 +393,7 @@ class Simulator
     bool walking_ = false;
     std::uint32_t walkPos_ = 0;
     /** Pending sleepUntil wakes, as a min-heap over (at, idx) via
-     *  std::push_heap/pop_heap — kept iterable so snapshots can store
-     *  it canonically.  Stale entries wake spuriously. */
+     *  std::push_heap/pop_heap.  Stale entries wake spuriously. */
     std::vector<TimedWake> sleepHeap_;
     /** Sleeping components that reported busy() when they slept. */
     std::vector<std::uint32_t> sleepersBusy_;
@@ -532,21 +402,8 @@ class Simulator
     /** Channels pushed this cycle, in first-push order. */
     std::vector<ChannelBase*> dirtyCh_;
 
-    // -- partition / shard registration state --
+    /** Partition assigned to newly registered components/channels. */
     std::uint32_t currentPartition_ = 0;
-    std::uint32_t shards_ = 1;
-    bool finalized_ = false;
-    /** shards_ > 1 and finalize() has built the shard state. */
-    bool sharded_ = false;
-    /** Per-shard executor slices (sharded_ only). */
-    std::vector<std::unique_ptr<ShardState>> shardState_;
-    /** Every cross-partition channel (coordinator liveness scan). */
-    std::vector<ChannelBase*> boundaryCh_;
-    /** Live worker crew during a sharded run()/step(), else null. */
-    std::unique_ptr<ShardRuntime> rt_;
-    /** Shard whose event queue the coordinator is draining (-1 when
-     *  not in the serialized event phase). */
-    std::int32_t firingShard_ = -1;
 
     // Host-side performance counters (sim.host.*).
     std::uint64_t wallNs_ = 0;
@@ -560,45 +417,8 @@ class Simulator
     obs::FlightRecorder* recorder_ = nullptr;
     /** Optional host profiler (see setHostProfiler). */
     obs::HostProfiler* profiler_ = nullptr;
-    /** Per-component tick bucket, filled at setHostProfiler time. */
+    /** Per-component host-profiler tick bucket, filled by add(). */
     std::vector<unsigned char> profClass_;
-};
-
-/**
- * A value-semantic copy of a Simulator's complete state (see
- * Simulator::snapshot).  Opaque: only the simulator reads or writes
- * it.  Movable but not copyable (component snaps are type-erased
- * unique_ptrs); one snapshot can be restored any number of times.
- */
-class SimSnapshot
-{
-  private:
-    friend class Simulator;
-
-    /** Per-component sleep/wake bookkeeping (Ticked fields). */
-    struct TickedMeta
-    {
-        bool sleepPending = false;
-        bool sleeping = false;
-        Tick sleepAt = 0;
-        bool inBusyList = false;
-    };
-
-    Tick now = 0;
-    bool fastForward = true;
-    std::vector<std::unique_ptr<ComponentSnap>> components;
-    std::vector<TickedMeta> meta;
-    std::vector<std::unique_ptr<ComponentSnap>> channels;
-    std::vector<std::uint64_t> active;
-    std::uint32_t activeCount = 0;
-    /** Timed-wake entries in global registration-index form, sorted
-     *  by (at, idx) — shard-count portable. */
-    std::vector<Simulator::TimedWake> sleepHeap;
-    std::vector<std::uint32_t> sleepersBusy;
-    std::uint64_t wallNs = 0;
-    std::uint64_t ticksExecuted = 0;
-    std::uint64_t cyclesExecuted = 0;
-    std::uint64_t cyclesFastForwarded = 0;
 };
 
 inline void
@@ -630,10 +450,6 @@ Simulator::wake(Ticked* t)
     t->sleepPending_ = false;
     if (!t->sleeping_)
         return;
-    if (sharded_) {
-        wakeShardedSlow(t);
-        return;
-    }
     // The recorder hook sits below the repeated-wake early-out, so
     // the hot path (waking an already-awake component) never pays it.
     if (recorder_ != nullptr)

@@ -190,20 +190,6 @@ StatSet::matchPrefix(const std::string& prefix) const
     return out;
 }
 
-void
-StatSet::mergeFrom(const StatSet& o)
-{
-    for (const auto& [name, h] : o.hists_) {
-        hists_[name].mergeFrom(h);
-        histsDirty_ = true;
-    }
-    // Scalars add.  Any derived histogram key copied here is
-    // re-materialized (overwritten) by the next sync() because the
-    // matching histogram was merged above.
-    for (const auto& [name, v] : o.values_)
-        values_[name] += v;
-}
-
 std::size_t
 StatSet::size() const
 {

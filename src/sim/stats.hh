@@ -149,15 +149,6 @@ class StatSet
     void dumpJson(std::ostream& os,
                   const std::string& excludePrefix = "") const;
 
-    /**
-     * Fold another StatSet into this one: histograms merge
-     * bucket-wise (Histogram::mergeFrom), scalar values add.  Used to
-     * combine per-shard sampling sinks into the run StatSet; derived
-     * histogram keys (`.mean` etc.) are re-materialized from the
-     * merged histograms, so they never double-count.
-     */
-    void mergeFrom(const StatSet& o);
-
     /** Remove all statistics. */
     void
     clear()

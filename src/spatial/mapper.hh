@@ -12,7 +12,7 @@
  * best.  Everything is integer/ordered arithmetic over a fixed
  * candidate list: the same graph and geometry always yield the same
  * plan, which is what makes spatial runs bit-identical across host
- * parallelism, sharding, and snapshot/fork.
+ * parallelism and execution modes.
  */
 
 #ifndef TS_SPATIAL_MAPPER_HH

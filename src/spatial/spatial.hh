@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared vocabulary of the ahead-of-time spatial mapper (DESIGN.md
- * §10): which producer/consumer edges are forwardable lane-to-lane,
+ * §8): which producer/consumer edges are forwardable lane-to-lane,
  * how large a consumer's landing buffer must be, and the lane-side
  * landing tracker that gates consumers on forwarded-stream arrival.
  *
@@ -83,7 +83,6 @@ landingGroup(std::uint32_t consumer, std::uint8_t port)
  * memory image); the tracker counts arrived words and end-of-stream
  * markers per landing group, and the task unit holds a gated consumer
  * in WaitFill until every forwarding producer's done marker is in.
- * Copyable by value for snapshot/fork.
  */
 class LandingTracker
 {

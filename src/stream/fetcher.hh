@@ -47,7 +47,7 @@ class WordFetcher
      * from prior streams via a generation counter.  @p landing marks
      * a Dram stream whose range was spatially forwarded into the
      * lane's landing zone: words are served at SPM speed from the
-     * functional image, without DRAM line requests (DESIGN.md §10).
+     * functional image, without DRAM line requests (DESIGN.md §8).
      */
     void
     reset(Space space, bool landing = false)
@@ -130,64 +130,6 @@ class WordFetcher
         Word val;
     };
 
-  public:
-    /**
-     * Copyable mutable state, for snapshot/fork.  The fetcher itself
-     * is not assignable (it holds a MemImage reference), so owners
-     * save and restore this value instead.  Snapshots are taken at
-     * quiescence, where `outstanding` is zero and no response
-     * callbacks are in flight.
-     */
-    struct State
-    {
-        Space space = Space::Dram;
-        std::deque<Slot> win;
-        std::set<Addr> inflightLines;
-        std::uint32_t outstanding = 0;
-        std::uint64_t gen = 0;
-        std::uint64_t linesRequested = 0;
-        std::uint64_t spmReads = 0;
-        bool landing = false;
-        Addr lastLandingLine = kNoLine;
-        std::uint64_t landingWords = 0;
-        std::uint64_t landingLines = 0;
-    };
-
-    State
-    saveFetchState() const
-    {
-        State s;
-        s.space = space_;
-        s.win = win_;
-        s.inflightLines = inflightLines_;
-        s.outstanding = outstanding_;
-        s.gen = gen_;
-        s.linesRequested = linesRequested_;
-        s.spmReads = spmReads_;
-        s.landing = landing_;
-        s.lastLandingLine = lastLandingLine_;
-        s.landingWords = landingWords_;
-        s.landingLines = landingLines_;
-        return s;
-    }
-
-    void
-    restoreFetchState(const State& s)
-    {
-        space_ = s.space;
-        win_ = s.win;
-        inflightLines_ = s.inflightLines;
-        outstanding_ = s.outstanding;
-        gen_ = s.gen;
-        linesRequested_ = s.linesRequested;
-        spmReads_ = s.spmReads;
-        landing_ = s.landing;
-        lastLandingLine_ = s.lastLandingLine;
-        landingWords_ = s.landingWords;
-        landingLines_ = s.landingLines;
-    }
-
-  private:
     const MemImage& img_;
     Scratchpad* spm_;
     MemPortIf* mem_;

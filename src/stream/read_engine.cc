@@ -424,69 +424,4 @@ ReadEngine::reportStats(StatSet& stats) const
     }
 }
 
-std::unique_ptr<ComponentSnap>
-ReadEngine::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->d = d_;
-    s->dest = dest_;
-    s->destOwner = destOwner_;
-    s->active = active_;
-    s->genPos = genPos_;
-    s->loop = loop_;
-    s->outer = outer_;
-    s->inner = inner_;
-    s->rep2 = rep2_;
-    s->idxGenPos = idxGenPos_;
-    s->ptrGenPos = ptrGenPos_;
-    s->havePrevPtr = havePrevPtr_;
-    s->prevPtr = prevPtr_;
-    s->haveLo = haveLo_;
-    s->loVal = loVal_;
-    s->segIdx = segIdx_;
-    s->segRemaining = segRemaining_;
-    s->segCursor = segCursor_;
-    s->repeatLeft = repeatLeft_;
-    s->repeatTok = repeatTok_;
-    s->sawStreamEnd = sawStreamEnd_;
-    s->ptrF = ptrF_.saveFetchState();
-    s->idxF = idxF_.saveFetchState();
-    s->dataF = dataF_.saveFetchState();
-    s->tokensDelivered = tokensDelivered_;
-    s->streamsRun = streamsRun_;
-    return s;
-}
-
-void
-ReadEngine::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    d_ = s.d;
-    dest_ = s.dest;
-    destOwner_ = s.destOwner;
-    active_ = s.active;
-    genPos_ = s.genPos;
-    loop_ = s.loop;
-    outer_ = s.outer;
-    inner_ = s.inner;
-    rep2_ = s.rep2;
-    idxGenPos_ = s.idxGenPos;
-    ptrGenPos_ = s.ptrGenPos;
-    havePrevPtr_ = s.havePrevPtr;
-    prevPtr_ = s.prevPtr;
-    haveLo_ = s.haveLo;
-    loVal_ = s.loVal;
-    segIdx_ = s.segIdx;
-    segRemaining_ = s.segRemaining;
-    segCursor_ = s.segCursor;
-    repeatLeft_ = s.repeatLeft;
-    repeatTok_ = s.repeatTok;
-    sawStreamEnd_ = s.sawStreamEnd;
-    ptrF_.restoreFetchState(s.ptrF);
-    idxF_.restoreFetchState(s.idxF);
-    dataF_.restoreFetchState(s.dataF);
-    tokensDelivered_ = s.tokensDelivered;
-    streamsRun_ = s.streamsRun;
-}
-
 } // namespace ts

@@ -74,39 +74,7 @@ class ReadEngine : public Ticked
         return dataF_.landingLines();
     }
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
-    /** Pointers (dest_, destOwner_) are copied raw: restore happens
-     *  in place on the same object graph, so they stay valid. */
-    struct Snap final : ComponentSnap
-    {
-        StreamDesc d;
-        TokenFifo* dest = nullptr;
-        Ticked* destOwner = nullptr;
-        bool active = false;
-        std::uint64_t genPos = 0;
-        std::uint64_t loop = 0;
-        std::uint64_t outer = 0, inner = 0;
-        std::uint32_t rep2 = 0;
-        std::uint64_t idxGenPos = 0;
-        std::uint64_t ptrGenPos = 0;
-        bool havePrevPtr = false;
-        std::int64_t prevPtr = 0;
-        bool haveLo = false;
-        std::int64_t loVal = 0;
-        std::uint64_t segIdx = 0;
-        std::uint64_t segRemaining = 0;
-        std::int64_t segCursor = 0;
-        std::uint32_t repeatLeft = 0;
-        Token repeatTok;
-        bool sawStreamEnd = false;
-        WordFetcher::State ptrF, idxF, dataF;
-        std::uint64_t tokensDelivered = 0;
-        std::uint64_t streamsRun = 0;
-    };
-
     void generate(Tick now);
     void deliver();
     bool generationDone() const;

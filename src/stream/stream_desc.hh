@@ -152,7 +152,7 @@ struct WriteDesc
      * Spatial mapping: every consumer of this range receives the
      * stream by forwarding, so the DRAM write-back line traffic is
      * suppressed (the functional image is still updated — see
-     * DESIGN.md §10 for the fidelity contract).
+     * DESIGN.md §8 for the fidelity contract).
      */
     bool spatialSuppress = false;
 };

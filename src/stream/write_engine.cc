@@ -184,51 +184,4 @@ WriteEngine::reportStats(StatSet& stats) const
     }
 }
 
-std::unique_ptr<ComponentSnap>
-WriteEngine::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->d = d_;
-    s->src = src_;
-    s->active = active_;
-    s->sawStreamEnd = sawStreamEnd_;
-    s->pos = pos_;
-    s->curLine = curLine_;
-    s->pendingLines = pendingLines_;
-    s->chunk = chunk_;
-    s->chunkPending = chunkPending_;
-    s->spatialAccum = spatialAccum_;
-    s->pendingSpatial = pendingSpatial_;
-    s->tokensWritten = tokensWritten_;
-    s->linesWritten = linesWritten_;
-    s->chunksSent = chunksSent_;
-    s->linesSuppressed = linesSuppressed_;
-    s->spatialChunksSent = spatialChunksSent_;
-    s->streamsRun = streamsRun_;
-    return s;
-}
-
-void
-WriteEngine::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    d_ = s.d;
-    src_ = s.src;
-    active_ = s.active;
-    sawStreamEnd_ = s.sawStreamEnd;
-    pos_ = s.pos;
-    curLine_ = s.curLine;
-    pendingLines_ = s.pendingLines;
-    chunk_ = s.chunk;
-    chunkPending_ = s.chunkPending;
-    spatialAccum_ = s.spatialAccum;
-    pendingSpatial_ = s.pendingSpatial;
-    tokensWritten_ = s.tokensWritten;
-    linesWritten_ = s.linesWritten;
-    chunksSent_ = s.chunksSent;
-    linesSuppressed_ = s.linesSuppressed;
-    spatialChunksSent_ = s.spatialChunksSent;
-    streamsRun_ = s.streamsRun;
-}
-
 } // namespace ts

@@ -70,9 +70,6 @@ class WriteEngine : public Ticked
         return spatialChunksSent_;
     }
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
     /** One spatial chunk awaiting NoC injection. */
     struct SpatialSend
@@ -81,27 +78,6 @@ class WriteEngine : public Ticked
         std::uint64_t group = 0;
         std::uint32_t words = 0;
         bool done = false;
-    };
-
-    struct Snap final : ComponentSnap
-    {
-        WriteDesc d;
-        TokenFifo* src = nullptr;
-        bool active = false;
-        bool sawStreamEnd = false;
-        std::uint64_t pos = 0;
-        std::optional<Addr> curLine;
-        std::deque<Addr> pendingLines;
-        std::vector<Token> chunk;
-        bool chunkPending = false;
-        std::uint32_t spatialAccum = 0;
-        std::deque<SpatialSend> pendingSpatial;
-        std::uint64_t tokensWritten = 0;
-        std::uint64_t linesWritten = 0;
-        std::uint64_t chunksSent = 0;
-        std::uint64_t linesSuppressed = 0;
-        std::uint64_t spatialChunksSent = 0;
-        std::uint64_t streamsRun = 0;
     };
 
     bool flushTraffic();

@@ -1299,126 +1299,4 @@ Dispatcher::reportStats(StatSet& stats) const
     }
 }
 
-/** TaskState owns its TaskInstance by value (spawned tasks have no
- *  host TaskGraph backing), so the snapshot deep-copies the full
- *  dynamic dependence state. */
-struct Dispatcher::Snap final : ComponentSnap
-{
-    std::vector<TaskState> states;
-    std::vector<EdgeState> edges;
-    std::vector<GroupState> groups;
-    std::deque<TaskId> readyQ;
-    std::deque<Packet> sendQ;
-    std::vector<std::uint32_t> laneQueued;
-    std::vector<double> laneWork;
-    std::vector<std::uint64_t> laneDispatched;
-    std::uint64_t landingBrk = 0;
-    std::size_t completed = 0;
-    std::uint32_t curLevel = 0;
-    std::vector<std::uint32_t> levelRemaining;
-    std::size_t tracedReadyDepth = static_cast<std::size_t>(-1);
-    std::uint64_t pipesActivated = 0;
-    std::uint64_t pipesDegraded = 0;
-    std::uint64_t groupsFired = 0;
-    std::uint64_t groupMembersDegraded = 0;
-    std::uint64_t fillLinesRequested = 0;
-    std::vector<double> actualService;
-    std::vector<double> shadowService;
-    std::vector<double> stealShadowService;
-    double pipeOverlapCycles = 0;
-    std::uint64_t mcastUnicastLinesEquiv = 0;
-    std::uint64_t tasksSpawned = 0;
-    std::uint64_t tasksStolen = 0;
-    std::uint64_t stealHops = 0;
-    std::vector<std::int32_t> plannedLane;
-    std::map<std::uint64_t, SpatialGroup> spatialGroups;
-    std::vector<std::uint64_t> spatialLaneBufUsed;
-    std::uint64_t spatialBufPeak = 0;
-    std::uint64_t spatialForwards = 0;
-    std::uint64_t spatialSpills = 0;
-    std::uint64_t spatialRemaps = 0;
-    std::uint64_t spatialGroupsAllocated = 0;
-};
-
-std::unique_ptr<ComponentSnap>
-Dispatcher::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->states = states_;
-    s->edges = edges_;
-    s->groups = groups_;
-    s->readyQ = readyQ_;
-    s->sendQ = sendQ_;
-    s->laneQueued = laneQueued_;
-    s->laneWork = laneWork_;
-    s->laneDispatched = laneDispatched_;
-    s->landingBrk = landingBrk_;
-    s->completed = completed_;
-    s->curLevel = curLevel_;
-    s->levelRemaining = levelRemaining_;
-    s->tracedReadyDepth = tracedReadyDepth_;
-    s->pipesActivated = pipesActivated_;
-    s->pipesDegraded = pipesDegraded_;
-    s->groupsFired = groupsFired_;
-    s->groupMembersDegraded = groupMembersDegraded_;
-    s->fillLinesRequested = fillLinesRequested_;
-    s->actualService = actualService_;
-    s->shadowService = shadowService_;
-    s->stealShadowService = stealShadowService_;
-    s->pipeOverlapCycles = pipeOverlapCycles_;
-    s->mcastUnicastLinesEquiv = mcastUnicastLinesEquiv_;
-    s->tasksSpawned = tasksSpawned_;
-    s->tasksStolen = tasksStolen_;
-    s->stealHops = stealHops_;
-    s->plannedLane = plannedLane_;
-    s->spatialGroups = spatialGroups_;
-    s->spatialLaneBufUsed = spatialLaneBufUsed_;
-    s->spatialBufPeak = spatialBufPeak_;
-    s->spatialForwards = spatialForwards_;
-    s->spatialSpills = spatialSpills_;
-    s->spatialRemaps = spatialRemaps_;
-    s->spatialGroupsAllocated = spatialGroupsAllocated_;
-    return s;
-}
-
-void
-Dispatcher::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    states_ = s.states;
-    edges_ = s.edges;
-    groups_ = s.groups;
-    readyQ_ = s.readyQ;
-    sendQ_ = s.sendQ;
-    laneQueued_ = s.laneQueued;
-    laneWork_ = s.laneWork;
-    laneDispatched_ = s.laneDispatched;
-    landingBrk_ = s.landingBrk;
-    completed_ = s.completed;
-    curLevel_ = s.curLevel;
-    levelRemaining_ = s.levelRemaining;
-    tracedReadyDepth_ = s.tracedReadyDepth;
-    pipesActivated_ = s.pipesActivated;
-    pipesDegraded_ = s.pipesDegraded;
-    groupsFired_ = s.groupsFired;
-    groupMembersDegraded_ = s.groupMembersDegraded;
-    fillLinesRequested_ = s.fillLinesRequested;
-    actualService_ = s.actualService;
-    shadowService_ = s.shadowService;
-    stealShadowService_ = s.stealShadowService;
-    pipeOverlapCycles_ = s.pipeOverlapCycles;
-    mcastUnicastLinesEquiv_ = s.mcastUnicastLinesEquiv;
-    tasksSpawned_ = s.tasksSpawned;
-    tasksStolen_ = s.tasksStolen;
-    stealHops_ = s.stealHops;
-    plannedLane_ = s.plannedLane;
-    spatialGroups_ = s.spatialGroups;
-    spatialLaneBufUsed_ = s.spatialLaneBufUsed;
-    spatialBufPeak_ = s.spatialBufPeak;
-    spatialForwards_ = s.spatialForwards;
-    spatialSpills_ = s.spatialSpills;
-    spatialRemaps_ = s.spatialRemaps;
-    spatialGroupsAllocated_ = s.spatialGroupsAllocated;
-}
-
 } // namespace ts

@@ -224,12 +224,7 @@ class Dispatcher : public Ticked
      */
     double stealImbalanceCyclesRecovered() const;
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
-    struct Snap;
-
     struct EdgeState
     {
         DepEdge e;
@@ -269,7 +264,7 @@ class Dispatcher : public Ticked
      * forwarded producer streams.  Created at the *first* forwarding
      * producer's dispatch; the buffer-fit (spill) decision is made
      * once, then is permanent — which is what keeps spills
-     * AOT-deterministic across host parallelism and sharding.
+     * AOT-deterministic across host parallelism and execution modes.
      */
     struct SpatialGroup
     {

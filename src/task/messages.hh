@@ -2,7 +2,7 @@
  * @file
  * NoC message payloads exchanged between the dispatcher, lane task
  * units, and the memory controller — including the dynamic-spawn and
- * work-stealing protocols (DESIGN.md §9).
+ * work-stealing protocols (DESIGN.md §7).
  */
 
 #ifndef TS_TASK_MESSAGES_HH
@@ -56,7 +56,7 @@ stealPolicyFromName(const std::string& s, StealPolicy& out)
 /**
  * One spatial-landing gate of a dispatch: the consumer must see
  * @p dones end-of-stream markers for @p group before it may start
- * (barrier semantics over forwarded producer streams, DESIGN.md §10).
+ * (barrier semantics over forwarded producer streams, DESIGN.md §8).
  * The same list names the groups to release on task completion.
  */
 struct SpatialWait

@@ -59,32 +59,6 @@ class SharedLanding
 
     void apply(G& g, Addr lineAddr);
 
-  public:
-    /** Copyable mutable state, for snapshot/fork (the class itself is
-     *  not assignable: it references its lane's image and
-     *  scratchpad). */
-    struct State
-    {
-        std::map<std::uint32_t, G> groups;
-        std::map<std::uint32_t, std::vector<Addr>> stash;
-        std::uint64_t linesLanded = 0;
-    };
-
-    State
-    saveLandingState() const
-    {
-        return State{groups_, stash_, linesLanded_};
-    }
-
-    void
-    restoreLandingState(const State& s)
-    {
-        groups_ = s.groups;
-        stash_ = s.stash;
-        linesLanded_ = s.linesLanded;
-    }
-
-  private:
     const MemImage& img_;
     Scratchpad& spm_;
     std::map<std::uint32_t, G> groups_;

@@ -55,13 +55,4 @@ TaskTypeRegistry::estimateWork(const MemImage& img,
     return std::max(w, 1.0);
 }
 
-void
-TaskTypeRegistry::rollback(const Mark& m)
-{
-    TS_ASSERT(m.types <= types_.size() && m.dfgs <= dfgs_.size(),
-              "registry rollback to a future mark");
-    types_.resize(m.types);
-    dfgs_.resize(m.dfgs);
-}
-
 } // namespace ts

@@ -54,7 +54,7 @@ struct BuiltinBody
      * Dynamic-spawn hook (optional).  Invoked by the task unit right
      * after `apply`; tasks and edges appended to the SpawnSet are
      * shipped to the dispatcher in one TaskSpawn NoC message and join
-     * the live dependence graph (see task_graph.hh / DESIGN.md §9).
+     * the live dependence graph (see task_graph.hh / DESIGN.md §7).
      */
     std::function<void(MemImage&, const TaskInstance&, SpawnSet&)> spawn;
 };
@@ -141,27 +141,6 @@ class TaskTypeRegistry
     /** Estimate the work of an instance. */
     double estimateWork(const MemImage& img,
                         const TaskInstance& inst) const;
-
-    /**
-     * Registration watermark, for snapshot/fork.  The registry is
-     * append-only, so rolling back to a mark (truncating everything
-     * registered after it) restores the exact earlier state without
-     * deep-copying type bodies (std::function kernels).  types and
-     * dfgs advance independently: builtin types own no DFG.
-     */
-    struct Mark
-    {
-        std::size_t types = 0;
-        std::size_t dfgs = 0;
-    };
-
-    Mark
-    mark() const
-    {
-        return Mark{types_.size(), dfgs_.size()};
-    }
-
-    void rollback(const Mark& m);
 
   private:
     Mapper mapper_;

@@ -564,120 +564,4 @@ TaskUnit::reportStats(StatSet& stats) const
     buckets_.report(stats, name());
 }
 
-struct TaskUnit::Snap final : ComponentSnap
-{
-    std::deque<DispatchMsg> inbox;
-    std::deque<Packet> sendQ;
-    Phase phase = Phase::Idle;
-    DispatchMsg cur;
-    Tick startedAt = 0;
-    Tick computeUntil = 0;
-    std::uint64_t builtinLinesLeft = 0;
-    Addr builtinWriteCursor = 0;
-    std::uint32_t builtinFwdAccum = 0;
-    bool builtinFwdDoneSent = false;
-    std::uint64_t spatialLinesSuppressed = 0;
-    std::uint64_t spatialChunksSent = 0;
-    std::uint64_t tasksRun = 0;
-    std::uint64_t busyCycles = 0;
-    std::uint64_t waitFillCycles = 0;
-    std::uint64_t configWaitCycles = 0;
-    std::uint32_t stealProbeIdx = 0;
-    bool stealWaiting = false;
-    bool stealExhausted = false;
-    std::uint64_t stealReqSent = 0;
-    std::uint64_t stealReqRecv = 0;
-    std::uint64_t stealGrants = 0;
-    std::uint64_t stealDenies = 0;
-    std::uint64_t tasksStolenIn = 0;
-    std::uint64_t tasksGivenOut = 0;
-    CycleBuckets buckets;
-    std::uint64_t lastFirings = 0;
-    CycleClass lastClass = CycleClass::Idle;
-    bool stateSpanOpen = false;
-    bool builtinWriteBlocked = false;
-    Tick expectedNext = 0;
-    CycleClass gapClass = CycleClass::Idle;
-    bool gapBusy = false;
-};
-
-std::unique_ptr<ComponentSnap>
-TaskUnit::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->inbox = inbox_;
-    s->sendQ = sendQ_;
-    s->phase = phase_;
-    s->cur = cur_;
-    s->startedAt = startedAt_;
-    s->computeUntil = computeUntil_;
-    s->builtinLinesLeft = builtinLinesLeft_;
-    s->builtinWriteCursor = builtinWriteCursor_;
-    s->builtinFwdAccum = builtinFwdAccum_;
-    s->builtinFwdDoneSent = builtinFwdDoneSent_;
-    s->spatialLinesSuppressed = spatialLinesSuppressed_;
-    s->spatialChunksSent = spatialChunksSent_;
-    s->tasksRun = tasksRun_;
-    s->busyCycles = busyCycles_;
-    s->waitFillCycles = waitFillCycles_;
-    s->configWaitCycles = configWaitCycles_;
-    s->stealProbeIdx = stealProbeIdx_;
-    s->stealWaiting = stealWaiting_;
-    s->stealExhausted = stealExhausted_;
-    s->stealReqSent = stealReqSent_;
-    s->stealReqRecv = stealReqRecv_;
-    s->stealGrants = stealGrants_;
-    s->stealDenies = stealDenies_;
-    s->tasksStolenIn = tasksStolenIn_;
-    s->tasksGivenOut = tasksGivenOut_;
-    s->buckets = buckets_;
-    s->lastFirings = lastFirings_;
-    s->lastClass = lastClass_;
-    s->stateSpanOpen = stateSpanOpen_;
-    s->builtinWriteBlocked = builtinWriteBlocked_;
-    s->expectedNext = expectedNext_;
-    s->gapClass = gapClass_;
-    s->gapBusy = gapBusy_;
-    return s;
-}
-
-void
-TaskUnit::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    inbox_ = s.inbox;
-    sendQ_ = s.sendQ;
-    phase_ = s.phase;
-    cur_ = s.cur;
-    startedAt_ = s.startedAt;
-    computeUntil_ = s.computeUntil;
-    builtinLinesLeft_ = s.builtinLinesLeft;
-    builtinWriteCursor_ = s.builtinWriteCursor;
-    builtinFwdAccum_ = s.builtinFwdAccum;
-    builtinFwdDoneSent_ = s.builtinFwdDoneSent;
-    spatialLinesSuppressed_ = s.spatialLinesSuppressed;
-    spatialChunksSent_ = s.spatialChunksSent;
-    tasksRun_ = s.tasksRun;
-    busyCycles_ = s.busyCycles;
-    waitFillCycles_ = s.waitFillCycles;
-    configWaitCycles_ = s.configWaitCycles;
-    stealProbeIdx_ = s.stealProbeIdx;
-    stealWaiting_ = s.stealWaiting;
-    stealExhausted_ = s.stealExhausted;
-    stealReqSent_ = s.stealReqSent;
-    stealReqRecv_ = s.stealReqRecv;
-    stealGrants_ = s.stealGrants;
-    stealDenies_ = s.stealDenies;
-    tasksStolenIn_ = s.tasksStolenIn;
-    tasksGivenOut_ = s.tasksGivenOut;
-    buckets_ = s.buckets;
-    lastFirings_ = s.lastFirings;
-    lastClass_ = s.lastClass;
-    stateSpanOpen_ = s.stateSpanOpen;
-    builtinWriteBlocked_ = s.builtinWriteBlocked;
-    expectedNext_ = s.expectedNext;
-    gapClass_ = s.gapClass;
-    gapBusy_ = s.gapBusy;
-}
-
 } // namespace ts

@@ -116,9 +116,6 @@ class TaskUnit : public Ticked
         return inbox_.size() + (phase_ == Phase::Idle ? 0 : 1);
     }
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
     enum class Phase : std::uint8_t
     {
@@ -131,8 +128,6 @@ class TaskUnit : public Ticked
         BuiltinWrite,
         Finish,
     };
-
-    struct Snap;
 
     void beginTask(Tick now);
     void step(Tick now);

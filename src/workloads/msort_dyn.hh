@@ -8,7 +8,7 @@
  * dependence on "this range is sorted" re-hangs onto the subtree's
  * merge without the host ever seeing the tree.
  *
- * Structure exercised: the live dependence engine (DESIGN.md §9) —
+ * Structure exercised: the live dependence engine (DESIGN.md §7) —
  * TaskSpawn messages, edges to already-submitted tasks, and
  * successor transfer on early finish.  The statically-built msort
  * workload computes the same result from a host-built tree.

@@ -5,14 +5,17 @@
  * escaping and non-finite handling in dumps, the analysis JSON
  * reader and report renderer, per-mechanism attribution consistency
  * on irregular workloads, critical-path bounds, workload-name
- * parsing, and cycle-accounting aggregates on asymmetric multi-lane
- * configurations (including a lane that never fires).
+ * parsing, cycle-accounting aggregates on asymmetric multi-lane
+ * configurations (including a lane that never fires), and the
+ * shortest-round-trip JSON number formatting the run cache's
+ * byte-replay guarantee leans on.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -523,6 +526,34 @@ TEST(AnalysisReport, SlowestTaskTypesSortedByP95)
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].type, "b");
     EXPECT_EQ(rows[1].type, "c");
+}
+
+// ---------------------------------------------------------------------
+// JSON number formatting
+// ---------------------------------------------------------------------
+
+TEST(JsonNumberTest, ShortestRoundTrip)
+{
+    EXPECT_EQ(jsonNumber(0.0), "0");
+    EXPECT_EQ(jsonNumber(42.0), "42");
+    EXPECT_EQ(jsonNumber(0.1), "0.1");
+    EXPECT_EQ(jsonNumber(-3.5), "-3.5");
+    // NaN/inf are not JSON numbers; the canonical form is null.
+    EXPECT_EQ(jsonNumber(std::nan("")), "null");
+}
+
+TEST(JsonNumberTest, DumpParseDumpIsIdempotent)
+{
+    const double values[] = {0.0,     1.0 / 3.0, 1e-9, 6.02214076e23,
+                             12345.0, 0.30000000000000004};
+    for (const double v : values) {
+        const std::string once = jsonNumber(v);
+        char* end = nullptr;
+        const double parsed = std::strtod(once.c_str(), &end);
+        ASSERT_EQ(*end, '\0') << once;
+        EXPECT_EQ(jsonNumber(parsed), once)
+            << "formatting must round-trip through parse exactly";
+    }
 }
 
 } // namespace

@@ -1,20 +1,28 @@
 /**
  * @file
  * Driver-layer tests: the RunOptions API (shared flag parser + env
- * fallbacks, the only environment-reading layer in the tree) and the
- * parallel sweep engine (grid expansion, -j N determinism, failure
- * surfacing, deterministic aggregation).
+ * fallbacks, the only environment-reading layer in the tree), the
+ * grid-key vocabulary, and the parallel sweep engine (grid expansion,
+ * -j N determinism, failure surfacing, loud bench-JSON output
+ * failures, deterministic aggregation).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
+#include "driver/grid.hh"
 #include "driver/options.hh"
+#include "driver/run_one.hh"
 #include "driver/sweep.hh"
 #include "sim/logging.hh"
 
@@ -49,6 +57,37 @@ clearSharedEnv()
          {"TS_WORKLOADS", "TS_SCALE", "TS_SEED", "TS_LOG", "TS_TRACE",
           "TS_STATS_JSON", "TS_BENCH_JSON", "TS_NO_FAST_FORWARD"})
         ::unsetenv(v);
+}
+
+/** Fresh per-test scratch directory, removed on destruction. */
+struct TempDir
+{
+    std::filesystem::path path;
+
+    explicit TempDir(const std::string& tag)
+    {
+        path = std::filesystem::temp_directory_path() /
+               ("ts_driver_test_" + tag + "_" +
+                std::to_string(::getpid()));
+        std::filesystem::remove_all(path);
+        std::filesystem::create_directories(path);
+    }
+
+    ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+/** One fast sweep point writing bench JSON to @p dir. */
+SweepSpec
+benchJsonSpec(const std::filesystem::path& dir)
+{
+    SweepSpec spec;
+    spec.workloads = {Wk::Spmv};
+    spec.configs = sweepConfigsFromList("static");
+    spec.seeds = {7};
+    spec.scales = {0.25};
+    spec.jobs = 1;
+    spec.benchJsonDir = dir.string();
+    return spec;
 }
 
 /** A small, fast grid used by the determinism tests. */
@@ -361,6 +400,87 @@ TEST(SweepTest, ParallelSweepIsBitIdenticalToSerial)
         << "delta must beat static on spmv";
 }
 
+// ---------------------------------------------------------------------
+// Sweep: back-to-back points match standalone runs.  A sweep worker
+// runs its points one after another on one thread, building a fresh
+// Delta per point; the later points of a worker are where runs were
+// once warm-started from a forked snapshot.  Each must reproduce a
+// standalone Delta byte for byte, for every workload under both the
+// static baseline and the full TaskStream config: no simulator
+// state may outlive the Delta that owned it.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+class SnapshotForkDifferential
+    : public ::testing::TestWithParam<std::tuple<Wk, bool>>
+{
+};
+
+/** One standalone run's stats dump (sim.host.* dropped). */
+std::string
+standaloneDump(Wk wk, const DeltaConfig& cfg, std::uint64_t seed,
+               double scale)
+{
+    SuiteParams sp;
+    sp.seed = seed;
+    sp.scale = scale;
+    auto wl = makeWorkload(wk, sp);
+    Delta delta(cfg);
+    TaskGraph graph;
+    wl->build(delta, graph);
+    const StatSet stats = delta.run(graph);
+    EXPECT_TRUE(wl->check(delta.image())) << wkName(wk);
+    std::ostringstream os;
+    stats.dumpJson(os, "sim.host.");
+    return os.str();
+}
+
+std::string
+forkName(const ::testing::TestParamInfo<std::tuple<Wk, bool>>& info)
+{
+    return wkIdent(std::get<0>(info.param)) +
+           (std::get<1>(info.param) ? "_static" : "_delta");
+}
+
+} // namespace
+
+TEST_P(SnapshotForkDifferential, ForkedRunsBitIdenticalToFresh)
+{
+    const Wk wk = std::get<0>(GetParam());
+    const bool staticConfig = std::get<1>(GetParam());
+
+    SweepSpec spec;
+    spec.workloads = {wk};
+    spec.configs = sweepConfigsFromList(staticConfig ? "static"
+                                                     : "delta");
+    // Two seeds on one worker: the second run follows the first.
+    spec.seeds = {7, 11};
+    spec.scales = {0.25};
+    spec.jobs = 1;
+    const SweepReport report = Sweep(spec).run();
+
+    ASSERT_EQ(report.runs.size(), 2u);
+    for (const RunOutcome& out : report.runs) {
+        ASSERT_TRUE(out.ok()) << out.point.tag() << ": " << out.error;
+        std::ostringstream os;
+        out.stats.dumpJson(os, "sim.host.");
+        EXPECT_EQ(os.str(),
+                  standaloneDump(wk, spec.configs.front().cfg,
+                                 out.point.seed, out.point.scale))
+            << out.point.tag()
+            << ": a sweep run diverged from a standalone Delta; some "
+               "state outlived the previous run on its worker";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SnapshotForkDifferential,
+    ::testing::Combine(::testing::ValuesIn(allWorkloads()),
+                       ::testing::Bool()),
+    forkName);
+
 TEST(SweepTest, FailedRunSurfacesInReport)
 {
     SweepSpec spec;
@@ -404,6 +524,92 @@ TEST(SweepTest, FailedRunSurfacesInReport)
             EXPECT_EQ(a.n, 1u);
     }
     EXPECT_TRUE(report.pairedSpeedups().front().n == 0);
+}
+
+TEST(SweepTest, BenchJsonDirIsCreated)
+{
+    const TempDir tmp("bench_mkdir");
+    const std::filesystem::path dir = tmp.path / "a" / "b";
+    const SweepSpec spec = benchJsonSpec(dir);
+    const SweepReport report = Sweep(spec).run();
+    ASSERT_TRUE(report.allOk());
+    EXPECT_TRUE(std::filesystem::is_regular_file(
+        dir / (report.runs.front().point.tag() + ".json")));
+}
+
+TEST(SweepTest, UncreatableBenchJsonDirFailsNamingThePath)
+{
+    const TempDir tmp("bench_blocked");
+    // A regular file where a directory component must go.
+    const std::filesystem::path blocker = tmp.path / "file";
+    std::ofstream(blocker) << "x";
+    const std::filesystem::path dir = blocker / "sub";
+    try {
+        Sweep(benchJsonSpec(dir)).run();
+        FAIL() << "expected fatal";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(dir.string()),
+                  std::string::npos)
+            << "diagnosis must name the directory: " << e.what();
+    }
+}
+
+TEST(SweepTest, UnwritableBenchJsonFileFailsItsPoint)
+{
+    const TempDir tmp("bench_unwritable");
+    const SweepSpec spec = benchJsonSpec(tmp.path);
+    // A directory squatting on the point's file name.
+    const std::string path =
+        (tmp.path / (Sweep(spec).points().front().tag() + ".json"))
+            .string();
+    std::filesystem::create_directory(path);
+
+    const SweepReport report = Sweep(spec).run();
+    ASSERT_EQ(report.runs.size(), 1u);
+    EXPECT_FALSE(report.allOk())
+        << "a lost bench JSON must fail the sweep, not just warn";
+    EXPECT_TRUE(report.runs.front().failed);
+    EXPECT_NE(report.runs.front().error.find(path), std::string::npos)
+        << "diagnosis must name the file: " << report.runs.front().error;
+}
+
+TEST(RunOneTest, BenchJsonDirIsCreatedAndWriteFailureIsFatal)
+{
+    const TempDir tmp("runone_bench");
+    RunOptions opt;
+    opt.scale = 0.25;
+    opt.benchJsonDir = (tmp.path / "a" / "b").string();
+    EXPECT_TRUE(runOne(opt, Wk::Spmv, DeltaConfig::staticBaseline())
+                    .correct);
+    EXPECT_FALSE(std::filesystem::is_empty(opt.benchJsonDir));
+
+    const std::filesystem::path blocker = tmp.path / "file";
+    std::ofstream(blocker) << "x";
+    opt.benchJsonDir = (blocker / "sub").string();
+    try {
+        runOne(opt, Wk::Spmv, DeltaConfig::staticBaseline());
+        FAIL() << "expected fatal";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(opt.benchJsonDir),
+                  std::string::npos)
+            << "diagnosis must name the path: " << e.what();
+    }
+}
+
+TEST(GridKeyTest, RemovedKeysFailAsUnknown)
+{
+    for (const char* key : {"shards", "no-snapshot-fork"}) {
+        RunOptions opt;
+        GridSettings grid;
+        try {
+            applyGridKey(key, "1", opt, grid);
+            FAIL() << "grid key '" << key << "' must be rejected";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown grid key"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SweepTest, AggregationMathIsExact)
@@ -567,10 +773,6 @@ TEST(CanonicalConfigTest, ResultsNeutralFieldsAreExcluded)
 
     // Bit-identity across these is CI-gated, which is exactly what
     // lets a cached result answer for any value of them.
-    DeltaConfig shards;
-    shards.shards = 4;
-    EXPECT_EQ(canonicalConfig(shards), base);
-
     DeltaConfig prof;
     prof.hostProfile = true;
     EXPECT_EQ(canonicalConfig(prof), base);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Dynamic-dependence engine tests (DESIGN.md §9): the live TaskGraph
+ * Dynamic-dependence engine tests (DESIGN.md §7): the live TaskGraph
  * (edges in any order, online cycle rejection, successor transfer)
  * and the dispatcher's runtime half of the same contract — tasks
  * spawned from inside running tasks, edges to running or completed

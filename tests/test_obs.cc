@@ -3,12 +3,13 @@
  * Observability-layer tests (src/obs/): flight-recorder ring
  * semantics, the weak-event hook the timeline samples through, the
  * deadlock diagnosis (stuck sleepers + recorder dump), host-profiler
- * stat keys, and the timeline's bit-identity contract across thread
- * counts and snapshot forks.
+ * stat keys and per-run accounting, and the timeline's bit-identity
+ * contract across thread counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -257,6 +258,37 @@ TEST(HostProfilerTest, UnprofiledRunHasNoHotspotKeys)
     EXPECT_FALSE(stats.has("sim.host.profile.tickLaneNs"));
 }
 
+TEST(HostProfilerTest, SweepRunsNeverProfileMoreThanTheirWallTime)
+{
+    // Two seeds of each config on one worker, so a worker that
+    // reused an accelerator across runs would carry one run's
+    // profile buckets into the next.  The buckets time disjoint
+    // intervals inside Simulator::run, so their sum can never exceed
+    // the run's own wall time.
+    driver::SweepSpec spec;
+    spec.workloads = {Wk::Spmv, Wk::Msort};
+    spec.configs = driver::sweepConfigsFromList("static,delta");
+    spec.seeds = {7, 11};
+    spec.scales = {1.0};
+    spec.jobs = 1;
+    spec.hostProfile = true;
+    const driver::SweepReport report =
+        driver::Sweep(std::move(spec)).run();
+    ASSERT_EQ(report.runs.size(), 8u);
+    for (const driver::RunOutcome& out : report.runs) {
+        ASSERT_TRUE(out.ok()) << out.point.tag() << ": " << out.error;
+        double profiled = 0;
+        for (const auto& [name, v] :
+             out.stats.matchPrefix("sim.host.profile."))
+            profiled += v;
+        const double wall = out.stats.get("sim.host.wallNs");
+        EXPECT_GT(profiled, 0.0) << out.point.tag();
+        EXPECT_LE(profiled, wall)
+            << out.point.tag() << ": profile buckets sum to "
+            << profiled / wall << "x the run's wall time";
+    }
+}
+
 // ---------------------------------------------------------------------
 // Timeline: shape, invariants, subsets, caps.
 // ---------------------------------------------------------------------
@@ -323,7 +355,7 @@ TEST(TimelineTest, MaxSamplesCapsTheCadence)
 
 // ---------------------------------------------------------------------
 // Determinism: the timeline must never depend on how the host ran
-// the simulation (thread count, snapshot forks).
+// the simulation (thread count).
 // ---------------------------------------------------------------------
 
 driver::SweepSpec
@@ -372,20 +404,34 @@ TEST(TimelineDeterminismTest, ParallelSweepBitIdenticalToSerial)
 
 TEST(TimelineDeterminismTest, ForkedRunsBitIdenticalToFresh)
 {
-    driver::SweepSpec forked = timelineSpec();
-    // Two seeds make the second run of each config a snapshot fork.
-    forked.seeds = {7, 11};
-    forked.jobs = 1;
-    driver::SweepSpec fresh = forked;
-    fresh.noSnapshotFork = true;
+    // Two seeds on one worker: later runs follow earlier ones, where
+    // runs were once warm-started from a snapshot.  Each must match a
+    // sweep that runs only its own seed.
+    driver::SweepSpec both = timelineSpec();
+    both.seeds = {7, 11};
+    both.jobs = 1;
+    const std::vector<driver::RunPoint> points =
+        driver::Sweep(both).points();
+    const auto a = runDumps(both);
+    ASSERT_EQ(a.size(), points.size());
 
-    const auto a = runDumps(std::move(forked));
-    const auto b = runDumps(std::move(fresh));
-    ASSERT_EQ(a.size(), b.size());
+    std::map<std::string, std::string> alone;
+    for (const std::uint64_t seed : both.seeds) {
+        driver::SweepSpec one = both;
+        one.seeds = {seed};
+        const std::vector<driver::RunPoint> onePoints =
+            driver::Sweep(one).points();
+        const auto dumps = runDumps(std::move(one));
+        ASSERT_EQ(dumps.size(), onePoints.size());
+        for (std::size_t i = 0; i < dumps.size(); ++i)
+            alone[onePoints[i].tag()] = dumps[i];
+    }
+
     for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i])
-            << "timeline columns diverged between forked and fresh "
-               "runs";
+        EXPECT_EQ(a[i], alone.at(points[i].tag()))
+            << points[i].tag()
+            << ": timeline columns diverged between back-to-back and "
+               "standalone runs";
 }
 
 } // namespace

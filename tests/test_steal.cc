@@ -1,17 +1,16 @@
 /**
  * @file
- * NoC work-stealing tests (DESIGN.md §9): the steal protocol must be
+ * NoC work-stealing tests (DESIGN.md §7): the steal protocol must be
  * a pure re-placement mechanism — it changes which lane runs a task,
  * never what the run computes — and it must be bit-identical across
  * every execution mode the simulator supports.
  *
  * For each steal policy on skewed workloads this byte-compares the
  * full stats dump (minus sim.host.*) between the reference run and:
- *   - sharded execution (--shards 2 and 4),
  *   - naive per-cycle ticking (--no-fast-forward),
- *   - snapshot/fork warm-started runs (twice from one snapshot).
- * Any divergence means steal protocol state escaped a Snap, a probe
- * slept through a cycle it needed, or a cross-shard message leaked.
+ *   - sweep runs executed back to back on one worker.
+ * Any divergence means a probe slept through a cycle it needed, or
+ * steal protocol state outlived the Delta that owned it.
  */
 
 #include <gtest/gtest.h>
@@ -48,11 +47,11 @@ stealConfig(StealPolicy steal)
 }
 
 RunResult
-resultOf(Delta& delta, Wk wk)
+resultOf(Delta& delta, Wk wk, std::uint64_t seed = 7)
 {
     SuiteParams sp;
     sp.scale = 0.25;
-    sp.seed = 7;
+    sp.seed = seed;
     auto wl = makeWorkload(wk, sp);
 
     TaskGraph graph;
@@ -72,11 +71,9 @@ resultOf(Delta& delta, Wk wk)
 }
 
 RunResult
-runOnce(Wk wk, StealPolicy steal, std::uint32_t shards,
-        bool noFastForward)
+runOnce(Wk wk, StealPolicy steal, bool noFastForward)
 {
     DeltaConfig cfg = stealConfig(steal);
-    cfg.shards = shards;
     cfg.noFastForward = noFastForward;
     Delta delta(cfg);
     return resultOf(delta, wk);
@@ -107,24 +104,14 @@ TEST_P(StealDifferential, BitIdenticalAcrossExecutionModes)
     const Wk wk = std::get<0>(GetParam());
     const StealPolicy steal = std::get<1>(GetParam());
 
-    const RunResult one = runOnce(wk, steal, 1, false);
+    const RunResult one = runOnce(wk, steal, false);
     ASSERT_TRUE(one.correct);
     if (steal != StealPolicy::None) {
         EXPECT_GT(one.stealRequests, 0.0)
             << "idle lanes never probed: the steal machine is inert";
     }
 
-    for (const std::uint32_t k : {2u, 4u}) {
-        const RunResult sharded = runOnce(wk, steal, k, false);
-        EXPECT_TRUE(sharded.correct) << k << " shards";
-        EXPECT_EQ(sharded.statsJson, one.statsJson)
-            << k << "-shard and single-shard steal runs diverged "
-            << "for " << wkName(wk)
-            << ": a steal message escaped the conservative "
-               "synchronization";
-    }
-
-    const RunResult naive = runOnce(wk, steal, 1, true);
+    const RunResult naive = runOnce(wk, steal, true);
     EXPECT_TRUE(naive.correct);
     EXPECT_EQ(naive.statsJson, one.statsJson)
         << "activity-driven and naive steal runs diverged for "
@@ -137,23 +124,28 @@ TEST_P(StealDifferential, ForkedRunsBitIdenticalToFresh)
     const Wk wk = std::get<0>(GetParam());
     const StealPolicy steal = std::get<1>(GetParam());
 
-    RunResult fresh;
-    {
-        Delta delta(stealConfig(steal));
-        fresh = resultOf(delta, wk);
-    }
-    ASSERT_TRUE(fresh.correct);
+    // Two seeds on one worker: the second run follows the first, as
+    // the later points of every sweep worker do.
+    driver::SweepSpec spec;
+    spec.workloads = {wk};
+    spec.configs = {{"steal", stealConfig(steal)}};
+    spec.seeds = {7, 11};
+    spec.scales = {0.25};
+    spec.jobs = 1;
+    const driver::SweepReport report = driver::Sweep(spec).run();
 
-    Delta forked(stealConfig(steal));
-    const auto snap = forked.snapshot();
-    for (int rep = 0; rep < 2; ++rep) {
-        forked.restore(*snap);
-        const RunResult r = resultOf(forked, wk);
+    ASSERT_EQ(report.runs.size(), 2u);
+    for (const driver::RunOutcome& out : report.runs) {
+        ASSERT_TRUE(out.ok()) << out.point.tag() << ": " << out.error;
+        Delta fresh(stealConfig(steal));
+        const RunResult r = resultOf(fresh, wk, out.point.seed);
         EXPECT_TRUE(r.correct);
-        EXPECT_EQ(r.statsJson, fresh.statsJson)
-            << "forked steal run " << rep << " diverged for "
-            << wkName(wk)
-            << ": steal protocol state escaped the snapshot";
+        std::ostringstream os;
+        out.stats.dumpJson(os, "sim.host.");
+        EXPECT_EQ(os.str(), r.statsJson)
+            << out.point.tag() << ": sweep steal run diverged from a "
+            << "fresh Delta for " << wkName(wk)
+            << ": steal protocol state outlived its run";
     }
 }
 
@@ -173,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Steal, StealingActuallyMovesTasksOnSkewedWork)
 {
     const RunResult r =
-        runOnce(Wk::Tricount, StealPolicy::StealHalf, 1, false);
+        runOnce(Wk::Tricount, StealPolicy::StealHalf, false);
     ASSERT_TRUE(r.correct);
     EXPECT_GT(r.tasksStolen, 0.0)
         << "steal-half on tricount should relocate at least one task";

@@ -57,10 +57,17 @@ caseName(const ::testing::TestParamInfo<Case>& info)
 std::vector<Case>
 allCases()
 {
+    // GoogleTest prints each parameter's raw bytes into the test
+    // listing, so the padding after `delta` must be zeroed: `{w, d}`
+    // leaves it indeterminate and the test names would vary per run.
     std::vector<Case> cases;
     for (const Wk w : allWorkloads()) {
-        cases.push_back({w, true});
-        cases.push_back({w, false});
+        for (const bool d : {true, false}) {
+            Case c{};
+            c.wk = w;
+            c.delta = d;
+            cases.push_back(c);
+        }
     }
     return cases;
 }

@@ -75,8 +75,6 @@ usage(int code)
         "  --cache DIR       content-addressed run cache: consult\n"
         "                    before running, publish after\n"
         "  --cache-cap BYTES cache size budget (K/M/G suffixes ok)\n"
-        "  --no-snapshot-fork  fresh Delta per point (differential\n"
-        "                    check of snapshot/fork warm starts)\n"
         "  --dry-run         print tag, cache key, and predicted\n"
         "                    hit/miss per point; run nothing\n"
         "service options:\n"
@@ -390,8 +388,6 @@ main(int argc, char** argv)
                 grid.cacheDir = value();
             } else if (arg == "--cache-cap") {
                 grid.cacheCapBytes = driver::parseCapBytes(value());
-            } else if (arg == "--no-snapshot-fork") {
-                grid.noSnapshotFork = true;
             } else if (arg == "--dry-run") {
                 grid.dryRun = true;
             } else if (arg == "--serve") {
