@@ -29,7 +29,13 @@ In the default mode:
 
 Reads google-benchmark JSON output from bench_host, computes the
 ff:1 / ff:0 speedup of every benchmark from its sim_cycles_per_sec
-counters, and checks:
+counters, and checks the floors below.  Run bench_host with
+--benchmark_repetitions=N: each run's rate is the median over its
+repetitions (rows grouped by run_name; aggregate rows such as
+`BM_X/ff:1_median` are skipped).  A single wall-clock sample is
+too noisy to gate on; CI also passes
+--benchmark_enable_random_interleaving=true so that one burst of
+host noise cannot cover all repetitions of a run.
 
   host-idle-speedup         floor on BM_SyntheticIdle's speedup
   host-real-geomean         floor on the geomean speedup of the real
@@ -45,6 +51,7 @@ violations surface as annotations on the PR itself.
 
 import json
 import math
+import statistics
 import sys
 
 
@@ -54,6 +61,24 @@ def annotate(title, message):
     """
     print(f"check_host_floors: {title}: {message}", file=sys.stderr)
     print(f"::error title={title}::{message}", file=sys.stderr)
+
+
+def run_rates(report):
+    """Median sim_cycles_per_sec per run_name, plus repetition counts.
+
+    Iteration rows carry the per-repetition samples; aggregate rows
+    (mean/median/stddev/cv over repetitions) are skipped so that a
+    `BM_X/ff:1_median` row cannot parse as a run of its own.
+    """
+    samples = {}
+    for b in report["benchmarks"]:
+        if b.get("run_type") == "aggregate":
+            continue
+        run = b.get("run_name", b["name"])
+        samples.setdefault(run, []).append(b["sim_cycles_per_sec"])
+    rates = {run: statistics.median(v) for run, v in samples.items()}
+    reps = {run: len(v) for run, v in samples.items()}
+    return rates, reps
 
 
 def load_floors(path):
@@ -221,11 +246,13 @@ def main():
     with open(sys.argv[1]) as f:
         report = json.load(f)
 
-    rate = {}  # benchmark family -> {ff: sim_cycles_per_sec}
-    for b in report["benchmarks"]:
-        name, _, arg = b["name"].partition("/")
+    rate = {}  # benchmark family -> {ff: median sim_cycles_per_sec}
+    run_rate, run_reps = run_rates(report)
+    for run, value in run_rate.items():
+        name, _, arg = run.partition("/")
         ff = arg == "ff:1"
-        rate.setdefault(name, {})[ff] = b["sim_cycles_per_sec"]
+        rate.setdefault(name, {})[ff] = value
+    reps = sorted(set(run_reps.values()))
 
     speedup = {}
     incomplete = []  # families that cannot be scored, with the reason
@@ -257,6 +284,11 @@ def main():
     ]
 
     print("### Host throughput (bench_host, ff:1 vs ff:0)")
+    print()
+    print(
+        "Median over repetitions per run "
+        f"(repetitions: {', '.join(str(r) for r in reps) or 'none'})."
+    )
     print()
     print("| benchmark | ff:1 cycles/s | ff:0 cycles/s | speedup |")
     print("| --- | --- | --- | --- |")

@@ -156,7 +156,7 @@ struct TraceActivation
     ~TraceActivation() { trace::Tracer::setActive(nullptr); }
 };
 
-/** Routes statSample() probes into the run's StatSet for the
+/** Routes StatProbe samples into the run's StatSet for the
  *  duration of the simulation (cleared even on fatal() unwinds). */
 struct StatsActivation
 {

@@ -19,6 +19,10 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
 {
     const std::string prefix = name();
 
+    mshrs_.resize(cfg.maxOutstandingLines);
+    for (std::uint32_t i = cfg.maxOutstandingLines; i > 0; --i)
+        freeMshrs_.push_back(i - 1);
+
     fabric_ = std::make_unique<Fabric>(prefix + ".fabric", cfg.fabric);
     spm_ = std::make_unique<Scratchpad>(prefix + ".spm", cfg.spm);
     landing_ = std::make_unique<SharedLanding>(img, *spm_);
@@ -85,15 +89,16 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
 }
 
 bool
-Lane::requestLine(Addr lineAddr, std::function<void()> onData)
+Lane::requestLine(Addr lineAddr, LineSink& sink, std::uint64_t cookie)
 {
-    if (inflight_.size() >= cfg_.maxOutstandingLines)
+    if (freeMshrs_.empty())
         return false;
+    const std::uint32_t slot = freeMshrs_.back();
     MemReq req;
     req.lineAddr = lineAddr;
     req.write = false;
     req.srcNode = selfNode_;
-    req.tag = nextTag_;
+    req.tag = slot;
 
     Packet pkt;
     pkt.src = selfNode_;
@@ -103,13 +108,12 @@ Lane::requestLine(Addr lineAddr, std::function<void()> onData)
     pkt.payload = req;
     if (!noc_.inject(std::move(pkt)))
         return false;
-    inflight_.emplace(nextTag_, std::move(onData));
-    ++nextTag_;
+    freeMshrs_.pop_back();
+    mshrs_[slot] = Mshr{&sink, cookie};
     ++lineReads_;
     if (trace::on()) {
-        trace::active()->counter(
-            (name() + ".mshr").c_str(), "inflight",
-            static_cast<double>(inflight_.size()));
+        trace::active()->counter((name() + ".mshr").c_str(), "inflight",
+                                 static_cast<double>(mshrsInUse()));
     }
     return true;
 }
@@ -176,41 +180,40 @@ Lane::tick(Tick)
         --budget;
         switch (pkt.kind) {
           case PktKind::MemResp: {
-            const auto resp = std::any_cast<MemResp>(pkt.payload);
+            const MemResp& resp = std::get<MemResp>(pkt.payload);
             if (isSharedFillTag(resp.tag)) {
                 landing_->fill(sharedFillGroup(resp.tag),
                                resp.lineAddr);
                 break;
             }
-            auto it = inflight_.find(resp.tag);
-            TS_ASSERT(it != inflight_.end(),
+            TS_ASSERT(resp.tag < mshrs_.size() &&
+                          mshrs_[resp.tag].sink != nullptr,
                       name(), ": response for unknown tag ", resp.tag);
-            auto cb = std::move(it->second);
-            inflight_.erase(it);
+            const Mshr m = mshrs_[resp.tag];
+            mshrs_[resp.tag].sink = nullptr;
+            freeMshrs_.push_back(static_cast<std::uint32_t>(resp.tag));
             if (trace::on()) {
                 trace::active()->counter(
                     (name() + ".mshr").c_str(), "inflight",
-                    static_cast<double>(inflight_.size()));
+                    static_cast<double>(mshrsInUse()));
             }
-            cb();
+            m.sink->lineArrived(resp.lineAddr, m.cookie);
             break;
           }
           case PktKind::TaskDispatch:
-            taskUnit_->deliver(
-                std::any_cast<DispatchMsg>(std::move(pkt.payload)));
+            taskUnit_->deliver(std::move(
+                *std::get<Boxed<DispatchMsg>>(pkt.payload)));
             break;
           case PktKind::SharedFill:
-            landing_->setup(std::any_cast<GroupSetupMsg>(pkt.payload));
+            landing_->setup(std::get<GroupSetupMsg>(pkt.payload));
             break;
           case PktKind::PipeChunk: {
-            const auto msg =
-                std::any_cast<PipeChunkMsg>(std::move(pkt.payload));
+            const auto& msg = std::get<PipeChunkMsg>(pkt.payload);
             pipes_.deliver(msg.pipeId, msg.toks);
             break;
           }
           case PktKind::SpatialChunk: {
-            const auto msg =
-                std::any_cast<SpatialChunkMsg>(pkt.payload);
+            const auto& msg = std::get<SpatialChunkMsg>(pkt.payload);
             spatialLanding_.deliver(msg.group, msg.words, msg.done);
             spatialHopWords_ +=
                 static_cast<std::uint64_t>(
@@ -221,15 +224,14 @@ Lane::tick(Tick)
           }
           case PktKind::StealRequest:
             taskUnit_->onStealRequest(
-                std::any_cast<StealRequestMsg>(pkt.payload));
+                std::get<StealRequestMsg>(pkt.payload));
             break;
           case PktKind::StealGrant:
-            taskUnit_->onStealGrant(
-                std::any_cast<StealGrantMsg>(std::move(pkt.payload)));
+            taskUnit_->onStealGrant(std::move(
+                *std::get<Boxed<StealGrantMsg>>(pkt.payload)));
             break;
           case PktKind::StealDeny:
-            taskUnit_->onStealDeny(
-                std::any_cast<StealDenyMsg>(pkt.payload));
+            taskUnit_->onStealDeny(std::get<StealDenyMsg>(pkt.payload));
             break;
           default:
             panic(name(), ": unexpected packet kind");

@@ -9,7 +9,6 @@
 #ifndef TS_ACCEL_LANE_HH
 #define TS_ACCEL_LANE_HH
 
-#include <map>
 #include <memory>
 
 #include "cgra/fabric.hh"
@@ -48,8 +47,8 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
          const std::vector<std::uint32_t>& laneNodes = {});
 
     // MemPortIf
-    bool requestLine(Addr lineAddr,
-                     std::function<void()> onData) override;
+    bool requestLine(Addr lineAddr, LineSink& sink,
+                     std::uint64_t cookie) override;
     bool writeLine(Addr lineAddr) override;
 
     // PipeTxIf
@@ -105,8 +104,22 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     std::vector<std::unique_ptr<WriteEngine>> writeEngines_;
     std::unique_ptr<TaskUnit> taskUnit_;
 
-    std::uint64_t nextTag_ = 1;
-    std::map<std::uint64_t, std::function<void()>> inflight_;
+    /** One outstanding line read; its index is the request tag. */
+    struct Mshr
+    {
+        LineSink* sink = nullptr; ///< nullptr while the slot is free
+        std::uint64_t cookie = 0;
+    };
+
+    /** maxOutstandingLines slots; freeMshrs_ holds the idle ones. */
+    std::vector<Mshr> mshrs_;
+    std::vector<std::uint32_t> freeMshrs_;
+
+    std::size_t
+    mshrsInUse() const
+    {
+        return mshrs_.size() - freeMshrs_.size();
+    }
 
     std::uint64_t lineReads_ = 0;
     std::uint64_t lineWrites_ = 0;

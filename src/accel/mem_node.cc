@@ -30,7 +30,7 @@ MemNode::tick(Tick)
         TS_ASSERT(pkt.kind == PktKind::MemReq,
                   "memnode received non-memory packet");
         const bool ok =
-            reqCh_->push(std::any_cast<MemReq>(pkt.payload));
+            reqCh_->push(std::get<MemReq>(pkt.payload));
         TS_ASSERT(ok);
     }
 

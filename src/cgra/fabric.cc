@@ -79,20 +79,8 @@ Fabric::outPort(std::uint32_t port)
 bool
 Fabric::drained() const
 {
-    for (const auto& r : routes_) {
-        for (const auto& reg : r.regs) {
-            if (reg.has_value())
-                return false;
-        }
-    }
-    for (const auto& pe : pes_) {
-        for (const auto& q : pe.opnd) {
-            if (!q.empty())
-                return false;
-        }
-        if (!pe.pipe.empty())
-            return false;
-    }
+    if (inFlight_ != 0)
+        return false;
     for (const auto& f : inExt_) {
         if (!f.empty())
             return false;
@@ -152,7 +140,17 @@ Fabric::pipeHasSpace(const PeState& pe) const
 void
 Fabric::pushResult(PeState& pe, Token t, Tick now)
 {
-    pe.pipe.emplace_back(t, now + opInfo(pe.node->op).latency);
+    pe.pipe.push_back({t, now + opInfo(pe.node->op).latency});
+    ++inFlight_;
+}
+
+Token
+Fabric::takeOperand(PeState& pe, unsigned slot)
+{
+    const Token t = pe.opnd[slot].front();
+    pe.opnd[slot].pop_front();
+    --inFlight_;
+    return t;
 }
 
 void
@@ -166,6 +164,7 @@ Fabric::outputStage(Tick now)
             continue;
         if (pe.outRoutes.empty()) {
             pe.pipe.pop_front(); // dead value: discard
+            --inFlight_;
             continue;
         }
         bool allFree = true;
@@ -179,6 +178,7 @@ Fabric::outputStage(Tick now)
             continue;
         for (std::uint32_t ri : pe.outRoutes)
             routes_[ri].regs[0] = tok;
+        inFlight_ += pe.outRoutes.size() - 1; // fan-out copies
         pe.pipe.pop_front();
     }
 }
@@ -200,8 +200,7 @@ Fabric::firePe(PeState& pe, Tick now)
     if (n.op == Op::Output) {
         if (pe.opnd[0].empty() || pe.ext->full())
             return;
-        pe.ext->push(pe.opnd[0].front());
-        pe.opnd[0].pop_front();
+        pe.ext->push(takeOperand(pe, 0));
         ++firings_;
         return;
     }
@@ -219,9 +218,9 @@ Fabric::firePe(PeState& pe, Tick now)
         std::uint8_t flags = 0;
         for (unsigned s = 0; s < 3; ++s) {
             if (n.opnd[s].kind == Operand::Kind::Node) {
-                w[s] = pe.opnd[s].front().value;
-                flags |= pe.opnd[s].front().flags;
-                pe.opnd[s].pop_front();
+                const Token t = takeOperand(pe, s);
+                w[s] = t.value;
+                flags |= t.flags;
             } else if (n.opnd[s].kind == Operand::Kind::Imm) {
                 w[s] = n.opnd[s].imm;
             }
@@ -236,8 +235,7 @@ Fabric::firePe(PeState& pe, Tick now)
     if (isAccumulator(n.op)) {
         if (pe.opnd[0].empty() || !pipeHasSpace(pe))
             return;
-        Token t = pe.opnd[0].front();
-        pe.opnd[0].pop_front();
+        const Token t = takeOperand(pe, 0);
         pe.acc = evalAccStep(n.op, pe.acc, t.value);
         ++firings_;
         if (t.segEnd()) {
@@ -267,8 +265,7 @@ Fabric::firePe(PeState& pe, Tick now)
                        ? 0
                        : 1;
         }
-        Token t = pe.opnd[side].front();
-        pe.opnd[side].pop_front();
+        const Token t = takeOperand(pe, side);
         bool& ended = side == 0 ? pe.endedA : pe.endedB;
         const bool otherEnded = side == 0 ? pe.endedB : pe.endedA;
         std::uint8_t flags = 0;
@@ -298,8 +295,7 @@ Fabric::firePe(PeState& pe, Tick now)
         const bool haveA = !pe.opnd[0].empty();
         const bool haveB = !pe.opnd[1].empty();
         auto consume = [&](unsigned side) {
-            Token t = pe.opnd[side].front();
-            pe.opnd[side].pop_front();
+            const Token t = takeOperand(pe, side);
             if (t.segEnd())
                 (side == 0 ? pe.segDoneA : pe.segDoneB) = true;
             if (t.streamEnd())

@@ -19,7 +19,6 @@
 #ifndef TS_CGRA_FABRIC_HH
 #define TS_CGRA_FABRIC_HH
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -66,7 +65,9 @@ class Fabric : public Ticked
     /** External output port FIFO (stream engines pop here). */
     TokenFifo& outPort(std::uint32_t port);
 
-    /** True when no token is anywhere inside the fabric. */
+    /** True when no token is anywhere inside the fabric: no internal
+     *  token (counted at every push and pop) and every external port
+     *  FIFO empty. */
     bool drained() const;
 
     /**
@@ -101,9 +102,9 @@ class Fabric : public Ticked
     {
         std::uint32_t id = 0;
         const Dfg::Node* node = nullptr;
-        std::deque<Token> opnd[3];
+        Ring<Token> opnd[3];
         /** (token, readyAt): pipelined FU in flight. */
-        std::deque<std::pair<Token, Tick>> pipe;
+        Ring<std::pair<Token, Tick>> pipe;
         std::vector<std::uint32_t> outRoutes;
         TokenFifo* ext = nullptr;
 
@@ -124,6 +125,7 @@ class Fabric : public Ticked
     bool pendingEmit() const;
     bool pipeHasSpace(const PeState& pe) const;
     void pushResult(PeState& pe, Token t, Tick now);
+    Token takeOperand(PeState& pe, unsigned slot);
 
     FabricConfig cfg_;
     const MappedDfg* current_ = nullptr;
@@ -133,6 +135,9 @@ class Fabric : public Ticked
     std::vector<PeState> pes_;
     std::vector<TokenFifo> inExt_;
     std::vector<TokenFifo> outExt_;
+
+    /** Tokens in route registers, operand FIFOs and FU pipes. */
+    std::size_t inFlight_ = 0;
 
     std::uint64_t firings_ = 0;
     std::uint64_t reconfigs_ = 0;

@@ -14,8 +14,8 @@
 #define TS_CGRA_TOKEN_HH
 
 #include <cstdint>
-#include <deque>
 
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace ts
@@ -84,19 +84,13 @@ class TokenFifo
 
     const Token& front() const { return q_.front(); }
 
-    Token
-    pop()
-    {
-        Token t = q_.front();
-        q_.pop_front();
-        return t;
-    }
+    Token pop() { return q_.pop(); }
 
     void clear() { q_.clear(); }
 
   private:
     std::size_t capacity_;
-    std::deque<Token> q_;
+    Ring<Token> q_;
 };
 
 } // namespace ts

@@ -54,8 +54,7 @@ MainMemory::tick(Tick now)
         }
         bankFreeAt_[bank] = now + cfg_.bankOccupancy;
         ++issued;
-        statSample("dram.queueWait",
-                   static_cast<double>(now - it->enqueuedAt));
+        queueWait_.sample(static_cast<double>(now - it->enqueuedAt));
         if (trace::on()) {
             auto* t = trace::active();
             if (now > it->enqueuedAt) {

@@ -20,6 +20,7 @@
 #include "mem/request.hh"
 #include "sim/channel.hh"
 #include "sim/simulator.hh"
+#include "sim/stats.hh"
 
 namespace ts
 {
@@ -88,6 +89,8 @@ class MainMemory : public Ticked
     std::uint64_t linesWritten_ = 0;
     std::uint64_t bankConflictStalls_ = 0;
     std::uint64_t inflight_ = 0;
+
+    StatProbe queueWait_{"dram.queueWait"};
 };
 
 } // namespace ts

@@ -39,6 +39,25 @@ class NocRouter : public Ticked
         in_.fill(nullptr);
         out_.fill(nullptr);
         linkFreeAt_.fill(0);
+
+        // XY routing as destination-set masks: a packet's branch
+        // toward direction d is its dstMask & dirMask_[d].
+        dirMask_.fill(0);
+        const std::uint32_t w = noc_.cfg_.width;
+        const std::uint32_t cx = id_ % w, cy = id_ / w;
+        for (std::uint32_t dst = 0; dst < noc_.numNodes(); ++dst) {
+            const std::uint32_t dx = dst % w, dy = dst / w;
+            unsigned d = LocalPort;
+            if (dx > cx)
+                d = East;
+            else if (dx < cx)
+                d = West;
+            else if (dy > cy)
+                d = North;
+            else if (dy < cy)
+                d = South;
+            dirMask_[d] |= Packet::unicast(dst);
+        }
     }
 
     void
@@ -49,7 +68,7 @@ class NocRouter : public Ticked
         const unsigned rr = static_cast<unsigned>(now % NumDirs);
         for (unsigned i = 0; i < NumDirs; ++i) {
             const unsigned port = (rr + i) % NumDirs;
-            if (in_[port] != nullptr)
+            if (in_[port] != nullptr && !in_[port]->empty())
                 tryForward(*in_[port], now);
         }
 
@@ -82,43 +101,20 @@ class NocRouter : public Ticked
     std::array<Channel<Packet>*, NumDirs> out_;
 
   private:
-    unsigned
-    routeDir(std::uint32_t dst) const
-    {
-        const std::uint32_t w = noc_.cfg_.width;
-        const std::uint32_t cx = id_ % w, cy = id_ / w;
-        const std::uint32_t dx = dst % w, dy = dst / w;
-        if (dx > cx)
-            return East;
-        if (dx < cx)
-            return West;
-        if (dy > cy)
-            return North;
-        if (dy < cy)
-            return South;
-        return LocalPort;
-    }
-
     void
     tryForward(Channel<Packet>& in, Tick now)
     {
-        if (in.empty())
-            return;
         const Packet& pkt = in.front();
         if (pkt.notBefore > now)
             return; // tail still serializing onto this hop
 
         // Split the destination set by outgoing direction.
-        std::array<std::uint64_t, NumDirs> masks{};
-        std::uint64_t rest = pkt.dstMask;
-        while (rest != 0) {
-            const std::uint32_t dst =
-                static_cast<std::uint32_t>(__builtin_ctzll(rest));
-            rest &= rest - 1;
-            masks[routeDir(dst)] |= Packet::unicast(dst);
-        }
+        std::array<std::uint64_t, NumDirs> masks;
+        for (unsigned d = 0; d < NumDirs; ++d)
+            masks[d] = pkt.dstMask & dirMask_[d];
 
         // All branch outputs must be available (atomic split).
+        unsigned lastBranch = 0;
         for (unsigned d = 0; d < NumDirs; ++d) {
             if (masks[d] == 0)
                 continue;
@@ -128,9 +124,16 @@ class NocRouter : public Ticked
                 return;
             if (d != LocalPort && linkFreeAt_[d] > now)
                 return;
+            lastBranch = d;
         }
 
         Packet head = in.pop();
+        const std::uint32_t words = head.sizeWords;
+        const bool mcast = head.mcast;
+        const Tick injectedAt = head.injectedAt;
+        const PktKind kind = head.kind;
+        const Tick ser = std::max<Tick>(
+            1, divCeil<std::uint32_t>(words, noc_.cfg_.linkWords));
         if (trace::on()) {
             unsigned branches = 0;
             for (unsigned d = 0; d < NumDirs; ++d)
@@ -139,49 +142,38 @@ class NocRouter : public Ticked
                 auto* t = trace::active();
                 t->instant(t->track("noc.mcast"), "fanout",
                            trace::args("router", id_, "branches",
-                                       branches, "words",
-                                       head.sizeWords));
+                                       branches, "words", words));
             }
         }
         for (unsigned d = 0; d < NumDirs; ++d) {
             if (masks[d] == 0)
                 continue;
-            Packet copy = head;
+            // Tree splits copy the packet; the last branch takes it.
+            Packet copy =
+                d == lastBranch ? std::move(head) : Packet(head);
             copy.dstMask = masks[d];
-            if (d != LocalPort) {
-                copy.notBefore =
-                    now + std::max<Tick>(
-                              1, divCeil<std::uint32_t>(
-                                     head.sizeWords,
-                                     noc_.cfg_.linkWords));
-            }
+            if (d != LocalPort)
+                copy.notBefore = now + ser;
             const bool ok = out_[d]->push(std::move(copy));
             TS_ASSERT(ok);
             if (d == LocalPort) {
                 ++noc_.delivered_;
-                if (head.mcast)
+                if (mcast)
                     ++noc_.mcastDeliveries_;
-                if (statsOn()) {
-                    const auto lat =
-                        static_cast<double>(now - head.injectedAt);
-                    statSample("noc.pktLatency", lat);
-                    statSample(std::string("noc.pktLatency.") +
-                                   pktKindName(head.kind),
-                               lat);
-                }
+                const auto lat = static_cast<double>(now - injectedAt);
+                noc_.latency_.sample(lat);
+                noc_.kindLatency_[static_cast<unsigned>(kind)].sample(
+                    lat);
                 if (trace::on()) {
                     trace::active()->counter(
                         "noc.traffic", "delivered",
                         static_cast<double>(noc_.delivered_));
                 }
             } else {
-                const Tick ser = std::max<Tick>(
-                    1, divCeil<std::uint32_t>(head.sizeWords,
-                                              noc_.cfg_.linkWords));
                 linkFreeAt_[d] = now + ser;
-                noc_.wordHops_ += head.sizeWords;
-                if (head.mcast)
-                    noc_.mcastWordHops_ += head.sizeWords;
+                noc_.wordHops_ += words;
+                if (mcast)
+                    noc_.mcastWordHops_ += words;
             }
         }
     }
@@ -189,6 +181,7 @@ class NocRouter : public Ticked
     Noc& noc_;
     std::uint32_t id_;
     std::array<Tick, NumDirs> linkFreeAt_;
+    std::array<std::uint64_t, NumDirs> dirMask_;
 };
 
 Noc::Noc(Simulator& sim, const NocConfig& cfg,
@@ -205,6 +198,13 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
     const auto part = [&](std::uint32_t node) {
         return nodeParts.empty() ? basePart : nodeParts[node];
     };
+
+    kindLatency_.reserve(kNumPktKinds);
+    for (unsigned k = 0; k < kNumPktKinds; ++k) {
+        kindLatency_.emplace_back(
+            std::string("noc.pktLatency.") +
+            pktKindName(static_cast<PktKind>(k)));
+    }
 
     routers_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -275,7 +275,9 @@ Noc::inject(Packet pkt)
 {
     TS_ASSERT(pkt.src < numNodes(), "bad src node ", pkt.src);
     TS_ASSERT(pkt.dstMask != 0, "packet with empty destination set");
-    TS_ASSERT((pkt.dstMask >> numNodes()) == 0 || numNodes() == 64,
+    // Test the full-mesh case first: shifting a 64-bit mask by 64 is
+    // undefined behaviour.
+    TS_ASSERT(numNodes() == 64 || (pkt.dstMask >> numNodes()) == 0,
               "destination outside mesh");
     const std::uint32_t src = pkt.src;
     const std::uint64_t dstMask = pkt.dstMask;

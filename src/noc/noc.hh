@@ -21,6 +21,7 @@
 #include "noc/packet.hh"
 #include "sim/channel.hh"
 #include "sim/simulator.hh"
+#include "sim/stats.hh"
 
 namespace ts
 {
@@ -127,6 +128,10 @@ class Noc
     std::uint64_t delivered_ = 0;
     std::uint64_t mcastWordHops_ = 0;
     std::uint64_t mcastDeliveries_ = 0;
+
+    /** Delivery latency, overall and per packet kind. */
+    StatProbe latency_{"noc.pktLatency"};
+    std::vector<StatProbe> kindLatency_;
 };
 
 } // namespace ts

@@ -41,12 +41,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/ring.hh"
 
 namespace ts
 {
@@ -262,8 +262,7 @@ class Channel : public ChannelBase
     pop()
     {
         TS_ASSERT(!queue_.empty(), "pop on empty channel ", name());
-        T v = std::move(queue_.front());
-        queue_.pop_front();
+        T v = queue_.pop();
         notePop();
         if (queue_.empty() && staging_.empty())
             setLive(false);
@@ -301,7 +300,7 @@ class Channel : public ChannelBase
 
   private:
     std::size_t capacity_;
-    std::deque<T> queue_;
+    Ring<T> queue_;
     std::vector<T> staging_;
     std::uint64_t pushed_ = 0;
     std::size_t maxOccupancy_ = 0;

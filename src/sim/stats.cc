@@ -1,6 +1,7 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +31,50 @@ log2Bounds()
 }
 
 } // namespace
+
+std::uint64_t
+StatSet::freshId()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+StatSet::StatSet(const StatSet& o)
+    : values_(o.values_), hists_(o.hists_), histsDirty_(o.histsDirty_)
+{
+}
+
+StatSet::StatSet(StatSet&& o) noexcept
+    : values_(std::move(o.values_)), hists_(std::move(o.hists_)),
+      histsDirty_(o.histsDirty_)
+{
+    o.id_ = freshId();
+}
+
+StatSet&
+StatSet::operator=(const StatSet& o)
+{
+    if (this != &o) {
+        values_ = o.values_;
+        hists_ = o.hists_;
+        histsDirty_ = o.histsDirty_;
+        id_ = freshId();
+    }
+    return *this;
+}
+
+StatSet&
+StatSet::operator=(StatSet&& o) noexcept
+{
+    if (this != &o) {
+        values_ = std::move(o.values_);
+        hists_ = std::move(o.hists_);
+        histsDirty_ = o.histsDirty_;
+        id_ = freshId();
+        o.id_ = freshId();
+    }
+    return *this;
+}
 
 StatSet*
 StatSet::active()

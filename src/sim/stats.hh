@@ -13,8 +13,8 @@
  *
  * During a simulation run one StatSet may be made *active* (see
  * StatSet::setActive), mirroring the tracer's activation model; probe
- * sites then call statSample() without plumbing a StatSet reference
- * through every component.
+ * sites then sample through a StatProbe member without plumbing a
+ * StatSet reference through every component.
  */
 
 #ifndef TS_SIM_STATS_HH
@@ -24,6 +24,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ts
@@ -103,6 +104,15 @@ class Histogram
 class StatSet
 {
   public:
+    StatSet() = default;
+
+    // Copies and moves give both sides a fresh identity: a StatProbe
+    // bound to either must look its histogram up again.
+    StatSet(const StatSet& o);
+    StatSet(StatSet&& o) noexcept;
+    StatSet& operator=(const StatSet& o);
+    StatSet& operator=(StatSet&& o) noexcept;
+
     /** Record (or overwrite) a statistic under a dotted path. */
     void set(const std::string& name, double value);
 
@@ -115,6 +125,27 @@ class StatSet
      * `.max`, `.p50`, `.p95`, `.p99` in every read/dump.
      */
     void sample(const std::string& name, double value);
+
+    /**
+     * The histogram behind distribution @p name, created empty if
+     * absent, for a StatProbe to sample directly.  The reference
+     * stays valid while id() is unchanged; the caller must call
+     * markSampled() after sampling through it.
+     */
+    Histogram& probeHistogram(const std::string& name)
+    {
+        return hists_[name];
+    }
+
+    /** Note that a histogram was sampled outside sample(). */
+    void markSampled() { histsDirty_ = true; }
+
+    /**
+     * Identity of this set's histogram storage, unique within the
+     * process; it changes whenever references handed out by
+     * probeHistogram() may dangle (clear, copy, move).
+     */
+    std::uint64_t id() const { return id_; }
 
     /** The histogram behind a sampled distribution, or nullptr. */
     const Histogram* histogram(const std::string& name) const;
@@ -156,13 +187,14 @@ class StatSet
         values_.clear();
         hists_.clear();
         histsDirty_ = false;
+        id_ = freshId();
     }
 
     /** Number of statistics recorded (including derived ones). */
     std::size_t size() const;
 
     /**
-     * The StatSet receiving this thread's statSample() probes, or
+     * The StatSet receiving this thread's StatProbe samples, or
      * nullptr.  The active pointer is thread_local: each thread runs
      * at most one simulation at a time, and concurrent Delta
      * instances on different threads collect samples independently.
@@ -179,9 +211,44 @@ class StatSet
     /** Materialize derived histogram statistics into values_. */
     void sync() const;
 
+    static std::uint64_t freshId();
+
     mutable std::map<std::string, double> values_;
     std::map<std::string, Histogram> hists_;
     mutable bool histsDirty_ = false;
+    std::uint64_t id_ = freshId();
+};
+
+/**
+ * A handle on one distribution of the active run StatSet.  The
+ * string-keyed lookup runs once per StatSet instead of once per
+ * sample, so a component holding a probe as a member can sample on
+ * its hot path (per packet, per DRAM request, per task) without
+ * building a key.  Samples are dropped while no set is active.
+ */
+class StatProbe
+{
+  public:
+    explicit StatProbe(std::string name) : name_(std::move(name)) {}
+
+    void
+    sample(double value)
+    {
+        StatSet* s = StatSet::active();
+        if (s == nullptr)
+            return;
+        if (s->id() != setId_) {
+            hist_ = &s->probeHistogram(name_);
+            setId_ = s->id();
+        }
+        hist_->sample(value);
+        s->markSampled();
+    }
+
+  private:
+    std::string name_;
+    std::uint64_t setId_ = 0; ///< StatSet ids start at 1
+    Histogram* hist_ = nullptr;
 };
 
 /** Escape a string for use inside a JSON string literal. */
@@ -196,16 +263,8 @@ std::string jsonEscape(const std::string& s);
  */
 std::string jsonNumber(double value);
 
-/** Sample into the active run StatSet, if any (probe-site helper). */
-inline void
-statSample(const std::string& name, double value)
-{
-    if (StatSet* s = StatSet::active())
-        s->sample(name, value);
-}
-
 /** Whether a run StatSet is collecting samples (guard for probe
- *  sites whose key construction is not free). */
+ *  sites with work to do before they can sample). */
 inline bool
 statsOn()
 {

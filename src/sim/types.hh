@@ -27,6 +27,9 @@ using Addr = std::uint64_t;
  */
 using Word = std::uint64_t;
 
+/** Identity of a task instance (dense, assigned by the task graph). */
+using TaskId = std::uint32_t;
+
 /** Number of bytes in a Word. */
 constexpr unsigned wordBytes = 8;
 

@@ -119,8 +119,7 @@ class LandingTracker
         const auto it = groups_.find(group);
         if (it == groups_.end())
             return;
-        statSample("spatial.groupPeakWords",
-                   static_cast<double>(it->second.peakWords));
+        peakWords_.sample(static_cast<double>(it->second.peakWords));
         groups_.erase(it);
     }
 
@@ -138,6 +137,7 @@ class LandingTracker
     std::map<std::uint64_t, Group> groups_;
     std::uint64_t chunks_ = 0;
     std::uint64_t words_ = 0;
+    StatProbe peakWords_{"spatial.groupPeakWords"};
 };
 
 } // namespace spatial

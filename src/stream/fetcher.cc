@@ -6,11 +6,15 @@ namespace ts
 void
 WordFetcher::pump(Tick now)
 {
+    if (needFetch_ == 0)
+        return; // every slot is Requested or Ready: nothing to issue
+
     if (space_ == Space::Spm) {
         TS_ASSERT(spm_ != nullptr, "Spm fetch without a scratchpad");
         std::uint32_t issued = 0;
-        for (auto& slot : win_) {
-            if (issued >= cfg_.issuesPerCycle)
+        for (std::size_t i = 0; i < win_.size(); ++i) {
+            Slot& slot = win_[i];
+            if (issued >= cfg_.issuesPerCycle || needFetch_ == 0)
                 break;
             if (slot.st != St::NeedFetch)
                 continue;
@@ -18,6 +22,7 @@ WordFetcher::pump(Tick now)
                 break;
             slot.val = spm_->read(slot.addr);
             slot.st = St::Ready;
+            --needFetch_;
             ++spmReads_;
             ++issued;
         }
@@ -30,13 +35,15 @@ WordFetcher::pump(Tick now)
         // from the functional image.  No DRAM line requests; count
         // the distinct lines a non-forwarded run would have fetched.
         std::uint32_t issued = 0;
-        for (auto& slot : win_) {
-            if (issued >= cfg_.issuesPerCycle)
+        for (std::size_t i = 0; i < win_.size(); ++i) {
+            Slot& slot = win_[i];
+            if (issued >= cfg_.issuesPerCycle || needFetch_ == 0)
                 break;
             if (slot.st != St::NeedFetch)
                 continue;
             slot.val = img_.readWord(slot.addr);
             slot.st = St::Ready;
+            --needFetch_;
             ++landingWords_;
             const Addr line = lineAlign(slot.addr);
             if (line != lastLandingLine_) {
@@ -50,48 +57,53 @@ WordFetcher::pump(Tick now)
 
     TS_ASSERT(mem_ != nullptr, "Dram fetch without a memory port");
     std::uint32_t issued = 0;
-    while (issued < cfg_.issuesPerCycle &&
-           outstanding_ < cfg_.maxOutstanding) {
-        // Find the first word still needing a fetch.
-        Addr line = 0;
-        bool found = false;
-        for (const auto& slot : win_) {
-            if (slot.st == St::NeedFetch) {
-                line = lineAlign(slot.addr);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            break;
-
-        const std::uint64_t gen = gen_;
-        const bool ok = mem_->requestLine(line, [this, line, gen]() {
-            if (gen != gen_)
-                return; // stale response from a prior stream
-            for (auto& slot : win_) {
-                if (slot.st == St::Requested &&
-                    lineAlign(slot.addr) == line) {
-                    slot.val = img_.readWord(slot.addr);
-                    slot.st = St::Ready;
-                }
-            }
-            inflightLines_.erase(line);
-            --outstanding_;
-        });
-        if (!ok)
+    // Slots before the scan position hold no NeedFetch word, so each
+    // issue resumes where the previous one found its line.
+    std::size_t first = 0;
+    while (needFetch_ > 0 && issued < cfg_.issuesPerCycle &&
+           inflight_.size() < cfg_.maxOutstanding) {
+        while (win_[first].st != St::NeedFetch)
+            ++first;
+        const Addr line = lineAlign(win_[first].addr);
+        if (!mem_->requestLine(line, *this, gen_))
             break;
 
         // Coalesce: every queued word on this line rides along.
-        for (auto& slot : win_) {
-            if (slot.st == St::NeedFetch && lineAlign(slot.addr) == line)
+        std::uint32_t words = 0;
+        for (std::size_t i = first; i < win_.size(); ++i) {
+            Slot& slot = win_[i];
+            if (slot.st == St::NeedFetch && lineAlign(slot.addr) == line) {
                 slot.st = St::Requested;
+                ++words;
+            }
         }
-        inflightLines_.insert(line);
-        ++outstanding_;
+        needFetch_ -= words;
+        inflight_.push_back(Inflight{line, words});
         ++linesRequested_;
         ++issued;
     }
+}
+
+void
+WordFetcher::lineArrived(Addr line, std::uint64_t cookie)
+{
+    TS_ASSERT(cookie == gen_, "line response from a prior stream");
+    Inflight* f = findInflight(line);
+    TS_ASSERT(f != nullptr, "response for a line not in flight");
+    std::uint32_t left = f->words;
+    for (std::size_t i = 0; left > 0; ++i) {
+        TS_ASSERT(i < win_.size());
+        Slot& slot = win_[i];
+        if (slot.st == St::Requested && lineAlign(slot.addr) == line) {
+            slot.val = img_.readWord(slot.addr);
+            slot.st = St::Ready;
+            --left;
+        }
+    }
+    *f = inflight_.back();
+    inflight_.pop_back();
+    if (arrivalWake_ != nullptr)
+        arrivalWake_->requestWake();
 }
 
 } // namespace ts

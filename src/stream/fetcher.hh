@@ -5,18 +5,24 @@
  * line requests to DRAM (with same-line coalescing and a bounded
  * outstanding-request count) or port-arbitrated scratchpad reads, and
  * exposes values strictly in push order.
+ *
+ * pump() runs every cycle a read engine is awake, so it keeps the
+ * number of slots still needing a fetch and returns at once when
+ * there is none; in-flight lines sit in a vector bounded by
+ * maxOutstanding, each with the number of window words riding on it,
+ * and the window is a ring that stops allocating once warm.
  */
 
 #ifndef TS_STREAM_FETCHER_HH
 #define TS_STREAM_FETCHER_HH
 
 #include <cstdint>
-#include <deque>
-#include <set>
+#include <vector>
 
 #include "cgra/token.hh"
 #include "mem/mem_image.hh"
 #include "mem/scratchpad.hh"
+#include "sim/ring.hh"
 #include "stream/lane_io.hh"
 #include "stream/stream_desc.hh"
 
@@ -32,7 +38,7 @@ struct WordFetcherCfg
 };
 
 /** In-order fetch window over one address space. */
-class WordFetcher
+class WordFetcher : public LineSink
 {
   public:
     using Cfg = WordFetcherCfg;
@@ -40,11 +46,14 @@ class WordFetcher
     WordFetcher(const MemImage& img, Scratchpad* spm, MemPortIf* mem,
                 Cfg cfg = Cfg())
         : img_(img), spm_(spm), mem_(mem), cfg_(cfg)
-    {}
+    {
+        inflight_.reserve(cfg_.maxOutstanding);
+    }
 
     /**
-     * Begin a new stream in the given space; invalidates callbacks
-     * from prior streams via a generation counter.  @p landing marks
+     * Begin a new stream in the given space.  Line requests carry a
+     * generation counter as their cookie, so a response can be
+     * checked against the stream that issued it.  @p landing marks
      * a Dram stream whose range was spatially forwarded into the
      * lane's landing zone: words are served at SPM speed from the
      * functional image, without DRAM line requests (DESIGN.md §8).
@@ -52,9 +61,8 @@ class WordFetcher
     void
     reset(Space space, bool landing = false)
     {
-        TS_ASSERT(win_.empty() && outstanding_ == 0,
+        TS_ASSERT(win_.empty() && inflight_.empty(),
                   "fetcher reset while window live");
-        TS_ASSERT(inflightLines_.empty());
         TS_ASSERT(!landing || space == Space::Dram,
                   "landing mode is for Dram streams");
         space_ = space;
@@ -67,7 +75,7 @@ class WordFetcher
     bool empty() const { return win_.empty(); }
 
     /** Empty AND no response callbacks still in flight. */
-    bool settled() const { return win_.empty() && outstanding_ == 0; }
+    bool settled() const { return win_.empty() && inflight_.empty(); }
 
     /** Whether @p n more addresses fit in the window. */
     bool
@@ -82,10 +90,17 @@ class WordFetcher
     {
         TS_ASSERT(!windowFull());
         // Ride along on an already-in-flight line request.
-        const bool riding = space_ == Space::Dram &&
-                            inflightLines_.count(lineAlign(addr)) != 0;
-        win_.push_back(Slot{addr, flags,
-                            riding ? St::Requested : St::NeedFetch, 0});
+        St st = St::NeedFetch;
+        if (space_ == Space::Dram) {
+            if (Inflight* f = findInflight(lineAlign(addr))) {
+                ++f->words;
+                st = St::Requested;
+            }
+        }
+        if (st == St::NeedFetch)
+            ++needFetch_;
+        win_.push_back(Slot{addr, flags, st, 0});
+        ++moves_;
     }
 
     /** Issue fetches for queued addresses. */
@@ -101,13 +116,41 @@ class WordFetcher
     popHead()
     {
         TS_ASSERT(headReady());
-        Token t{win_.front().val, win_.front().flags};
+        const Slot& s = win_.front();
+        Token t{s.val, s.flags};
         win_.pop_front();
+        ++moves_;
         return t;
     }
 
+    /** Pushes plus pops so far: a caller that sees no change across
+     *  its own tick knows the window's occupancy and head are as it
+     *  found them. */
+    std::uint64_t moves() const { return moves_; }
+
+    /** Whether pump() has something it may issue now.  False means
+     *  only a line arrival can change the window. */
+    bool
+    canIssue() const
+    {
+        if (needFetch_ == 0)
+            return false;
+        return space_ != Space::Dram || landing_ ||
+               inflight_.size() < cfg_.maxOutstanding;
+    }
+
+    /** Wake @p t whenever a requested line arrives. */
+    void wakeOnArrival(Ticked* t) { arrivalWake_ = t; }
+
     /** DRAM line requests issued but not yet answered. */
-    std::uint32_t outstanding() const { return outstanding_; }
+    std::uint32_t
+    outstanding() const
+    {
+        return static_cast<std::uint32_t>(inflight_.size());
+    }
+
+    /** A requested line arrived: its riding words become Ready. */
+    void lineArrived(Addr line, std::uint64_t cookie) override;
 
     std::uint64_t linesRequested() const { return linesRequested_; }
     std::uint64_t spmReads() const { return spmReads_; }
@@ -130,16 +173,35 @@ class WordFetcher
         Word val;
     };
 
+    /** A line request in flight and the window words waiting on it. */
+    struct Inflight
+    {
+        Addr line;
+        std::uint32_t words;
+    };
+
+    Inflight*
+    findInflight(Addr line)
+    {
+        for (Inflight& f : inflight_) {
+            if (f.line == line)
+                return &f;
+        }
+        return nullptr;
+    }
+
     const MemImage& img_;
     Scratchpad* spm_;
     MemPortIf* mem_;
     Cfg cfg_;
 
     Space space_ = Space::Dram;
-    std::deque<Slot> win_;
-    std::set<Addr> inflightLines_;
-    std::uint32_t outstanding_ = 0;
+    Ring<Slot> win_;
+    std::uint32_t needFetch_ = 0; ///< slots in St::NeedFetch
+    std::vector<Inflight> inflight_; ///< at most maxOutstanding
     std::uint64_t gen_ = 0;
+    std::uint64_t moves_ = 0;
+    Ticked* arrivalWake_ = nullptr;
 
     std::uint64_t linesRequested_ = 0;
     std::uint64_t spmReads_ = 0;

@@ -10,7 +10,6 @@
 #define TS_STREAM_LANE_IO_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cgra/token.hh"
@@ -18,6 +17,22 @@
 
 namespace ts
 {
+
+/** Receiver of line-read completions. */
+class LineSink
+{
+  public:
+    virtual ~LineSink() = default;
+
+    /**
+     * A line requested through MemPortIf::requestLine arrived; its
+     * data is now readable from the functional image.  Called exactly
+     * once per accepted request, from the port's tick.
+     * @param lineAddr the requested line.
+     * @param cookie the value passed with the request, unchanged.
+     */
+    virtual void lineArrived(Addr lineAddr, std::uint64_t cookie) = 0;
+};
 
 /** Line-granular access to global memory. */
 class MemPortIf
@@ -28,12 +43,13 @@ class MemPortIf
     /**
      * Request a line read.
      * @param lineAddr line-aligned byte address.
-     * @param onData invoked when the line arrives (data is then
-     *        readable from the functional image).
+     * @param sink notified when the line arrives; must outlive the
+     *        request.
+     * @param cookie opaque to the port, handed back to @p sink.
      * @return false when no request slot is available this cycle.
      */
-    virtual bool requestLine(Addr lineAddr,
-                             std::function<void()> onData) = 0;
+    virtual bool requestLine(Addr lineAddr, LineSink& sink,
+                             std::uint64_t cookie) = 0;
 
     /**
      * Issue a line write (functional data already applied).

@@ -34,6 +34,9 @@ ReadEngine::ReadEngine(std::string name, const MemImage& img,
       idxF_(img, spm, mem, cfg.fetcher), dataF_(img, spm, mem,
                                                 cfg.fetcher)
 {
+    ptrF_.wakeOnArrival(this);
+    idxF_.wakeOnArrival(this);
+    dataF_.wakeOnArrival(this);
 }
 
 void
@@ -384,6 +387,8 @@ ReadEngine::tick(Tick now)
         return;
     }
     const std::uint64_t delivered = tokensDelivered_;
+    const std::uint64_t moves =
+        ptrF_.moves() + idxF_.moves() + dataF_.moves();
     generate(now);
     deliver();
     // Tokens land in a plain TokenFifo (no channel hooks), so the
@@ -396,6 +401,19 @@ ReadEngine::tick(Tick now)
             auto* t = trace::active();
             t->end(t->track(name()));
         }
+        sleepOnWake();
+        return;
+    }
+
+    // Blocked on DRAM alone: this tick moved nothing through any
+    // window, no window can issue, and delivery waits on a line that
+    // is in flight.  Until a line arrives (which wakes us) every tick
+    // would repeat this one, so skip them.
+    if (tokensDelivered_ == delivered &&
+        ptrF_.moves() + idxF_.moves() + dataF_.moves() == moves &&
+        d_.kind != StreamDesc::Kind::PipeIn && repeatLeft_ == 0 &&
+        !dataF_.headReady() && !ptrF_.canIssue() &&
+        !idxF_.canIssue() && !dataF_.canIssue() && waitingOnMem()) {
         sleepOnWake();
     }
 }

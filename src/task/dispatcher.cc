@@ -121,7 +121,7 @@ Dispatcher::processInbox(Tick now)
         Packet pkt = inbox.pop();
         switch (pkt.kind) {
           case PktKind::TaskStart: {
-            const auto msg = std::any_cast<StartMsg>(pkt.payload);
+            const auto& msg = std::get<StartMsg>(pkt.payload);
             TaskState& ts = states_.at(msg.uid);
             ts.started = true;
             ts.startAt = now;
@@ -134,13 +134,13 @@ Dispatcher::processInbox(Tick now)
             break;
           }
           case PktKind::TaskComplete:
-            onComplete(std::any_cast<CompleteMsg>(pkt.payload), now);
+            onComplete(std::get<CompleteMsg>(pkt.payload), now);
             break;
           case PktKind::TaskSpawn:
-            onSpawn(std::any_cast<SpawnMsg>(pkt.payload), now);
+            onSpawn(*std::get<Boxed<SpawnMsg>>(pkt.payload), now);
             break;
           case PktKind::StealNotify:
-            onStealNotify(std::any_cast<StealNotifyMsg>(pkt.payload),
+            onStealNotify(*std::get<Boxed<StealNotifyMsg>>(pkt.payload),
                           now);
             break;
           default:
@@ -1128,8 +1128,7 @@ Dispatcher::tryDispatchHead(Tick now)
 
     // 5. Commit: mark dispatched and queue the dispatch packets in
     // uid order (producers before consumers).
-    statSample("dispatcher.readyWait",
-               static_cast<double>(now - rs.readyAt));
+    readyWait_.sample(static_cast<double>(now - rs.readyAt));
     readyQ_.pop_front();
     for (TaskId id : placed) {
         auto node = msgs.extract(id);

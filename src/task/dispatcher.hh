@@ -368,6 +368,8 @@ class Dispatcher : public Ticked
     std::uint64_t spatialSpills_ = 0;
     std::uint64_t spatialRemaps_ = 0;
     std::uint64_t spatialGroupsAllocated_ = 0;
+
+    StatProbe readyWait_{"dispatcher.readyWait"};
 };
 
 } // namespace ts

@@ -2,7 +2,9 @@
  * @file
  * NoC message payloads exchanged between the dispatcher, lane task
  * units, and the memory controller — including the dynamic-spawn and
- * work-stealing protocols (DESIGN.md §7).
+ * work-stealing protocols (DESIGN.md §7).  The vector-carrying
+ * messages live here and travel boxed; the fixed-size ones are
+ * defined with the packet (noc/packet.hh) and travel inline.
  */
 
 #ifndef TS_TASK_MESSAGES_HH
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "cgra/token.hh"
+#include "noc/packet.hh"
 #include "task/task_graph.hh"
 #include "task/task_types.hh"
 
@@ -65,28 +68,6 @@ struct SpatialWait
     std::uint32_t dones = 0; ///< forwarding producers to wait for
 };
 
-/**
- * Producer lane -> consumer lane: a spatially forwarded stream
- * chunk.  Timing-only — the functional words are already in the
- * global memory image; the consumer reads them from its landing zone
- * at scratchpad speed once the group's done markers are in.
- */
-struct SpatialChunkMsg
-{
-    std::uint64_t group = 0;
-    std::uint32_t words = 0; ///< may be 0 (pure done marker)
-    bool done = false;       ///< producer's stream end for this group
-};
-
-/** Registration of a shared-read group at a member lane. */
-struct GroupSetupMsg
-{
-    std::uint32_t group = 0;
-    Addr rangeBase = 0;           ///< DRAM byte base of the range
-    std::uint64_t words = 0;      ///< range length in words
-    std::uint64_t landingOffset = 0; ///< SPM word offset of the copy
-};
-
 /** Dispatcher -> lane: run this task. */
 struct DispatchMsg
 {
@@ -116,27 +97,6 @@ struct DispatchMsg
     bool stealable = false;
 };
 
-/** Lane -> dispatcher: task began execution. */
-struct StartMsg
-{
-    TaskId uid = 0;
-    std::uint32_t lane = 0;
-};
-
-/** Lane -> dispatcher: task finished. */
-struct CompleteMsg
-{
-    TaskId uid = 0;
-    std::uint32_t lane = 0;
-};
-
-/** Producer lane -> consumer lane: forwarded stream chunk. */
-struct PipeChunkMsg
-{
-    std::uint64_t pipeId = 0;
-    std::vector<Token> toks;
-};
-
 /**
  * Lane -> dispatcher: a running task submits successors.  Travels the
  * same src->dst path as the spawner's CompleteMsg, and per-path FIFO
@@ -150,24 +110,11 @@ struct SpawnMsg
     SpawnSet set;
 };
 
-/** Idle lane -> peer lane: probe for queued stealable work. */
-struct StealRequestMsg
-{
-    std::uint32_t thiefLane = 0;
-    std::uint32_t thiefNode = 0;
-};
-
 /** Victim lane -> thief lane: migrated tasks (back of the queue). */
 struct StealGrantMsg
 {
     std::uint32_t victimLane = 0;
     std::vector<DispatchMsg> tasks;
-};
-
-/** Victim lane -> thief lane: nothing stealable right now. */
-struct StealDenyMsg
-{
-    std::uint32_t victimLane = 0;
 };
 
 /** Victim lane -> dispatcher: ownership of these uids moved. */

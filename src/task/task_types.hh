@@ -27,7 +27,6 @@
 namespace ts
 {
 
-using TaskId = std::uint32_t;
 using TaskTypeId = std::uint16_t;
 
 constexpr std::uint32_t kNoGroup = ~std::uint32_t(0);

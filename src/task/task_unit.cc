@@ -28,7 +28,7 @@ TaskUnit::deliver(DispatchMsg msg)
 }
 
 void
-TaskUnit::queueMsg(PktKind kind, std::any payload,
+TaskUnit::queueMsg(PktKind kind, PacketPayload payload,
                    std::uint32_t sizeWords)
 {
     queueMsgTo(ports_.dispatcherNode, kind, std::move(payload),
@@ -37,7 +37,7 @@ TaskUnit::queueMsg(PktKind kind, std::any payload,
 
 void
 TaskUnit::queueMsgTo(std::uint32_t dstNode, PktKind kind,
-                     std::any payload, std::uint32_t sizeWords)
+                     PacketPayload payload, std::uint32_t sizeWords)
 {
     Packet pkt;
     pkt.src = ports_.selfNode;
@@ -46,6 +46,20 @@ TaskUnit::queueMsgTo(std::uint32_t dstNode, PktKind kind,
     pkt.sizeWords = sizeWords;
     pkt.payload = std::move(payload);
     sendQ_.push_back(std::move(pkt));
+}
+
+TaskUnit::TypeProbes&
+TaskUnit::typeProbes(TaskTypeId type)
+{
+    while (typeProbes_.size() <= type) {
+        const std::string& name =
+            registry_.type(static_cast<TaskTypeId>(typeProbes_.size()))
+                .name;
+        typeProbes_.push_back(
+            TypeProbes{StatProbe("task." + name + ".serviceCycles"),
+                       StatProbe("task." + name + ".latencyCycles")});
+    }
+    return typeProbes_[type];
 }
 
 void
@@ -513,11 +527,9 @@ TaskUnit::step(Tick now)
                  CompleteMsg{cur_.uid, ports_.laneIndex}, 1);
         ++tasksRun_;
         if (statsOn()) {
-            const std::string& type = registry_.type(cur_.type).name;
-            statSample("task." + type + ".serviceCycles",
-                       static_cast<double>(now - startedAt_));
-            statSample("task." + type + ".latencyCycles",
-                       static_cast<double>(now - cur_.dispatchedAt));
+            TypeProbes& p = typeProbes(cur_.type);
+            p.service.sample(static_cast<double>(now - startedAt_));
+            p.latency.sample(static_cast<double>(now - cur_.dispatchedAt));
         }
         if (trace::on()) {
             auto* t = trace::active();

@@ -132,10 +132,10 @@ class TaskUnit : public Ticked
     void beginTask(Tick now);
     void step(Tick now);
     void sendPending();
-    void queueMsg(PktKind kind, std::any payload,
+    void queueMsg(PktKind kind, PacketPayload payload,
                   std::uint32_t sizeWords);
     void queueMsgTo(std::uint32_t dstNode, PktKind kind,
-                    std::any payload, std::uint32_t sizeWords);
+                    PacketPayload payload, std::uint32_t sizeWords);
     /** Idle with an empty inbox: probe the next victim, if any. */
     void maybeProbeSteal();
     /** Re-arm the probe round (on deliver/grant/task finish). */
@@ -197,6 +197,16 @@ class TaskUnit : public Ticked
     Tick expectedNext_ = 0;
     CycleClass gapClass_ = CycleClass::Idle;
     bool gapBusy_ = false; ///< skipped cycles also count as busyCycles_
+
+    /** Per-task-type latency distributions, indexed by type id and
+     *  made on a type's first completion here. */
+    struct TypeProbes
+    {
+        StatProbe service;
+        StatProbe latency;
+    };
+    std::vector<TypeProbes> typeProbes_;
+    TypeProbes& typeProbes(TaskTypeId type);
 };
 
 } // namespace ts

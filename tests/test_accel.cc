@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/area_model.hh"
+#include "accel/delta.hh"
 #include "accel/energy_model.hh"
 #include "sim/rng.hh"
 #include "workloads/workload.hh"
@@ -31,6 +32,55 @@ runSpmvCycles(const DeltaConfig& cfg, std::uint64_t seed = 7)
     const StatSet stats = delta.run(g);
     EXPECT_TRUE(wl->check(delta.image()));
     return stats.get("delta.cycles");
+}
+
+/** Records line completions in arrival order. */
+struct RecordingSink : LineSink
+{
+    std::vector<std::pair<Addr, std::uint64_t>> got;
+
+    void
+    lineArrived(Addr lineAddr, std::uint64_t cookie) override
+    {
+        got.emplace_back(lineAddr, cookie);
+    }
+};
+
+TEST(Lane, MshrTableBoundsAndReusesSlots)
+{
+    // 2x2 mesh: node 0 unused, lane at 1, memory at 2.  Roomy links
+    // so only the MSHR table can refuse a request.
+    Simulator sim;
+    // Requests come from the test body, not from a tick, so a
+    // quiescent fast-forwarding simulator would skip their commit.
+    sim.setFastForward(false);
+    Noc noc(sim, NocConfig{2, 2, 16, 2});
+    MemImage img;
+    LaneConfig lcfg;
+    lcfg.maxOutstandingLines = 3;
+    TaskTypeRegistry registry(lcfg.fabric.geom);
+    MemNode mem(sim, noc, 2, MainMemoryConfig{});
+    Lane lane(sim, noc, img, registry, 0, 1, 0, 2, lcfg);
+
+    RecordingSink sink;
+    for (std::uint64_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(lane.requestLine(i * lineBytes, sink, 10 + i));
+    EXPECT_FALSE(lane.requestLine(3 * lineBytes, sink, 13))
+        << "request N+1 must find the table full";
+
+    sim.step(500);
+    ASSERT_EQ(sink.got.size(), 3u);
+    for (const auto& [line, cookie] : sink.got)
+        EXPECT_EQ(line, (cookie - 10) * lineBytes) << "cookie echoed";
+
+    // Responses freed every slot: a full table's worth fits again.
+    for (std::uint64_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(lane.requestLine((8 + i) * lineBytes, sink, 20 + i));
+    EXPECT_FALSE(lane.requestLine(11 * lineBytes, sink, 23));
+    sim.step(500);
+    ASSERT_EQ(sink.got.size(), 6u);
+    for (std::size_t i = 3; i < 6; ++i)
+        EXPECT_EQ(sink.got[i].first, (sink.got[i].second - 12) * lineBytes);
 }
 
 TEST(Delta, DeterministicCycleCounts)

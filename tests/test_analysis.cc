@@ -113,13 +113,14 @@ TEST(AnalysisHistogram, StatSetSampleDerivesDottedStats)
 TEST(AnalysisHistogram, StatSampleRoutesToActiveSet)
 {
     EXPECT_EQ(StatSet::active(), nullptr);
-    statSample("nowhere", 1.0); // no active set: dropped, no crash
+    StatProbe probe("probe");
+    probe.sample(1.0); // no active set: dropped, no crash
     StatSet s;
     StatSet::setActive(&s);
     EXPECT_TRUE(statsOn());
-    statSample("probe", 42.0);
+    probe.sample(42.0);
     StatSet::setActive(nullptr);
-    statSample("probe", 7.0); // inactive again: dropped
+    probe.sample(7.0); // inactive again: dropped
     EXPECT_EQ(s.get("probe.count"), 1.0);
     EXPECT_EQ(s.get("probe.max"), 42.0);
 }

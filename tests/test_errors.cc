@@ -144,6 +144,22 @@ TEST(Errors, MeshOverflowRejectedAtConstruction)
     EXPECT_THROW(Delta(DeltaConfig::delta(63)), FatalError);
 }
 
+TEST(Errors, FullMeshRunsEndToEnd)
+{
+    // 62 lanes fill all 64 mesh nodes, so every destination mask uses
+    // the top bit: the inject-side mesh-bounds check must not shift
+    // by 64 (undefined behaviour the sanitizer job would catch).
+    SuiteParams sp;
+    sp.scale = 0.25;
+    auto wl = makeWorkload(Wk::Spmv, sp);
+    Delta delta(DeltaConfig::staticBaseline(62));
+    TaskGraph g;
+    wl->build(delta, g);
+    const StatSet stats = delta.run(g);
+    EXPECT_TRUE(wl->check(delta.image()));
+    EXPECT_GT(stats.get("noc.delivered"), 0.0);
+}
+
 TEST(Errors, GraphValidationRunsAtLoad)
 {
     Delta delta(DeltaConfig::delta(2));

@@ -23,7 +23,7 @@ mkPkt(std::uint32_t src, std::uint64_t dstMask,
     p.dstMask = dstMask;
     p.kind = PktKind::Generic;
     p.sizeWords = sizeWords;
-    p.payload = tag;
+    p.payload = static_cast<std::uint64_t>(tag);
     return p;
 }
 
@@ -51,7 +51,7 @@ TEST(Noc, UnicastDelivery)
     ASSERT_FALSE(ej.empty());
     const Packet p = ej.pop();
     EXPECT_EQ(p.src, 0u);
-    EXPECT_EQ(std::any_cast<int>(p.payload), 42);
+    EXPECT_EQ(std::get<std::uint64_t>(p.payload), 42u);
     EXPECT_EQ(m.noc.delivered(), 1u);
 }
 
@@ -105,7 +105,8 @@ TEST(Noc, InOrderDeliveryPerPath)
     auto& ej = m.noc.eject(15);
     ASSERT_EQ(ej.size(), 8u);
     for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(std::any_cast<int>(ej.pop().payload), i);
+        EXPECT_EQ(std::get<std::uint64_t>(ej.pop().payload),
+                  static_cast<std::uint64_t>(i));
 }
 
 TEST(Noc, MulticastReachesEveryDestinationExactlyOnce)
@@ -118,8 +119,9 @@ TEST(Noc, MulticastReachesEveryDestinationExactlyOnce)
     m.drain();
     for (const std::uint32_t d : {1u, 3u, 7u, 12u, 15u}) {
         ASSERT_EQ(m.noc.eject(d).size(), 1u) << "node " << d;
-        EXPECT_EQ(std::any_cast<int>(m.noc.eject(d).pop().payload),
-                  99);
+        EXPECT_EQ(
+            std::get<std::uint64_t>(m.noc.eject(d).pop().payload),
+            99u);
     }
     for (const std::uint32_t d : {0u, 2u, 4u, 5u, 6u, 8u, 9u, 10u,
                                   11u, 13u, 14u}) {

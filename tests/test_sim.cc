@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 
@@ -466,6 +467,75 @@ TEST(Stats, HistogramBucketsAndMoments)
     StatSet s;
     h.report(s, "h");
     EXPECT_EQ(s.get("h.count"), 4);
+}
+
+TEST(Stats, ProbeMatchesStringKeyedSamples)
+{
+    StatSet keyed, probed;
+    StatProbe probe("lat");
+    StatSet::setActive(&keyed);
+    for (double v : {0.0, 3.0, 17.0, 17.0, 900.0})
+        keyed.sample("lat", v);
+    StatSet::setActive(&probed);
+    for (double v : {0.0, 3.0, 17.0, 17.0, 900.0})
+        probe.sample(v);
+    StatSet::setActive(nullptr);
+
+    std::ostringstream a, b;
+    keyed.dumpJson(a);
+    probed.dumpJson(b);
+    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(probed.get("lat.count"), 5);
+}
+
+TEST(Stats, ProbeRebindsWhenTheSetChanges)
+{
+    StatProbe probe("p");
+    StatSet first;
+    StatSet::setActive(&first);
+    probe.sample(1);
+
+    // A different set (or the same one after clear) gets its own
+    // histogram, never the stale reference.
+    StatSet second;
+    StatSet::setActive(&second);
+    probe.sample(2);
+    probe.sample(2);
+    second.clear();
+    probe.sample(4);
+
+    // Moving a set out from under the probe: the moved-to set keeps
+    // the samples, and the probe rebinds on the next sample.
+    StatSet moved = std::move(first);
+    StatSet::setActive(&moved);
+    probe.sample(8);
+    StatSet::setActive(nullptr);
+
+    EXPECT_EQ(moved.get("p.count"), 2);
+    EXPECT_EQ(moved.get("p.max"), 8);
+    EXPECT_EQ(second.get("p.count"), 1);
+    EXPECT_EQ(second.get("p.max"), 4);
+}
+
+TEST(Ring, FifoAcrossGrowthAndWraparound)
+{
+    Ring<int> r;
+    int next = 0, expect = 0;
+    // Interleave pushes and pops so the head wraps while the buffer
+    // grows past its initial capacity several times.
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < round % 7 + 2; ++i)
+            r.push_back(next++);
+        for (int i = 0; i < round % 5 + 1 && !r.empty(); ++i) {
+            ASSERT_EQ(r.front(), expect);
+            EXPECT_EQ(r.pop(), expect++);
+        }
+        for (std::size_t i = 0; i < r.size(); ++i)
+            ASSERT_EQ(r[i], expect + static_cast<int>(i));
+    }
+    EXPECT_EQ(static_cast<int>(r.size()), next - expect);
+    r.clear();
+    EXPECT_TRUE(r.empty());
 }
 
 TEST(Types, WordReinterpretationRoundTrips)
