@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "driver/run_one.hh"
+#include "sim/logging.hh"
 
 using namespace ts;
 
@@ -87,8 +88,15 @@ main(int argc, char** argv)
         return errors == 0;
     };
 
-    // 4. Run to completion and inspect results + statistics.
-    const driver::RunResult r = driver::runOne(opt, spec);
+    // 4. Run to completion and inspect results + statistics.  An
+    //    unwritable --trace or --stats-json path is fatal.
+    driver::RunResult r;
+    try {
+        r = driver::runOne(opt, spec);
+    } catch (const FatalError& e) {
+        std::fprintf(stderr, "quickstart: %s\n", e.what());
+        return 2;
+    }
 
     std::printf("quickstart: %zu tasks, %zu words, %s\n", n / chunk,
                 n, r.correct ? "PASS" : "FAIL");

@@ -79,21 +79,11 @@ Delta::Delta(const DeltaConfig& cfg)
     sim_.setFastForward(!cfg_.noFastForward);
     tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
 
-    // Partition map: every mesh node is its own partition — the
-    // dispatcher, each lane (with its task unit, engines, and
-    // scratchpad), and the memory node, plus any spare mesh corners.
-    // The declaration is a property of the simulated structure: it
-    // shapes results through the boundary-channel credit rule.
-    const NocConfig mesh = meshFor(cfg_.lanes, cfg_.nocLinks);
-    std::vector<std::uint32_t> nodeParts(mesh.width * mesh.height);
-    for (std::uint32_t i = 0; i < nodeParts.size(); ++i)
-        nodeParts[i] = i;
-    noc_ = std::make_unique<Noc>(sim_, mesh, nodeParts);
+    noc_ = std::make_unique<Noc>(sim_, meshFor(cfg_.lanes, cfg_.nocLinks));
 
     const std::uint32_t dispatcherNode = 0;
     const std::uint32_t memNodeId = cfg_.lanes + 1;
 
-    sim_.setPartition(memNodeId);
     memNode_ = std::make_unique<MemNode>(sim_, *noc_, memNodeId,
                                          cfg_.mem);
 
@@ -104,12 +94,10 @@ Delta::Delta(const DeltaConfig& cfg)
     LaneConfig lcfg = cfg_.lane;
     lcfg.steal = cfg_.steal;
     for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
-        sim_.setPartition(laneNode(i));
         lanes_.push_back(std::make_unique<Lane>(
             sim_, *noc_, img_, registry_, i, laneNode(i),
             dispatcherNode, memNodeId, lcfg, laneNodes));
     }
-    sim_.setPartition(dispatcherNode);
 
     DispatcherConfig dcfg;
     dcfg.policy = cfg_.policy;
@@ -128,7 +116,6 @@ Delta::Delta(const DeltaConfig& cfg)
     dispatcher_ = std::make_unique<Dispatcher>(*noc_, img_, registry_,
                                                dcfg);
     sim_.add(dispatcher_.get());
-    sim_.setPartition(0);
 
     if (cfg_.flightRecorder > 0) {
         recorder_ =
@@ -434,13 +421,15 @@ Delta::run(const TaskGraph& graph)
     // quickstart included) can emit its full StatSet as flat JSON.
     if (!cfg_.statsJsonPath.empty()) {
         std::ofstream out(cfg_.statsJsonPath);
-        if (!out) {
-            warn("stats JSON: cannot open '", cfg_.statsJsonPath,
-                 "' for writing");
-        } else {
-            stats.dumpJson(out);
-            inform("stats JSON written to ", cfg_.statsJsonPath);
-        }
+        if (!out)
+            fatal("stats JSON: cannot open '", cfg_.statsJsonPath,
+                  "' for writing");
+        stats.dumpJson(out);
+        out.close();
+        if (!out)
+            fatal("stats JSON: cannot write '", cfg_.statsJsonPath,
+                  "'");
+        inform("stats JSON written to ", cfg_.statsJsonPath);
     }
     return stats;
 }

@@ -66,9 +66,9 @@ struct DeltaConfig
 
     /**
      * When non-empty, Delta::run() dumps the run's full StatSet as
-     * flat JSON to this path.  Injected by RunOptions::applyTo()
-     * (TS_STATS_JSON fallback); never read from the environment
-     * here.
+     * flat JSON to this path, and fatal()s when it cannot.
+     * Injected by RunOptions::applyTo() (TS_STATS_JSON fallback);
+     * never read from the environment here.
      */
     std::string statsJsonPath;
 

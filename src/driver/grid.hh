@@ -1,13 +1,11 @@
 /**
  * @file
- * Declarative grid settings shared by the delta-sweep CLI and the
- * sweep service: the `key = value` vocabulary of grid files, command
- * lines, and daemon requests, plus the assembly of a SweepSpec from
- * parsed settings.
+ * Declarative grid settings for the delta-sweep CLI: the
+ * `key = value` vocabulary of grid files and `--set` flags, plus the
+ * assembly of a SweepSpec from parsed settings.
  *
- * One parser serves all three entry points, so a grid file, the
- * equivalent flags, and a daemon request line mean exactly the same
- * sweep.
+ * One parser serves both entry points, so a grid file and the
+ * equivalent flags mean exactly the same sweep.
  */
 
 #ifndef TS_DRIVER_GRID_HH
@@ -63,8 +61,8 @@ std::uint64_t parseCapBytes(const std::string& s);
 /**
  * Apply one `key = value` grid setting.  Shared keys write into
  * @p opt, grid keys into @p grid; an unknown key is fatal listing
- * every valid one.  The same vocabulary backs grid files, the
- * delta-sweep flags, and sweep-service requests.
+ * every valid one.  The same vocabulary backs grid files and the
+ * delta-sweep flags.
  */
 void applyGridKey(const std::string& key, const std::string& value,
                   RunOptions& opt, GridSettings& grid);

@@ -443,40 +443,32 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
 } // namespace
 
 void
-parallelForWorkers(std::size_t n, unsigned jobs,
-                   const std::function<void(unsigned, std::size_t)>& fn)
+parallelFor(std::size_t n, unsigned jobs,
+            const std::function<void(std::size_t)>& fn)
 {
     const unsigned workers = static_cast<unsigned>(
         std::min<std::size_t>(resolveJobs(jobs), n));
     if (workers <= 1) {
         for (std::size_t i = 0; i < n; ++i)
-            fn(0, i);
+            fn(i);
         return;
     }
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned t = 0; t < workers; ++t) {
-        pool.emplace_back([&, t] {
+        pool.emplace_back([&] {
             for (;;) {
                 const std::size_t i =
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= n)
                     return;
-                fn(t, i);
+                fn(i);
             }
         });
     }
     for (std::thread& t : pool)
         t.join();
-}
-
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)>& fn)
-{
-    parallelForWorkers(n, jobs,
-                       [&](unsigned, std::size_t i) { fn(i); });
 }
 
 SweepReport
@@ -512,12 +504,7 @@ Sweep::run()
     std::size_t done = 0;
     std::uint64_t hits = 0, misses = 0;
 
-    parallelForWorkers(points_.size(), spec_.jobs, [&](unsigned worker,
-                                                       std::size_t i) {
-        if (spec_.onCellStart) {
-            std::lock_guard<std::mutex> lock(ioMutex);
-            spec_.onCellStart(worker, points_[i]);
-        }
+    parallelFor(points_.size(), spec_.jobs, [&](std::size_t i) {
         bool fromCache = false;
         RunOutcome out =
             executePoint(spec_, points_[i], cache.get(), fromCache);
@@ -551,8 +538,6 @@ Sweep::run()
                     std::fprintf(stderr, "        %s\n",
                                  out.error.c_str());
             }
-            if (spec_.onResult)
-                spec_.onResult(out, fromCache);
         }
         report.runs[i] = std::move(out);
     });

@@ -70,9 +70,6 @@ ConfigVariant sweepConfig(const std::string& name,
 std::vector<ConfigVariant>
 sweepConfigsFromList(const std::string& list, std::uint32_t lanes = 8);
 
-struct RunOutcome;
-struct RunPoint;
-
 /** The declarative grid: the cross product of the four axes. */
 struct SweepSpec
 {
@@ -147,25 +144,6 @@ struct SweepSpec
 
     /** Cache size budget in bytes (0 = unbounded). */
     std::uint64_t cacheCapBytes = 0;
-
-    /**
-     * Called once per retired point, in completion order under the
-     * engine's internal lock (so implementations may write to shared
-     * streams without further locking).  @p fromCache distinguishes
-     * cache replays from executed runs.  Used by the sweep service
-     * to stream per-cell results.
-     */
-    std::function<void(const RunOutcome& out, bool fromCache)>
-        onResult;
-
-    /**
-     * Called as each worker picks up its next point, under the same
-     * internal lock as onResult.  @p worker is a dense index in
-     * [0, jobs); together with onResult this lets a live status
-     * surface (the sweep daemon) track what every worker is doing.
-     */
-    std::function<void(unsigned worker, const RunPoint& point)>
-        onCellStart;
 
     /** Resolved baseline name ("" when speedups are off). */
     std::string baselineName() const;
@@ -283,15 +261,6 @@ class Sweep
  */
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)>& fn);
-
-/**
- * parallelFor, but fn also receives the dense worker index in
- * [0, workers) running the item — for per-worker status tracking.
- * Serial fallback (n or jobs <= 1) uses worker 0.
- */
-void parallelForWorkers(
-    std::size_t n, unsigned jobs,
-    const std::function<void(unsigned, std::size_t)>& fn);
 
 /**
  * Canonical single-line rendering of every determinism-relevant

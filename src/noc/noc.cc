@@ -184,20 +184,11 @@ class NocRouter : public Ticked
     std::array<std::uint64_t, NumDirs> dirMask_;
 };
 
-Noc::Noc(Simulator& sim, const NocConfig& cfg,
-         const std::vector<std::uint32_t>& nodeParts)
-    : sim_(sim), cfg_(cfg)
+Noc::Noc(Simulator& sim, const NocConfig& cfg) : sim_(sim), cfg_(cfg)
 {
     const std::uint32_t n = numNodes();
     if (n == 0 || n > 64)
         fatal("mesh must have between 1 and 64 nodes, got ", n);
-    TS_ASSERT(nodeParts.empty() || nodeParts.size() == n,
-              "nodeParts must name a partition per mesh node");
-
-    const std::uint32_t basePart = sim.partition();
-    const auto part = [&](std::uint32_t node) {
-        return nodeParts.empty() ? basePart : nodeParts[node];
-    };
 
     kindLatency_.reserve(kNumPktKinds);
     for (unsigned k = 0; k < kNumPktKinds; ++k) {
@@ -209,37 +200,32 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
     routers_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<NocRouter>(*this, i));
-        sim.setPartition(part(i));
         sim.add(routers_.back().get());
     }
 
-    // A node's inject/eject channels stay inside the node's
-    // partition, which its router and local component share, so only
-    // inter-router links ever cross partitions.
+    // Injection and ejection channels connect a router to its own
+    // node's component: freed slots come back in the same cycle.
     injectCh_.resize(n);
     ejectCh_.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         auto& inj = sim.makeChannel<Packet>(
-            "noc.inject" + std::to_string(i), cfg_.channelCapacity,
-            part(i), part(i));
+            "noc.inject" + std::to_string(i), cfg_.channelCapacity);
         auto& ej = sim.makeChannel<Packet>(
-            "noc.eject" + std::to_string(i), 0 /* unbounded sink */,
-            part(i), part(i));
+            "noc.eject" + std::to_string(i), 0 /* unbounded sink */);
         injectCh_[i] = &inj;
         ejectCh_[i] = &ej;
         routers_[i]->in_[LocalPort] = &inj;
         routers_[i]->out_[LocalPort] = &ej;
     }
 
-    // Directed neighbor links; a link's producer is the upstream
-    // router's partition and its consumer the downstream router's, so
-    // differently-partitioned neighbors get a boundary channel.
+    // Directed neighbor links with one-cycle credit return.
     const std::uint32_t w = cfg_.width, h = cfg_.height;
     auto link = [&](std::uint32_t from, std::uint32_t to, unsigned dirOut,
                     unsigned dirIn) {
         auto& ch = sim.makeChannel<Packet>(
             "noc.link" + std::to_string(from) + dirNames[dirOut],
-            cfg_.channelCapacity, part(from), part(to));
+            cfg_.channelCapacity);
+        ch.setCreditReturn();
         routers_[from]->out_[dirOut] = &ch;
         routers_[to]->in_[dirIn] = &ch;
         linkCh_.push_back(&ch);
@@ -265,7 +251,6 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
                 routers_[i]->in_[p]->addObserver(routers_[i].get());
         }
     }
-    sim.setPartition(basePart);
 }
 
 Noc::~Noc() = default;

@@ -40,17 +40,12 @@ class Noc
 {
   public:
     /**
-     * @param nodeParts optional per-node partition ids (size
-     *        numNodes()): router @c i and its inject/eject channels
-     *        are declared in partition nodeParts[i], making every
-     *        inter-router link of differently-partitioned nodes a
-     *        boundary channel (credit back-pressure).
-     *        Empty (default) keeps the whole mesh in the simulator's
-     *        current registration partition — single-partition, as
-     *        before.
+     * Build the mesh.  Every inter-router link returns credits one
+     * cycle late (ChannelBase::setCreditReturn): a slot the
+     * downstream router frees is visible to the upstream router on
+     * the next cycle, as a credit returned over the link would be.
      */
-    Noc(Simulator& sim, const NocConfig& cfg,
-        const std::vector<std::uint32_t>& nodeParts = {});
+    Noc(Simulator& sim, const NocConfig& cfg);
     ~Noc();
 
     Noc(const Noc&) = delete;

@@ -20,20 +20,15 @@
  * All three hooks are installed by Simulator::addChannel; a channel
  * used standalone (unit tests) behaves exactly as before.
  *
- * Partition boundaries
- * --------------------
- * Every channel has a producer and a consumer partition (declared at
- * Simulator::addChannel / makeChannel; both default to the
- * simulator's current partition).  A channel whose endpoints differ
- * is a *boundary* channel and uses producer-side credit occupancy
- * for back-pressure: canPush() reads a credit counter that pushes
- * raise immediately but pops lower only at the next commit.  Freed
- * capacity therefore becomes visible one cycle after the pop — the
- * same next-cycle rule values already follow — which makes the
- * producer's view independent of within-cycle tick order across
- * partitions.  Partitions are part of the simulated system's
- * structure, so the rule changes results only through the declared
- * endpoints.
+ * Credit return
+ * -------------
+ * A channel marked with setCreditReturn() models a router link whose
+ * upstream side tracks free downstream slots with credits: canPush()
+ * reads a producer-side credit count that pushes raise at once but
+ * pops lower only at the next commit, so a slot the consumer frees
+ * becomes pushable one cycle later.  Only Noc sets the flag, on its
+ * inter-router links (DESIGN.md §6); every other channel frees a
+ * popped slot for a push in the same cycle.
  */
 
 #ifndef TS_SIM_CHANNEL_HH
@@ -100,25 +95,13 @@ class ChannelBase
     }
 
     /**
-     * Declare the producer/consumer partitions (called by
-     * Simulator::addChannel before any traffic).  A cross-partition
-     * channel switches to credit-based back-pressure; see the header
-     * comment.
+     * Return freed slots to the producer one commit late (a NoC link's
+     * credit return; see the header comment).  Set before any traffic.
      */
-    void
-    setEndpoints(std::uint32_t producerPartition,
-                 std::uint32_t consumerPartition)
-    {
-        producerPartition_ = producerPartition;
-        consumerPartition_ = consumerPartition;
-        boundary_ = producerPartition != consumerPartition;
-    }
+    void setCreditReturn() { creditReturn_ = true; }
 
-    std::uint32_t producerPartition() const { return producerPartition_; }
-    std::uint32_t consumerPartition() const { return consumerPartition_; }
-
-    /** Whether the endpoints live in different partitions. */
-    bool boundary() const { return boundary_; }
+    /** Whether freed slots come back only at the next commit. */
+    bool creditReturn() const { return creditReturn_; }
 
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
@@ -135,29 +118,29 @@ class ChannelBase
         }
     }
 
-    /** Producer-side push accounting on a boundary channel. */
+    /** Producer-side push accounting on a credit-return channel. */
     void
     notePush()
     {
-        if (boundary_)
+        if (creditReturn_)
             ++credit_;
     }
 
     /**
-     * Consumer-side pop accounting on a boundary channel: the freed
+     * Consumer-side pop accounting on a credit-return channel: the freed
      * slot is credited back at the next commit, so the channel marks
      * itself dirty to be visited even on pop-only cycles.
      */
     void
     notePop()
     {
-        if (!boundary_)
+        if (!creditReturn_)
             return;
         ++pendingPops_;
         markDirty();
     }
 
-    /** Commit-time credit application (boundary channels). */
+    /** Commit-time credit application (credit-return channels). */
     void
     applyCredits()
     {
@@ -165,7 +148,7 @@ class ChannelBase
         pendingPops_ = 0;
     }
 
-    /** Producer-visible occupancy of a boundary channel. */
+    /** Producer-visible occupancy of a credit-return channel. */
     std::size_t credit() const { return credit_; }
 
     /** Commit served this channel; re-arm for the next cycle. */
@@ -187,13 +170,11 @@ class ChannelBase
     std::vector<Ticked*> observers_;
     std::int64_t* liveCounter_ = nullptr;
     std::vector<ChannelBase*>* dirtyList_ = nullptr;
-    /** Producer-view occupancy (boundary channels only). */
+    /** Producer-view occupancy (credit-return channels only). */
     std::size_t credit_ = 0;
-    /** Pops since the last commit (boundary channels only). */
+    /** Pops since the last commit (credit-return channels only). */
     std::size_t pendingPops_ = 0;
-    std::uint32_t producerPartition_ = 0;
-    std::uint32_t consumerPartition_ = 0;
-    bool boundary_ = false;
+    bool creditReturn_ = false;
     bool live_ = false;
     bool dirty_ = false;
 };
@@ -216,15 +197,16 @@ class Channel : public ChannelBase
         : ChannelBase(std::move(name)), capacity_(capacity)
     {}
 
-    /** Whether a push would be accepted this cycle.  On a boundary
-     *  channel the producer sees credit occupancy: capacity freed by
-     *  a pop becomes pushable one cycle later (see header). */
+    /** Whether a push would be accepted this cycle.  On a
+     *  credit-return channel the producer sees credit occupancy:
+     *  capacity freed by a pop becomes pushable one cycle later (see
+     *  header). */
     bool
     canPush() const
     {
         if (capacity_ == 0)
             return true;
-        if (boundary())
+        if (creditReturn())
             return credit() < capacity_;
         return queue_.size() + staging_.size() < capacity_;
     }

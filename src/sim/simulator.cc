@@ -86,7 +86,6 @@ Simulator::add(Ticked* t)
               "component registered with two simulators: ", t->name());
     t->sim_ = this;
     t->simIndex_ = static_cast<std::uint32_t>(ticked_.size());
-    t->partition_ = currentPartition_;
     ticked_.push_back(t);
     profClass_.push_back(static_cast<unsigned char>(
         obs::HostProfiler::tickBucketForName(t->name())));
@@ -102,15 +101,7 @@ Simulator::add(Ticked* t)
 void
 Simulator::addChannel(ChannelBase* c)
 {
-    addChannel(c, currentPartition_, currentPartition_);
-}
-
-void
-Simulator::addChannel(ChannelBase* c, std::uint32_t producerPartition,
-                      std::uint32_t consumerPartition)
-{
     TS_ASSERT(c != nullptr);
-    c->setEndpoints(producerPartition, consumerPartition);
     channels_.push_back(c);
     c->installHooks(&liveChannels_, &dirtyCh_);
 }

@@ -8,7 +8,9 @@
  *   1. fire all events scheduled for this cycle,
  *   2. tick every *active* component (order-independent thanks to
  *      channels' next-cycle visibility),
- *   3. commit every *dirty* channel.
+ *   3. commit every *dirty* channel: staged values become visible,
+ *      and NoC links return the credits of slots popped this cycle
+ *      (ChannelBase::setCreditReturn).
  *
  * Simulation ends when the system is quiescent: no pending events, no
  * in-flight channel values, and no component reporting busy().
@@ -43,17 +45,6 @@
  * them; the skipped cycles are no-ops by the contract above.
  * setFastForward(false) restores the naive everything-every-cycle
  * loop for differential testing (--no-fast-forward).
- *
- * Partitions
- * ----------
- * Every component and channel endpoint carries a *partition* — a
- * structural domain of the simulated system declared at registration
- * time (setPartition / the addChannel endpoint overloads).
- * Components of one partition may touch each other's state directly;
- * all traffic between partitions must flow through channels or
- * events, and a cross-partition channel uses credit back-pressure
- * (see channel.hh) so within-cycle tick order never leaks across
- * partitions.
  *
  * Observability
  * -------------
@@ -131,9 +122,6 @@ class Ticked
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
 
-    /** Partition (affinity domain) assigned at registration. */
-    std::uint32_t partition() const { return partition_; }
-
   protected:
     /**
      * From inside tick(): skip subsequent ticks until cycle
@@ -150,8 +138,6 @@ class Ticked
     std::string name_;
     Simulator* sim_ = nullptr;
     std::uint32_t simIndex_ = 0;
-    /** Registration-time partition (Simulator::setPartition). */
-    std::uint32_t partition_ = 0;
     /**
      * The earliest timed-wake heap entry currently queued for this
      * component, or kNoWakeTick.  sleepUntil() pushes a new entry
@@ -174,49 +160,21 @@ class Ticked
 class Simulator
 {
   public:
-    /**
-     * Partition assigned to subsequently registered components and
-     * channel endpoints (default 0).  Partitions are part of the
-     * simulated system's structure; results never depend on it
-     * beyond the boundary-channel credit rule (channel.hh).
-     */
-    void setPartition(std::uint32_t p) { currentPartition_ = p; }
-
-    /** The current registration partition. */
-    std::uint32_t partition() const { return currentPartition_; }
-
-    /** Register a component (not owned); it starts active and
-     *  belongs to the current registration partition. */
+    /** Register a component (not owned); it starts active. */
     void add(Ticked* t);
 
-    /** Register an externally owned channel; both endpoints default
-     *  to the current registration partition. */
+    /** Register an externally owned channel. */
     void addChannel(ChannelBase* c);
-
-    /** Register a channel with explicit endpoint partitions. */
-    void addChannel(ChannelBase* c, std::uint32_t producerPartition,
-                    std::uint32_t consumerPartition);
 
     /** Create and own a channel, registering it automatically. */
     template <typename T>
     Channel<T>&
     makeChannel(const std::string& name, std::size_t capacity)
     {
-        return makeChannel<T>(name, capacity, currentPartition_,
-                              currentPartition_);
-    }
-
-    /** Create and own a channel with explicit endpoint partitions. */
-    template <typename T>
-    Channel<T>&
-    makeChannel(const std::string& name, std::size_t capacity,
-                std::uint32_t producerPartition,
-                std::uint32_t consumerPartition)
-    {
         auto ch = std::make_unique<Channel<T>>(name, capacity);
         Channel<T>& ref = *ch;
         owned_.push_back(std::move(ch));
-        addChannel(&ref, producerPartition, consumerPartition);
+        addChannel(&ref);
         return ref;
     }
 
@@ -401,9 +359,6 @@ class Simulator
     std::int64_t liveChannels_ = 0;
     /** Channels pushed this cycle, in first-push order. */
     std::vector<ChannelBase*> dirtyCh_;
-
-    /** Partition assigned to newly registered components/channels. */
-    std::uint32_t currentPartition_ = 0;
 
     // Host-side performance counters (sim.host.*).
     std::uint64_t wallNs_ = 0;

@@ -48,10 +48,8 @@ Tracer::Tracer(TracerConfig cfg) : cfg_(std::move(cfg))
     if (!cfg_.enabled)
         return;
     out_.open(cfg_.path, std::ios::out | std::ios::trunc);
-    if (!out_) {
-        warn("trace: cannot open '", cfg_.path, "'; tracing disabled");
-        return;
-    }
+    if (!out_)
+        fatal("trace: cannot open '", cfg_.path, "' for writing");
     enabled_ = true;
     buf_.reserve(1u << 16);
     header();
@@ -59,7 +57,11 @@ Tracer::Tracer(TracerConfig cfg) : cfg_(std::move(cfg))
 
 Tracer::~Tracer()
 {
-    finish();
+    // A tracer abandoned before finish() (its run threw) still closes
+    // its document.  A destructor must not throw, so a write error
+    // here is only a warning.
+    if (!closeDocument())
+        warn("trace: cannot write '", cfg_.path, "'");
     if (detail::gActive == this)
         detail::gActive = nullptr;
 }
@@ -204,17 +206,24 @@ Tracer::maybeFlush()
     }
 }
 
-void
-Tracer::finish()
+bool
+Tracer::closeDocument()
 {
     if (!enabled_ || finished_)
-        return;
+        return true;
     finished_ = true;
     buf_ += "\n]}\n";
     out_ << buf_;
     buf_.clear();
-    out_.flush();
     out_.close();
+    return !out_.fail();
+}
+
+void
+Tracer::finish()
+{
+    if (!closeDocument())
+        fatal("trace: cannot write '", cfg_.path, "'");
 }
 
 } // namespace trace

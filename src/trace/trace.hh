@@ -149,11 +149,15 @@ class Tracer
     /** Number of events emitted so far. */
     std::uint64_t events() const { return events_; }
 
-    /** Flush buffered events and close the JSON document.  Called by
-     *  the destructor; safe to call more than once. */
+    /** Flush buffered events and close the JSON document; fatal()
+     *  when the file cannot be written.  Safe to call more than
+     *  once; the destructor closes an unfinished document and only
+     *  warns on a write error. */
     void finish();
 
   private:
+    /** finish() without the error report: false on a write error. */
+    bool closeDocument();
     void emitPrefix(char ph, Tick ts, TrackId tid);
     void header();
     void maybeFlush();

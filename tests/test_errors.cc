@@ -2,13 +2,14 @@
  * @file
  * Failure-injection tests: the simulator must fail loudly and
  * diagnosably on misconfiguration — undersized hardware, malformed
- * streams, misused APIs — rather than silently producing wrong
- * timing or data.
+ * streams, misused APIs, unwritable output paths — rather than
+ * silently producing wrong timing, data, or missing files.
  */
 
 #include <gtest/gtest.h>
 
 #include "accel/delta.hh"
+#include "driver/sweep.hh"
 #include "workloads/workload.hh"
 
 namespace ts
@@ -166,6 +167,79 @@ TEST(Errors, GraphValidationRunsAtLoad)
     TaskGraph g;
     g.addSharedGroup(64, 8); // no members
     EXPECT_THROW(delta.run(g), PanicError);
+}
+
+/** Run spmv at scale 0.25 on a Delta built from @p cfg. */
+void
+runSmallSpmv(const DeltaConfig& cfg)
+{
+    SuiteParams sp;
+    sp.scale = 0.25;
+    auto wl = makeWorkload(Wk::Spmv, sp);
+    Delta delta(cfg);
+    TaskGraph g;
+    wl->build(delta, g);
+    delta.run(g);
+}
+
+/** Expect @p fn to fatal() with a message naming @p path. */
+template <typename Fn>
+void
+expectFatalNaming(Fn&& fn, const std::string& path)
+{
+    try {
+        fn();
+        FAIL() << "expected fatal for " << path;
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Errors, UnopenableStatsJsonIsFatal)
+{
+    DeltaConfig cfg = DeltaConfig::delta(2);
+    cfg.statsJsonPath = "/nonexistent/x.json";
+    expectFatalNaming([&] { runSmallSpmv(cfg); }, cfg.statsJsonPath);
+}
+
+TEST(Errors, UnwritableStatsJsonIsFatal)
+{
+    DeltaConfig cfg = DeltaConfig::delta(2);
+    cfg.statsJsonPath = "/dev/full"; // opens, but every write fails
+    expectFatalNaming([&] { runSmallSpmv(cfg); }, cfg.statsJsonPath);
+}
+
+TEST(Errors, UnopenableTraceIsFatal)
+{
+    DeltaConfig cfg = DeltaConfig::delta(2);
+    cfg.trace.enabled = true;
+    cfg.trace.path = "/nonexistent/t.json";
+    expectFatalNaming([&] { Delta delta(cfg); }, cfg.trace.path);
+}
+
+TEST(Errors, UnwritableTraceIsFatal)
+{
+    DeltaConfig cfg = DeltaConfig::delta(2);
+    cfg.trace.enabled = true;
+    cfg.trace.path = "/dev/full";
+    expectFatalNaming([&] { runSmallSpmv(cfg); }, cfg.trace.path);
+}
+
+TEST(Errors, UnwritableTraceFailsItsSweepPoint)
+{
+    driver::SweepSpec spec;
+    spec.workloads = {Wk::Spmv};
+    spec.configs = {driver::sweepConfig("static", 2)};
+    spec.scales = {0.25};
+    spec.jobs = 1;
+    spec.tracePath = "/nonexistent/t.json";
+    const driver::SweepReport report = driver::Sweep(spec).run();
+    ASSERT_EQ(report.runs.size(), 1u);
+    EXPECT_TRUE(report.runs[0].failed);
+    EXPECT_NE(report.runs[0].error.find("/nonexistent/"),
+              std::string::npos)
+        << report.runs[0].error;
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the mesh NoC: delivery, ordering, routing distance,
- * serialization, back-pressure, and multicast (exactly-once delivery
- * to every destination, tree traffic savings).
+ * serialization, back-pressure, link credit return, and multicast
+ * (exactly-once delivery to every destination, tree traffic savings).
  */
 
 #include <gtest/gtest.h>
@@ -196,6 +196,66 @@ TEST(Noc, SerializationDelaysLargePackets)
     ASSERT_GT(smallAt, 0u);
     ASSERT_GT(bigAt, 0u);
     EXPECT_GT(bigAt, smallAt);
+}
+
+/** Injects one-word packets from @p src to @p dst every cycle the
+ *  injection channel has room, until @p n are accepted. */
+class StreamSource : public Ticked
+{
+  public:
+    StreamSource(Noc& noc, std::uint32_t src, std::uint32_t dst, int n)
+        : Ticked("source"), noc_(noc), src_(src), dst_(dst), left_(n)
+    {}
+
+    void
+    tick(Tick) override
+    {
+        if (left_ > 0 && noc_.inject(mkPkt(src_, Packet::unicast(dst_))))
+            --left_;
+    }
+
+    bool busy() const override { return left_ > 0; }
+
+  private:
+    Noc& noc_;
+    std::uint32_t src_, dst_;
+    int left_;
+};
+
+/**
+ * Cycles at which a saturating stream of @p n packets from node
+ * @p src reaches its neighbor @p dst on a 2x1 mesh whose channels
+ * hold one packet, so the link's slot turnaround sets the rate.
+ */
+std::vector<Tick>
+oneHopDeliveries(std::uint32_t src, std::uint32_t dst, int n)
+{
+    Simulator sim;
+    Noc noc(sim, NocConfig{2, 1, 1, 2});
+    // Registered after the routers, so it refills the injection slot
+    // in the cycle the source router drains it.
+    StreamSource source(noc, src, dst, n);
+    sim.add(&source);
+    std::vector<Tick> at;
+    for (Tick t = 0; t < 100 && at.size() < static_cast<std::size_t>(n); ++t) {
+        sim.step(1);
+        for (auto& ej = noc.eject(dst); !ej.empty(); ej.pop())
+            at.push_back(t);
+    }
+    return at;
+}
+
+TEST(Noc, LinksReturnCreditsOneCycleLate)
+{
+    // A freed link slot reaches the upstream router one cycle after
+    // the downstream router pops it, so a saturated one-hop stream
+    // delivers every other cycle.  Router 0 ticks before router 1,
+    // so without credit return the westward stream (1 -> 0) would
+    // reuse each slot in the cycle it is freed and deliver every
+    // cycle; with it, both directions see the same timing.
+    const std::vector<Tick> want = {2, 4, 6, 8, 10, 12};
+    EXPECT_EQ(oneHopDeliveries(0, 1, 6), want);
+    EXPECT_EQ(oneHopDeliveries(1, 0, 6), want);
 }
 
 TEST(Noc, RejectsBadMeshes)

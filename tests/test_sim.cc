@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation kernel: channels (two-phase
- * visibility, capacity, boundary-channel credits), event queue
+ * visibility, capacity, credit return), event queue
  * ordering, simulator quiescence, wake-target dedup, RNG determinism
  * and distributions, statistics.
  */
@@ -625,14 +625,14 @@ TEST(WakeDedup, ResleepBeforeQuiescenceKeepsEarliestWakeOnly)
 }
 
 // ---------------------------------------------------------------------
-// Boundary-channel credit back-pressure (unit level).
+// Credit-return channels (NoC links) vs local channels, unit level.
 // ---------------------------------------------------------------------
 
 TEST(BoundaryChannel, PopFreesCapacityOnlyAtNextCommit)
 {
     Channel<int> ch("x", 2);
-    ch.setEndpoints(0, 1);
-    ASSERT_TRUE(ch.boundary());
+    ch.setCreditReturn();
+    ASSERT_TRUE(ch.creditReturn());
 
     ASSERT_TRUE(ch.push(1));
     ASSERT_TRUE(ch.push(2));
@@ -641,8 +641,8 @@ TEST(BoundaryChannel, PopFreesCapacityOnlyAtNextCommit)
 
     EXPECT_EQ(ch.pop(), 1);
     // Unlike a local channel, the freed slot is not pushable until
-    // the next commit credits it back — that one-cycle lag keeps the
-    // producer's view independent of tick order across partitions.
+    // the next commit credits it back: the one-cycle credit return of
+    // a router link, independent of the order routers tick in.
     EXPECT_FALSE(ch.canPush())
         << "credit must come back only at the commit boundary";
     ch.commit();
@@ -653,13 +653,13 @@ TEST(BoundaryChannel, PopFreesCapacityOnlyAtNextCommit)
 TEST(BoundaryChannel, LocalChannelFreesCapacityImmediately)
 {
     Channel<int> ch("x", 2);
-    ASSERT_FALSE(ch.boundary());
+    ASSERT_FALSE(ch.creditReturn());
     ASSERT_TRUE(ch.push(1));
     ASSERT_TRUE(ch.push(2));
     ch.commit();
     ch.pop();
     EXPECT_TRUE(ch.canPush())
-        << "an intra-partition channel keeps same-cycle reuse";
+        << "a channel without credit return keeps same-cycle reuse";
 }
 
 } // namespace

@@ -2,8 +2,7 @@
  * @file
  * delta-sweep: the single CLI entry point for running grids of
  * simulations on a host thread pool (src/driver/sweep.hh), either
- * directly, against a content-addressed run cache, or through the
- * sweep daemon (src/service/sweep_service.hh).
+ * directly or against a content-addressed run cache.
  *
  * A grid is the cross product workloads x configs x seeds x scales.
  * Each point runs in full isolation; results aggregate
@@ -14,34 +13,22 @@
  *   (default)         expand the grid and run it locally
  *   --dry-run         print each point's tag, cache key, and
  *                     predicted hit/miss; execute nothing
- *   --serve SOCK      daemon: serve sweep requests on a Unix socket
- *   --connect SOCK    client: send one request to a daemon; the grid
- *                     is described with --set/--grid only, so exactly
- *                     what is sent is what was typed
  *
  * Per-run StatSets land in --bench-json DIR as `<tag>.json` in the
  * wrapper shape `tools/delta-report --baseline` ingests.  Exit code:
  * 0 when every run completed and passed its check, 1 otherwise, 2 on
- * usage/protocol errors.
+ * usage errors or an unwritable --out report.
  */
 
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 
-#include "analysis/json.hh"
 #include "cache/run_cache.hh"
 #include "driver/grid.hh"
-#include "service/sweep_service.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -76,20 +63,7 @@ usage(int code)
         "                    before running, publish after\n"
         "  --cache-cap BYTES cache size budget (K/M/G suffixes ok)\n"
         "  --dry-run         print tag, cache key, and predicted\n"
-        "                    hit/miss per point; run nothing\n"
-        "service options:\n"
-        "  --serve SOCK      serve sweep requests on a Unix socket\n"
-        "  --connect SOCK    send one request to a serving daemon;\n"
-        "                    combine with --set/--grid (sweep),\n"
-        "                    --ping, --shutdown, --status,\n"
-        "                    --metrics, or --watch\n"
-        "  --status          one live-telemetry snapshot: uptime,\n"
-        "                    cells done/in flight, per-worker cells,\n"
-        "                    cache outcomes, ETA\n"
-        "  --metrics         Prometheus text exposition (ts_sweep_*)\n"
-        "                    on stdout, for scrapers\n"
-        "  --watch           poll status about once a second until\n"
-        "                    the in-flight sweep finishes\n",
+        "                    hit/miss per point; run nothing\n",
         os);
     std::fputs(ts::driver::optionsHelp(), os);
     std::exit(code);
@@ -105,236 +79,6 @@ splitSetting(const std::string& arg)
     return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
-/**
- * Read a grid file as raw key/value pairs (same syntax as
- * driver::loadGridFile) for forwarding to a daemon.
- */
-std::vector<std::pair<std::string, std::string>>
-readGridKvs(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open grid file '", path, "'");
-    std::vector<std::pair<std::string, std::string>> kvs;
-    std::string line;
-    std::size_t lineno = 0;
-    const auto trim = [](std::string s) {
-        const auto tb = s.find_first_not_of(" \t\r");
-        const auto te = s.find_last_not_of(" \t\r");
-        return tb == std::string::npos ? std::string()
-                                       : s.substr(tb, te - tb + 1);
-    };
-    while (std::getline(in, line)) {
-        ++lineno;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            fatal("grid file ", path, ":", lineno,
-                  ": expected `key = value`, got '", line, "'");
-        kvs.emplace_back(trim(line.substr(0, eq)),
-                         trim(line.substr(eq + 1)));
-    }
-    return kvs;
-}
-
-/** One-line summary of a parsed status reply's "status" object. */
-std::string
-statusSummary(const analysis::Json& st)
-{
-    std::ostringstream os;
-    const auto num = [&st](const char* key) {
-        return static_cast<unsigned long long>(st.at(key).num);
-    };
-    if (st.at("sweeping").b) {
-        os << "sweeping: " << num("done") << "/" << num("runs")
-           << " cells done, " << num("inflight") << " in flight";
-        if (num("hits") + num("misses") > 0)
-            os << ", cache " << num("hits") << "/"
-               << (num("hits") + num("misses")) << " hits";
-        const double eta = st.at("etaSec").num;
-        if (eta > 0) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, ", ETA %.0fs", eta);
-            os << buf;
-        }
-    } else if (num("runs") > 0) {
-        os << "idle (last sweep: " << num("done") << "/"
-           << num("runs") << " cells)";
-    } else {
-        os << "idle";
-    }
-    return os.str();
-}
-
-/** --status: one pretty snapshot of the daemon's live telemetry. */
-int
-statusMain(const std::string& sock)
-{
-    const std::string line = service::status(sock);
-    analysis::Json reply;
-    if (line.empty() || !analysis::parseJson(line, reply)) {
-        std::fprintf(stderr, "delta-sweep: no daemon at %s\n",
-                     sock.c_str());
-        return 2;
-    }
-    const analysis::Json& st = reply.at("status");
-    std::printf("daemon: up %.1fs, %llu requests served\n",
-                st.at("uptimeSec").num,
-                static_cast<unsigned long long>(st.at("served").num));
-    std::printf("%s\n", statusSummary(st).c_str());
-    for (const analysis::Json& w : st.at("workers").arr)
-        std::printf("  worker %llu: %s\n",
-                    static_cast<unsigned long long>(
-                        w.at("worker").num),
-                    w.at("cell").str.c_str());
-    return 0;
-}
-
-/** --watch: poll status about once a second until the sweep ends. */
-int
-watchMain(const std::string& sock)
-{
-    const bool tty = isatty(fileno(stdout)) != 0;
-    for (;;) {
-        const std::string line = service::status(sock);
-        analysis::Json reply;
-        if (line.empty() || !analysis::parseJson(line, reply)) {
-            if (tty)
-                std::printf("\n");
-            std::fprintf(stderr, "delta-sweep: no daemon at %s\n",
-                         sock.c_str());
-            return 2;
-        }
-        const analysis::Json& st = reply.at("status");
-        const std::string summary = statusSummary(st);
-        if (tty) {
-            // Redraw in place; \033[K clears the previous line's tail.
-            std::printf("\r\033[K%s", summary.c_str());
-            std::fflush(stdout);
-        } else {
-            std::printf("%s\n", summary.c_str());
-        }
-        if (!st.at("sweeping").b) {
-            if (tty)
-                std::printf("\n");
-            return 0;
-        }
-        std::this_thread::sleep_for(std::chrono::seconds(1));
-    }
-}
-
-/**
- * Client mode: everything after --connect is forwarded verbatim, so
- * shared flags are rejected here (use `--set key=value` instead) —
- * what was typed is exactly what the daemon receives.
- */
-int
-clientMain(int argc, char** argv)
-{
-    std::string sock;
-    bool doPing = false;
-    bool doShutdown = false;
-    bool doStatus = false;
-    bool doMetrics = false;
-    bool doWatch = false;
-    std::map<std::string, std::string> settings;
-
-    // Validation scratch: catches bad keys/values client-side with
-    // the same messages a local run would give.
-    driver::RunOptions scratchOpt;
-    driver::GridSettings scratchGrid;
-    const auto record = [&](const std::string& key,
-                            const std::string& value) {
-        driver::applyGridKey(key, value, scratchOpt, scratchGrid);
-        settings[key] = value;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("option '", arg, "' requires a value");
-            return argv[++i];
-        };
-        if (arg == "--connect") {
-            sock = value();
-        } else if (arg == "--ping") {
-            doPing = true;
-        } else if (arg == "--shutdown") {
-            doShutdown = true;
-        } else if (arg == "--status") {
-            doStatus = true;
-        } else if (arg == "--metrics") {
-            doMetrics = true;
-        } else if (arg == "--watch") {
-            doWatch = true;
-        } else if (arg == "--set") {
-            const auto [k, v] = splitSetting(value());
-            record(k, v);
-        } else if (arg == "--grid") {
-            for (const auto& [k, v] : readGridKvs(value()))
-                record(k, v);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            fatal("option '", arg, "' is not valid with --connect; "
-                  "describe the sweep with --set KEY=VALUE or "
-                  "--grid FILE");
-        }
-    }
-
-    if (doPing) {
-        if (service::ping(sock)) {
-            std::puts("ok");
-            return 0;
-        }
-        std::fprintf(stderr, "delta-sweep: no daemon at %s\n",
-                     sock.c_str());
-        return 2;
-    }
-    if (doShutdown) {
-        if (service::shutdown(sock))
-            return 0;
-        std::fprintf(stderr, "delta-sweep: no daemon at %s\n",
-                     sock.c_str());
-        return 2;
-    }
-    if (doStatus)
-        return statusMain(sock);
-    if (doWatch)
-        return watchMain(sock);
-    if (doMetrics) {
-        const std::string text = service::metrics(sock);
-        if (text.empty()) {
-            std::fprintf(stderr, "delta-sweep: no daemon at %s\n",
-                         sock.c_str());
-            return 2;
-        }
-        std::fputs(text.c_str(), stdout);
-        return 0;
-    }
-    if (settings.empty())
-        fatal("--connect needs a request: --set/--grid, --ping, "
-              "--shutdown, --status, --metrics, or --watch");
-
-    std::ostringstream req;
-    req << "{\"op\": \"sweep\", \"grid\": {";
-    bool first = true;
-    for (const auto& [k, v] : settings) {
-        if (!first)
-            req << ", ";
-        first = false;
-        req << "\"" << jsonEscape(k) << "\": \"" << jsonEscape(v)
-            << "\"";
-    }
-    req << "}}";
-    return service::requestSweep(sock, req.str(), std::cout);
-}
-
 } // namespace
 
 int
@@ -343,18 +87,11 @@ main(int argc, char** argv)
     using namespace ts;
 
     try {
-        // Client mode bypasses shared-flag parsing entirely: nothing
-        // may be consumed locally that should have been forwarded.
-        for (int i = 1; i < argc; ++i)
-            if (std::string(argv[i]) == "--connect")
-                return clientMain(argc, argv);
-
         // Shared flags first (consumed from argv, TS_* fallbacks
         // applied); the remainder must all be grid options.
         driver::RunOptions opt =
             driver::parseCommandLine(argc, argv, /*strict=*/false);
         driver::GridSettings grid;
-        std::string serveSock;
 
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -390,8 +127,6 @@ main(int argc, char** argv)
                 grid.cacheCapBytes = driver::parseCapBytes(value());
             } else if (arg == "--dry-run") {
                 grid.dryRun = true;
-            } else if (arg == "--serve") {
-                serveSock = value();
             } else if (arg == "--quiet") {
                 grid.quiet = true;
             } else if (arg == "--help" || arg == "-h") {
@@ -401,15 +136,6 @@ main(int argc, char** argv)
                           << "'\n\n";
                 usage(2);
             }
-        }
-
-        if (!serveSock.empty()) {
-            std::fprintf(stderr, "delta-sweep: serving on %s\n",
-                         serveSock.c_str());
-            service::ServeConfig cfg;
-            cfg.socketPath = serveSock;
-            service::serve(cfg);
-            return 0;
         }
 
         driver::SweepSpec spec = driver::buildSweepSpec(opt, grid);
@@ -479,6 +205,9 @@ main(int argc, char** argv)
             if (!os)
                 fatal("cannot write report '", grid.out, "'");
             report.writeJson(os);
+            os.close();
+            if (!os)
+                fatal("cannot write report '", grid.out, "'");
             std::fprintf(stderr, "delta-sweep: report written to %s\n",
                          grid.out.c_str());
         } else {
