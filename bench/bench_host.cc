@@ -23,8 +23,8 @@
  * this with --benchmark_format=json and gates the ff:1 / ff:0
  * speedups against the host-* floors in ci/perf-floors.txt.
  *
- * Shared run options (--scale, --seed, --workloads, ...) are parsed
- * first; the rest of argv goes to google-benchmark.
+ * Shared run options (--scale, --seed, ...) are parsed first; every
+ * argument the option table does not know goes to google-benchmark.
  */
 
 #include <benchmark/benchmark.h>
@@ -32,13 +32,15 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.hh"
+#include "driver/options.hh"
 
 namespace
 {
 
 using namespace ts;
-using namespace ts::bench;
+
+/** This process's run options (set once in main). */
+driver::RunOptions gOpt;
 
 // ---------------------------------------------------------------------
 // Synthetic components.
@@ -158,7 +160,7 @@ runWorkload(benchmark::State& state, Wk wk, DeltaConfig cfg)
     double wallNs = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        auto wl = makeWorkload(wk, suiteParams());
+        auto wl = makeWorkload(wk, gOpt.suiteParams());
         Delta delta(cfg);
         TaskGraph graph;
         wl->build(delta, graph);
@@ -211,9 +213,22 @@ BENCHMARK(BM_MsortDelta)
 int
 main(int argc, char** argv)
 {
-    ts::bench::init(&argc, argv);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    std::vector<std::string> rest{argv[0]};
+    ts::driver::GridSettings unused;
+    ts::driver::parseArgs(argc, argv, ts::driver::Scope::Run, gOpt,
+                          unused,
+                          [&](const std::string& arg,
+                              const std::function<std::string()>&) {
+                              rest.push_back(arg);
+                              return true;
+                          });
+    std::vector<char*> args;
+    for (std::string& a : rest)
+        args.push_back(a.data());
+    int n = static_cast<int>(args.size());
+    args.push_back(nullptr);
+    benchmark::Initialize(&n, args.data());
+    if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     return 0;

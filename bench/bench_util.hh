@@ -1,15 +1,15 @@
 /**
  * @file
- * Shared infrastructure for the experiment benchmarks: run one
- * workload under one configuration, verify correctness, and collect
- * the statistics the paper-style tables report.
+ * The figure harness: every figure and table binary in bench/ parses
+ * the shared run options (src/driver/options.hh) on top of its own
+ * workload list, runs its points as driver::Sweep grids (or, for
+ * fig_grain's custom workload instances, driver::runOne), and renders
+ * its table from the results.
  *
- * All knobs come from the shared options layer (ts::driver
- * RunOptions): call bench::init(&argc, argv) first thing in main()
- * to consume the shared flags (--workloads, --scale, --seed,
- * --trace, --bench-json, --log, -j; each with its TS_* environment
- * fallback) and hand the untouched remainder to
- * benchmark::Initialize().  No bench reads the environment itself.
+ * So every figure honours --workloads, --scale, --seed, -j,
+ * --bench-json, --trace, --sched, --steal and the other per-run
+ * overrides the same way delta-sweep does, and exits 0 only when
+ * every run passed its check (1 otherwise, 2 on option errors).
  */
 
 #ifndef TS_BENCH_BENCH_UTIL_HH
@@ -17,69 +17,86 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 
-#include "driver/options.hh"
-#include "driver/run_one.hh"
-#include "workloads/workload.hh"
+#include "driver/sweep.hh"
+#include "sim/logging.hh"
 
 namespace ts::bench
 {
 
-/** This process's run options.  Defaults to the environment
- *  fallbacks until init() overwrites them with parsed flags. */
-inline driver::RunOptions&
-options()
-{
-    static driver::RunOptions opt = [] {
-        driver::RunOptions o = driver::RunOptions::fromEnv();
-        o.applyLogLevel();
-        return o;
-    }();
-    return opt;
-}
-
-/** Parse the shared flags out of argv (call before
- *  benchmark::Initialize, which consumes the rest). */
-inline void
-init(int* argc, char** argv)
-{
-    options() = driver::parseCommandLine(*argc, argv);
-}
-
 /**
- * Workloads this bench process runs (--workloads/TS_WORKLOADS,
- * "all" or unset = whole suite; unknown names fail fast with the
- * valid names listed).  Both the registration and table-printing
- * loops must use this same list.
+ * A figure's main(): parse the options, starting from @p workloads
+ * as the default selection, and run @p body, which returns whether
+ * every run passed.  A figure runs many points, so --stats-json
+ * (one run's file) is rejected like any other option error.
  */
-inline const std::vector<Wk>&
-suiteWorkloads()
+inline int
+figureMain(const char* name, int argc, char** argv,
+           std::vector<Wk> workloads,
+           const std::function<bool(const driver::RunOptions&)>& body)
 {
-    return options().workloads;
+    try {
+        driver::RunOptions defaults;
+        defaults.workloads = std::move(workloads);
+        const driver::RunOptions opt =
+            driver::parseCommandLine(argc, argv, defaults);
+        if (!opt.overrides.statsJsonPath.empty())
+            fatal("--stats-json writes one run's stats, but ", name,
+                  " runs many; use --bench-json DIR");
+        return body(opt) ? 0 : 1;
+    } catch (const FatalError& e) {
+        std::fprintf(stderr, "%s: %s\n", name, e.what());
+        return 2;
+    }
 }
 
-/** Suite scaling knobs (--scale/TS_SCALE problem-size multiplier,
- *  --seed/TS_SEED) — small CI runs use --scale 0.25 without
- *  rebuilding. */
-inline SuiteParams
-suiteParams()
+/** Run @p configs over opt's workloads (or @p workloads when given)
+ *  at opt's seed and scale; failed or incorrect points are listed
+ *  on stderr. */
+inline driver::SweepReport
+runSweep(const driver::RunOptions& opt,
+         std::vector<driver::ConfigVariant> configs,
+         std::vector<Wk> workloads = {})
 {
-    return options().suiteParams();
+    driver::SweepSpec spec = driver::sweepSpec(opt, std::move(configs));
+    if (!workloads.empty())
+        spec.workloads = std::move(workloads);
+    driver::SweepReport report = driver::Sweep(std::move(spec)).run();
+    for (const driver::RunOutcome& r : report.runs) {
+        if (!r.ok())
+            std::fprintf(stderr, "  %-32s %s\n", r.point.tag().c_str(),
+                         r.failed ? r.error.c_str() : "check failed");
+    }
+    return report;
 }
 
-/** Outcome of one simulated run (driver::runOne's result type;
- *  bench-JSON emission now lives there too). */
-using RunResult = driver::RunResult;
-
-/** Build and simulate one workload under one configuration (trace,
- *  stats, and bench-JSON outputs injected from the shared
- *  options via driver::runOne). */
-inline RunResult
-runOnce(Wk w, const DeltaConfig& cfg, const SuiteParams& sp)
+/** main() of a figure that is one sweep: @p configs over the
+ *  selected workloads (default @p workloads), rendered by @p print. */
+inline int
+sweepFigure(const char* name, int argc, char** argv,
+            std::vector<Wk> workloads,
+            std::vector<driver::ConfigVariant> configs,
+            void (*print)(const driver::SweepReport&))
 {
-    auto wl = makeWorkload(w, sp);
-    return driver::runOne(options(), *wl, cfg);
+    return figureMain(name, argc, argv, std::move(workloads),
+                      [&](const driver::RunOptions& opt) {
+                          const driver::SweepReport report =
+                              runSweep(opt, configs);
+                          print(report);
+                          return report.allOk();
+                      });
+}
+
+/** The run of (@p w, @p config) in a one-seed, one-scale sweep. */
+inline const driver::RunOutcome&
+outcome(const driver::SweepReport& report, Wk w,
+        const std::string& config)
+{
+    return *report.find(w, config, report.spec.seeds.front(),
+                        report.spec.scales.front());
 }
 
 /** Print a horizontal rule sized for our tables. */

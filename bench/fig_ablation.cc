@@ -10,16 +10,14 @@
  *   +pipe      pipelined inter-task dependence recovery
  *   +mcast     shared-read multicast recovery (= full Delta)
  *
- * Rows are per-workload speedups over the static baseline.  A thin
- * wrapper over the sweep engine: the workloads x ablation-ladder
- * grid runs on a host thread pool (-j N).
+ * Rows are per-workload speedups over the static baseline.  The
+ * workloads x ablation-ladder grid runs on the sweep engine's host
+ * thread pool (-j N).
  */
 
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.hh"
-#include "driver/sweep.hh"
 
 namespace
 {
@@ -36,7 +34,6 @@ constexpr std::pair<const char*, const char*> kSteps[] = {
 void
 printTable(const driver::SweepReport& report)
 {
-    const driver::RunOptions& opt = options();
     std::puts("");
     std::puts("Fig-2  Mechanism ablation: speedup over static-parallel "
               "as structures are recovered (8 lanes)");
@@ -48,16 +45,15 @@ printTable(const driver::SweepReport& report)
     rule();
     std::vector<std::vector<double>> cols(std::size(kSteps));
     for (const Wk w : report.spec.workloads) {
-        const driver::RunOutcome* base =
-            report.find(w, "static", opt.seed, opt.scale);
-        if (base == nullptr || !base->ok())
+        const driver::RunOutcome& base = outcome(report, w, "static");
+        if (!base.ok())
             continue;
         std::printf("%-10s", wkName(w));
         for (std::size_t i = 0; i < std::size(kSteps); ++i) {
-            const driver::RunOutcome* r =
-                report.find(w, kSteps[i].first, opt.seed, opt.scale);
-            const double sp = r != nullptr && r->ok() && r->cycles > 0
-                                  ? base->cycles / r->cycles
+            const driver::RunOutcome& r =
+                outcome(report, w, kSteps[i].first);
+            const double sp = r.ok() && r.cycles > 0
+                                  ? base.cycles / r.cycles
                                   : 0.0;
             cols[i].push_back(sp);
             std::printf(" %7.2fx", sp);
@@ -81,30 +77,8 @@ printTable(const driver::SweepReport& report)
 int
 main(int argc, char** argv)
 {
-    try {
-        const driver::RunOptions opt =
-            driver::parseCommandLine(argc, argv, /*strict=*/true);
-        bench::options() = opt;
-
-        driver::SweepSpec spec;
-        spec.workloads = opt.workloads;
-        spec.configs = driver::sweepConfigsFromList(
-            "static,dyn,work,pipe,delta");
-        spec.seeds = {opt.seed};
-        spec.scales = {opt.scale};
-        spec.baseline = "static";
-        spec.jobs = opt.jobs;
-        spec.benchJsonDir = opt.benchJsonDir;
-        spec.tracePath = opt.tracePath;
-        spec.noFastForward = opt.noFastForward;
-        spec.progress = true;
-
-        const driver::SweepReport report =
-            driver::Sweep(std::move(spec)).run();
-        printTable(report);
-        return report.allOk() ? 0 : 1;
-    } catch (const ts::FatalError& e) {
-        std::cerr << "fig_ablation: " << e.what() << "\n";
-        return 2;
-    }
+    return sweepFigure(
+        "fig_ablation", argc, argv, allWorkloads(),
+        driver::sweepConfigsFromList("static,dyn,work,pipe,delta"),
+        printTable);
 }

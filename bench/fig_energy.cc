@@ -7,17 +7,15 @@
  * per-event cost) and pipelining removes memory round trips.  This
  * figure breaks modeled energy down by component for both designs.
  *
- * A thin wrapper over the sweep engine: the workloads x
- * {static, delta} grid runs on a host thread pool (-j N); the energy
- * model evaluates each run's aggregated StatSet.
+ * The workloads x {static, delta} grid runs on the sweep engine's
+ * host thread pool (-j N); the energy model evaluates each run's
+ * StatSet.
  */
 
 #include <cstdio>
-#include <iostream>
 
 #include "accel/energy_model.hh"
 #include "bench_util.hh"
-#include "driver/sweep.hh"
 
 namespace
 {
@@ -28,7 +26,6 @@ using namespace ts::bench;
 void
 printTable(const driver::SweepReport& report)
 {
-    const driver::RunOptions& opt = options();
     std::puts("");
     std::puts("Fig-8  Modeled energy (uJ), static vs Delta, 8 lanes");
     rule(78);
@@ -37,14 +34,12 @@ printTable(const driver::SweepReport& report)
     rule(78);
     std::vector<double> ratios;
     for (const Wk w : report.spec.workloads) {
-        const driver::RunOutcome* st =
-            report.find(w, "static", opt.seed, opt.scale);
-        const driver::RunOutcome* dy =
-            report.find(w, "delta", opt.seed, opt.scale);
-        if (st == nullptr || dy == nullptr || !st->ok() || !dy->ok())
+        const driver::RunOutcome& st = outcome(report, w, "static");
+        const driver::RunOutcome& dy = outcome(report, w, "delta");
+        if (!st.ok() || !dy.ok())
             continue;
-        const EnergyReport se = computeEnergy(st->stats, 8);
-        const EnergyReport de = computeEnergy(dy->stats, 8);
+        const EnergyReport se = computeEnergy(st.stats, 8);
+        const EnergyReport de = computeEnergy(dy.stats, 8);
         const EnergyEntry* biggest = &se.entries.front();
         for (const auto& e : se.entries) {
             if (e.nanojoules > biggest->nanojoules)
@@ -71,29 +66,7 @@ printTable(const driver::SweepReport& report)
 int
 main(int argc, char** argv)
 {
-    try {
-        const driver::RunOptions opt =
-            driver::parseCommandLine(argc, argv, /*strict=*/true);
-        bench::options() = opt;
-
-        driver::SweepSpec spec;
-        spec.workloads = opt.workloads;
-        spec.configs = driver::sweepConfigsFromList("static,delta");
-        spec.seeds = {opt.seed};
-        spec.scales = {opt.scale};
-        spec.baseline = "static";
-        spec.jobs = opt.jobs;
-        spec.benchJsonDir = opt.benchJsonDir;
-        spec.tracePath = opt.tracePath;
-        spec.noFastForward = opt.noFastForward;
-        spec.progress = true;
-
-        const driver::SweepReport report =
-            driver::Sweep(std::move(spec)).run();
-        printTable(report);
-        return report.allOk() ? 0 : 1;
-    } catch (const ts::FatalError& e) {
-        std::cerr << "fig_energy: " << e.what() << "\n";
-        return 2;
-    }
+    return sweepFigure("fig_energy", argc, argv, allWorkloads(),
+                       driver::sweepConfigsFromList("static,delta"),
+                       printTable);
 }

@@ -5,11 +5,14 @@
  * max/mean lane busy time (1.0 = perfect).  The last series adds NoC
  * work stealing on top of work-aware placement — what dispatch-time
  * estimates get wrong, run-time stealing claws back.
+ *
+ * The series are the ablation presets with pipelining and multicast
+ * off, isolating the balancing effect: static, dyn, work and
+ * work-steal.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <algorithm>
+#include <cstdio>
 
 #include "bench_util.hh"
 
@@ -19,76 +22,16 @@ namespace
 using namespace ts;
 using namespace ts::bench;
 
-const std::vector<Wk> kWorkloads = {Wk::Spmv, Wk::Join, Wk::Tricount};
-
-/** One policy series of the figure. */
-struct Series
-{
-    const char* label;
-    SchedPolicy policy;
-    StealPolicy steal;
+/** Sweep preset name -> table label. */
+constexpr std::pair<const char*, const char*> kSeries[] = {
+    {"static", "static"},
+    {"dyn", "dyn-count"},
+    {"work", "work-aware"},
+    {"work-steal", "work+steal"},
 };
-
-const std::vector<Series> kSeries = {
-    {"static", SchedPolicy::Static, StealPolicy::None},
-    {"dyn-count", SchedPolicy::DynCount, StealPolicy::None},
-    {"work-aware", SchedPolicy::WorkAware, StealPolicy::None},
-    {"work+steal", SchedPolicy::WorkAware, StealPolicy::StealHalf},
-};
-
-struct Row
-{
-    double minBusy = 0, meanBusy = 0, maxBusy = 0, imbalance = 0,
-           stolen = 0, cycles = 0;
-};
-
-std::map<std::pair<Wk, const Series*>, Row> gRows;
-
-Row
-measure(Wk w, const Series& s)
-{
-    DeltaConfig cfg = DeltaConfig::delta(8);
-    cfg.policy = s.policy;
-    cfg.steal = s.steal;
-    cfg.enablePipeline = false; // isolate the balancing effect
-    cfg.enableMulticast = false;
-    if (s.policy == SchedPolicy::Static)
-        cfg.bulkSynchronous = true;
-    const RunResult res = runOnce(w, cfg, SuiteParams{});
-    TS_ASSERT(res.correct);
-
-    Row r;
-    r.cycles = res.cycles;
-    r.meanBusy = res.stats.get("delta.busyMean");
-    r.maxBusy = res.stats.get("delta.busyMax");
-    r.imbalance = res.stats.get("delta.imbalance");
-    r.stolen = res.stats.getOr("delta.attrib.steal.tasksStolen", 0.0);
-    double mn = r.maxBusy;
-    for (unsigned l = 0; l < 8; ++l) {
-        mn = std::min(mn, res.stats.get("lane" + std::to_string(l) +
-                                        ".tu.busyCycles"));
-    }
-    r.minBusy = mn;
-    return r;
-}
 
 void
-runWorkload(benchmark::State& state, Wk w)
-{
-    for (auto _ : state) {
-        for (const Series& s : kSeries)
-            gRows[{w, &s}] = measure(w, s);
-        state.counters["imbalance_static"] =
-            gRows[{w, &kSeries[0]}].imbalance;
-        state.counters["imbalance_workaware"] =
-            gRows[{w, &kSeries[2]}].imbalance;
-        state.counters["imbalance_steal"] =
-            gRows[{w, &kSeries[3]}].imbalance;
-    }
-}
-
-void
-printTable()
+printTable(const driver::SweepReport& report)
 {
     std::puts("");
     std::puts("Fig-6  Per-lane busy cycles by policy (8 lanes; "
@@ -98,13 +41,25 @@ printTable()
                 "workload", "policy", "min", "mean", "max", "imbal",
                 "stolen", "cycles");
     rule(84);
-    for (const Wk w : kWorkloads) {
-        for (const Series& s : kSeries) {
-            const Row& r = gRows.at({w, &s});
+    for (const Wk w : report.spec.workloads) {
+        for (const auto& [config, label] : kSeries) {
+            const driver::RunOutcome& r = outcome(report, w, config);
+            if (!r.ok())
+                continue;
+            const StatSet& s = r.stats;
+            const double maxBusy = s.get("delta.busyMax");
+            double minBusy = maxBusy;
+            for (unsigned l = 0; l < r.point.lanes; ++l)
+                minBusy = std::min(
+                    minBusy, s.get("lane" + std::to_string(l) +
+                                   ".tu.busyCycles"));
             std::printf("%-10s %-11s %10.0f %10.0f %10.0f %8.2fx "
                         "%7.0f %12.0f\n",
-                        wkName(w), s.label, r.minBusy, r.meanBusy,
-                        r.maxBusy, r.imbalance, r.stolen, r.cycles);
+                        wkName(w), label, minBusy,
+                        s.get("delta.busyMean"), maxBusy,
+                        s.get("delta.imbalance"),
+                        s.getOr("delta.attrib.steal.tasksStolen", 0.0),
+                        r.cycles);
         }
     }
     rule(84);
@@ -120,15 +75,10 @@ printTable()
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
-    for (const Wk w : kWorkloads) {
-        benchmark::RegisterBenchmark(
-            (std::string("fig6/") + wkName(w)).c_str(),
-            [w](benchmark::State& s) { runWorkload(s, w); })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
-    return 0;
+    std::vector<driver::ConfigVariant> configs;
+    for (const auto& [config, label] : kSeries)
+        configs.push_back(driver::sweepConfig(config));
+    return sweepFigure("fig_imbalance", argc, argv,
+                       {Wk::Spmv, Wk::Join, Wk::Tricount}, configs,
+                       printTable);
 }

@@ -3,13 +3,11 @@
  * Fig-5: traffic effect of shared-read multicast recovery.
  *
  * For the shared-read workloads, compare DRAM lines read and NoC
- * word-hops with multicast recovery on vs off (all other mechanisms
- * held at the Delta configuration).
+ * word-hops with multicast recovery off (the `pipe` preset) and on
+ * (`delta`), every other mechanism held at the Delta configuration.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <cstdio>
 
 #include "bench_util.hh"
 
@@ -19,42 +17,8 @@ namespace
 using namespace ts;
 using namespace ts::bench;
 
-const std::vector<Wk> kWorkloads = {Wk::Spmv, Wk::Join, Wk::Tricount,
-                                    Wk::Centroid};
-
-struct Traffic
-{
-    double dramLines = 0;
-    double wordHops = 0;
-    double cycles = 0;
-};
-
-std::map<Wk, std::pair<Traffic, Traffic>> gRows; // (off, on)
-
 void
-runWorkload(benchmark::State& state, Wk w)
-{
-    SuiteParams sp;
-    for (auto _ : state) {
-        Traffic t[2];
-        for (const bool mcast : {false, true}) {
-            DeltaConfig cfg = DeltaConfig::delta(8);
-            cfg.enableMulticast = mcast;
-            const RunResult r = runOnce(w, cfg, sp);
-            if (!r.correct)
-                state.SkipWithError("incorrect result");
-            t[mcast ? 1 : 0] = Traffic{r.stats.get("mem.linesRead"),
-                                       r.stats.get("noc.wordHops"),
-                                       r.cycles};
-        }
-        gRows[w] = {t[0], t[1]};
-        state.counters["dram_reduction"] =
-            t[0].dramLines / t[1].dramLines;
-    }
-}
-
-void
-printTable()
+printTable(const driver::SweepReport& report)
 {
     std::puts("");
     std::puts("Fig-5  Shared-read multicast: DRAM reads and NoC "
@@ -64,12 +28,18 @@ printTable()
                 "dram w/o", "dram w/", "ratio", "hops w/o", "hops w/",
                 "ratio");
     rule(78);
-    for (const Wk w : kWorkloads) {
-        const auto& [off, on] = gRows.at(w);
+    for (const Wk w : report.spec.workloads) {
+        const driver::RunOutcome& off = outcome(report, w, "pipe");
+        const driver::RunOutcome& on = outcome(report, w, "delta");
+        if (!off.ok() || !on.ok())
+            continue;
+        const double dramOff = off.stats.get("mem.linesRead");
+        const double dramOn = on.stats.get("mem.linesRead");
+        const double hopsOff = off.stats.get("noc.wordHops");
+        const double hopsOn = on.stats.get("noc.wordHops");
         std::printf("%-10s %12.0f %12.0f %6.2fx %12.0f %12.0f %6.2fx\n",
-                    wkName(w), off.dramLines, on.dramLines,
-                    off.dramLines / on.dramLines, off.wordHops,
-                    on.wordHops, off.wordHops / on.wordHops);
+                    wkName(w), dramOff, dramOn, dramOff / dramOn,
+                    hopsOff, hopsOn, hopsOff / hopsOn);
     }
     rule(78);
     std::puts("expected shape: one multicast fill replaces per-task "
@@ -82,15 +52,8 @@ printTable()
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
-    for (const Wk w : kWorkloads) {
-        benchmark::RegisterBenchmark(
-            (std::string("fig5/") + wkName(w)).c_str(),
-            [w](benchmark::State& s) { runWorkload(s, w); })
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
-    return 0;
+    return sweepFigure("fig_noc_traffic", argc, argv,
+                       {Wk::Spmv, Wk::Join, Wk::Tricount, Wk::Centroid},
+                       driver::sweepConfigsFromList("pipe,delta"),
+                       printTable);
 }

@@ -6,11 +6,14 @@
  * execution.  Expected shape: one entry serializes dispatch with
  * execution; a few entries recover nearly all performance (knee
  * around 2-4), justifying the small queue in the area model.
+ *
+ * Two sweeps over named configs `delta-q<N>` (the delta preset at
+ * queue depth N) and `dyncount-q<N>` (the same with count-balanced
+ * dispatch): Fig-7 runs the selected workloads, Fig-7b is a fixed
+ * study of the Zipf-skewed join.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <cstdio>
 
 #include "bench_util.hh"
 
@@ -21,45 +24,32 @@ using namespace ts;
 using namespace ts::bench;
 
 const std::vector<std::uint32_t> kCaps = {1, 2, 4, 8, 16};
-const std::vector<Wk> kWorkloads = {Wk::Spmv, Wk::Cholesky, Wk::Msort};
 
-std::map<std::pair<Wk, std::uint32_t>, double> gCycles;
-std::map<std::pair<SchedPolicy, std::uint32_t>, double> gPolicy;
-
-void
-runPoint(benchmark::State& state, Wk w, std::uint32_t cap)
+/** The delta preset at queue depth @p cap under policy @p p. */
+driver::ConfigVariant
+queueConfig(SchedPolicy p, std::uint32_t cap)
 {
-    SuiteParams sp;
-    for (auto _ : state) {
-        DeltaConfig cfg = DeltaConfig::delta(8);
-        cfg.laneQueueCap = cap;
-        const RunResult r = runOnce(w, cfg, sp);
-        if (!r.correct)
-            state.SkipWithError("incorrect result");
-        gCycles[{w, cap}] = r.cycles;
-        state.counters["cycles"] = r.cycles;
+    DeltaConfig cfg = DeltaConfig::delta(8);
+    cfg.policy = p;
+    cfg.laneQueueCap = cap;
+    const std::string base =
+        p == SchedPolicy::WorkAware ? "delta" : schedPolicyName(p);
+    return {base + "-q" + std::to_string(cap), cfg};
+}
+
+std::vector<driver::ConfigVariant>
+queueConfigs(const std::vector<SchedPolicy>& policies)
+{
+    std::vector<driver::ConfigVariant> out;
+    for (const SchedPolicy p : policies) {
+        for (const auto c : kCaps)
+            out.push_back(queueConfig(p, c));
     }
+    return out;
 }
 
 void
-runPolicyPoint(benchmark::State& state, SchedPolicy p,
-               std::uint32_t cap)
-{
-    SuiteParams sp;
-    for (auto _ : state) {
-        DeltaConfig cfg = DeltaConfig::delta(8);
-        cfg.policy = p;
-        cfg.laneQueueCap = cap;
-        const RunResult r = runOnce(Wk::Join, cfg, sp);
-        if (!r.correct)
-            state.SkipWithError("incorrect result");
-        gPolicy[{p, cap}] = r.cycles;
-        state.counters["cycles"] = r.cycles;
-    }
-}
-
-void
-printTable()
+printDepthTable(const driver::SweepReport& report)
 {
     std::puts("");
     std::puts("Fig-7  Task-queue depth sensitivity (Delta, 8 lanes; "
@@ -70,17 +60,24 @@ printTable()
         std::printf(" %9u", c);
     std::puts("");
     rule();
-    for (const Wk w : kWorkloads) {
+    for (const Wk w : report.spec.workloads) {
         std::printf("%-10s", wkName(w));
-        const double best = gCycles.at({w, 16});
-        for (const auto c : kCaps)
-            std::printf(" %8.2fx", gCycles.at({w, c}) / best);
+        const double best = outcome(report, w, "delta-q16").cycles;
+        for (const auto c : kCaps) {
+            const driver::RunOutcome& r = outcome(
+                report, w, queueConfig(SchedPolicy::WorkAware, c).name);
+            std::printf(" %8.2fx", r.cycles / best);
+        }
         std::puts("");
     }
     rule();
     std::puts("expected shape: knee at small depth; deep queues add "
               "nothing (supports the small area budget in Tab-3)");
+}
 
+void
+printPolicyTable(const driver::SweepReport& report)
+{
     std::puts("");
     std::puts("Fig-7b  Policy x depth interaction on the Zipf-skewed "
               "join (cycles)");
@@ -93,7 +90,9 @@ printTable()
     for (const auto p : {SchedPolicy::DynCount, SchedPolicy::WorkAware}) {
         std::printf("%-10s", schedPolicyName(p));
         for (const auto c : kCaps)
-            std::printf(" %9.0f", gPolicy.at({p, c}));
+            std::printf(" %9.0f", outcome(report, Wk::Join,
+                                          queueConfig(p, c).name)
+                                      .cycles);
         std::puts("");
     }
     rule();
@@ -102,36 +101,25 @@ printTable()
               "commits early and the work-aware hint wins");
 }
 
+bool
+run(const driver::RunOptions& opt)
+{
+    const driver::SweepReport depth =
+        runSweep(opt, queueConfigs({SchedPolicy::WorkAware}));
+    const driver::SweepReport policy = runSweep(
+        opt,
+        queueConfigs({SchedPolicy::DynCount, SchedPolicy::WorkAware}),
+        {Wk::Join});
+    printDepthTable(depth);
+    printPolicyTable(policy);
+    return depth.allOk() && policy.allOk();
+}
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
-    for (const Wk w : kWorkloads) {
-        for (const auto c : kCaps) {
-            benchmark::RegisterBenchmark(
-                (std::string("fig7/") + wkName(w) + "/cap:" +
-                 std::to_string(c))
-                    .c_str(),
-                [w, c](benchmark::State& s) { runPoint(s, w, c); })
-                ->Iterations(1);
-        }
-    }
-    for (const auto p : {SchedPolicy::DynCount, SchedPolicy::WorkAware}) {
-        for (const auto c : kCaps) {
-            benchmark::RegisterBenchmark(
-                (std::string("fig7b/join/") + schedPolicyName(p) +
-                 "/cap:" + std::to_string(c))
-                    .c_str(),
-                [p, c](benchmark::State& s) {
-                    runPolicyPoint(s, p, c);
-                })
-                ->Iterations(1);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
-    return 0;
+    return figureMain("fig_queue", argc, argv,
+                      {Wk::Spmv, Wk::Cholesky, Wk::Msort}, run);
 }

@@ -2,14 +2,15 @@
  * @file
  * Fig-3: lane-count scaling, Delta vs static-parallel, 1..16 lanes.
  *
+ * One sweep: the selected workloads x {static, delta} at each lane
+ * count, as named configs `static-l<N>` / `delta-l<N>`.
+ *
  * Expected shape: Delta scales further before flattening because
  * dynamic balancing keeps added lanes busy; msort's pipelining gain
  * grows with lane count (a deeper merge tree fits concurrently).
  */
 
-#include <benchmark/benchmark.h>
-
-#include <map>
+#include <cstdio>
 
 #include "bench_util.hh"
 
@@ -20,42 +21,32 @@ using namespace ts;
 using namespace ts::bench;
 
 const std::vector<std::uint32_t> kLanes = {1, 2, 4, 8, 16};
-const std::vector<Wk> kWorkloads = {Wk::Spmv, Wk::Join, Wk::Msort,
-                                    Wk::Tricount};
 
-std::map<std::pair<Wk, std::uint32_t>, std::pair<double, double>>
-    gCycles; // (static, delta)
-
-void
-runPoint(benchmark::State& state, Wk w, std::uint32_t lanes)
+std::string
+lanesName(const char* base, std::uint32_t lanes)
 {
-    SuiteParams sp;
-    for (auto _ : state) {
-        const RunResult st =
-            runOnce(w, DeltaConfig::staticBaseline(lanes), sp);
-        const RunResult dy = runOnce(w, DeltaConfig::delta(lanes), sp);
-        if (!st.correct || !dy.correct)
-            state.SkipWithError("incorrect result");
-        gCycles[{w, lanes}] = {st.cycles, dy.cycles};
-        state.counters["speedup"] = st.cycles / dy.cycles;
-    }
+    return std::string(base) + "-l" + std::to_string(lanes);
 }
 
 void
-printTable()
+printTable(const driver::SweepReport& report)
 {
     std::puts("");
     std::puts("Fig-3  Scaling with lane count: cycles (and Delta "
               "self-relative scaling)");
-    for (const Wk w : kWorkloads) {
+    for (const Wk w : report.spec.workloads) {
         rule();
         std::printf("%s\n", wkName(w));
         std::printf("  %6s %14s %14s %9s %14s\n", "lanes",
                     "static(cyc)", "delta(cyc)", "speedup",
                     "delta-scaling");
-        const double delta1 = gCycles.at({w, 1}).second;
+        const double delta1 =
+            outcome(report, w, lanesName("delta", 1)).cycles;
         for (const auto lanes : kLanes) {
-            const auto [st, dy] = gCycles.at({w, lanes});
+            const double st =
+                outcome(report, w, lanesName("static", lanes)).cycles;
+            const double dy =
+                outcome(report, w, lanesName("delta", lanes)).cycles;
             std::printf("  %6u %14.0f %14.0f %8.2fx %13.2fx\n", lanes,
                         st, dy, st / dy, delta1 / dy);
         }
@@ -71,22 +62,14 @@ printTable()
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
-    for (const Wk w : kWorkloads) {
-        for (const auto lanes : kLanes) {
-            benchmark::RegisterBenchmark(
-                (std::string("fig3/") + wkName(w) + "/lanes:" +
-                 std::to_string(lanes))
-                    .c_str(),
-                [w, lanes](benchmark::State& s) {
-                    runPoint(s, w, lanes);
-                })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
+    std::vector<driver::ConfigVariant> configs;
+    for (const auto lanes : kLanes) {
+        configs.push_back({lanesName("static", lanes),
+                           DeltaConfig::staticBaseline(lanes)});
+        configs.push_back(
+            {lanesName("delta", lanes), DeltaConfig::delta(lanes)});
     }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
-    return 0;
+    return sweepFigure("fig_scalability", argc, argv,
+                       {Wk::Spmv, Wk::Join, Wk::Msort, Wk::Tricount},
+                       configs, printTable);
 }

@@ -4,12 +4,10 @@
  * pipelined dependences + shared-read multicast) versus the
  * equivalent static-parallel design, per workload and geomean.
  *
- * A thin wrapper over the parallel sweep engine: the
- * workloads x {static, delta} grid runs on a host thread pool
- * (-j N, default hardware concurrency) and the table renders from
- * the aggregated report.  Accepts every shared run option plus
- * --seeds/--scales-style grids via tools/delta-sweep; per-run
- * StatSets land in --bench-json DIR.
+ * The workloads x {static, delta} grid runs on the sweep engine's
+ * host thread pool (-j N, default hardware concurrency) and the
+ * table renders from the report.  Accepts every shared run option;
+ * per-run StatSets land in --bench-json DIR.
  *
  * Reproduction target (from the paper's abstract): the TaskStream
  * execution model improves performance by ~2.2x over the equivalent
@@ -17,10 +15,8 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.hh"
-#include "driver/sweep.hh"
 
 namespace
 {
@@ -31,7 +27,6 @@ using namespace ts::bench;
 void
 printTable(const driver::SweepReport& report)
 {
-    const driver::RunOptions& opt = options();
     std::puts("");
     std::puts("Fig-1  Delta (TaskStream) vs equivalent static-parallel "
               "design, 8 lanes");
@@ -41,20 +36,15 @@ printTable(const driver::SweepReport& report)
     rule();
     std::vector<double> speedups;
     for (const Wk w : report.spec.workloads) {
-        const driver::RunOutcome* st =
-            report.find(w, "static", opt.seed, opt.scale);
-        const driver::RunOutcome* dy =
-            report.find(w, "delta", opt.seed, opt.scale);
-        if (st == nullptr || dy == nullptr || st->failed ||
-            dy->failed)
+        const driver::RunOutcome& st = outcome(report, w, "static");
+        const driver::RunOutcome& dy = outcome(report, w, "delta");
+        if (st.failed || dy.failed)
             continue;
-        const double sp = dy->cycles > 0
-                              ? st->cycles / dy->cycles
-                              : 0.0;
+        const double sp = dy.cycles > 0 ? st.cycles / dy.cycles : 0.0;
         speedups.push_back(sp);
         std::printf("%-10s %14.0f %14.0f %8.2fx %8s\n", wkName(w),
-                    st->cycles, dy->cycles, sp,
-                    st->correct && dy->correct ? "yes" : "NO");
+                    st.cycles, dy.cycles, sp,
+                    st.correct && dy.correct ? "yes" : "NO");
     }
     rule();
     std::printf("%-10s %14s %14s %8.2fx\n", "geomean", "", "",
@@ -67,29 +57,7 @@ printTable(const driver::SweepReport& report)
 int
 main(int argc, char** argv)
 {
-    try {
-        const driver::RunOptions opt =
-            driver::parseCommandLine(argc, argv, /*strict=*/true);
-        bench::options() = opt;
-
-        driver::SweepSpec spec;
-        spec.workloads = opt.workloads;
-        spec.configs = driver::sweepConfigsFromList("static,delta");
-        spec.seeds = {opt.seed};
-        spec.scales = {opt.scale};
-        spec.baseline = "static";
-        spec.jobs = opt.jobs;
-        spec.benchJsonDir = opt.benchJsonDir;
-        spec.tracePath = opt.tracePath;
-        spec.noFastForward = opt.noFastForward;
-        spec.progress = true;
-
-        const driver::SweepReport report =
-            driver::Sweep(std::move(spec)).run();
-        printTable(report);
-        return report.allOk() ? 0 : 1;
-    } catch (const ts::FatalError& e) {
-        std::cerr << "fig_speedup: " << e.what() << "\n";
-        return 2;
-    }
+    return sweepFigure("fig_speedup", argc, argv, allWorkloads(),
+                       driver::sweepConfigsFromList("static,delta"),
+                       printTable);
 }

@@ -1,12 +1,12 @@
 /**
  * @file
  * Tab-1: architecture parameters of the simulated Delta system.
- * A configuration dump (no simulation) so the evaluation context is
- * reproducible from the binary alone.  A one-task sanity run keeps
- * the binary an honest google-benchmark target.
+ * A configuration dump so the evaluation context is reproducible
+ * from the binary alone, after a sanity sweep of the selected
+ * workloads (default: spmv) under the delta preset.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "bench_util.hh"
 
@@ -17,22 +17,14 @@ using namespace ts;
 using namespace ts::bench;
 
 void
-sanity(benchmark::State& state)
+printTable(const driver::SweepReport& report)
 {
-    SuiteParams sp;
-    sp.scale = 0.25;
-    for (auto _ : state) {
-        const RunResult r =
-            runOnce(Wk::Spmv, DeltaConfig::delta(8), sp);
-        if (!r.correct)
-            state.SkipWithError("incorrect result");
-        state.counters["cycles"] = r.cycles;
-    }
-}
+    std::puts("");
+    for (const driver::RunOutcome& r : report.runs)
+        std::printf("sanity run %-32s %9.0f cycles  %s\n",
+                    r.point.tag().c_str(), r.cycles,
+                    r.ok() ? "ok" : "FAILED");
 
-void
-printTable()
-{
     const DeltaConfig cfg = DeltaConfig::delta(8);
     std::puts("");
     std::puts("Tab-1  Simulated Delta architecture parameters");
@@ -85,10 +77,7 @@ printTable()
 int
 main(int argc, char** argv)
 {
-    bench::init(&argc, argv);
-    benchmark::RegisterBenchmark("tab1/sanity", sanity)->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    printTable();
-    return 0;
+    return sweepFigure("tab_arch", argc, argv, {Wk::Spmv},
+                       driver::sweepConfigsFromList("delta"),
+                       printTable);
 }

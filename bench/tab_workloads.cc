@@ -5,18 +5,16 @@
  * (mean and coefficient of variation), computed from the built task
  * graphs without simulating.
  *
- * A thin wrapper over the driver layer: each workload's graph is
- * built and characterized on the engine's host thread pool
- * (-j N, default hardware concurrency); rows print in canonical
- * order regardless of which thread finished first.
+ * Each workload's graph is built and characterized on the sweep
+ * engine's host thread pool (-j N, default hardware concurrency);
+ * rows print in canonical order regardless of which thread finished
+ * first.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.hh"
-#include "driver/sweep.hh"
 
 namespace
 {
@@ -68,45 +66,38 @@ characterize(Wk w, const SuiteParams& sp)
     return r;
 }
 
+bool
+run(const driver::RunOptions& opt)
+{
+    const std::vector<Wk>& workloads = opt.workloads;
+    const SuiteParams sp = opt.suiteParams();
+    std::vector<Row> rows(workloads.size());
+    driver::parallelFor(workloads.size(), opt.jobs, [&](std::size_t i) {
+        rows[i] = characterize(workloads[i], sp);
+    });
+
+    std::puts("");
+    std::puts("Tab-2  Workload characterization (default scale)");
+    rule(78);
+    std::printf("%-10s %7s %9s %9s %7s %11s %7s\n", "workload", "tasks",
+                "barriers", "pipelines", "groups", "mean work", "CV");
+    rule(78);
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const Row& r = rows[i];
+        std::printf("%-10s %7zu %9zu %9zu %7zu %11.0f %7.2f\n",
+                    wkName(workloads[i]), r.tasks, r.barriers,
+                    r.pipelines, r.groups, r.meanWork, r.cvWork);
+    }
+    rule(78);
+    std::puts("CV = per-task work variation; the workloads with high "
+              "CV are the ones where work-aware balancing pays off");
+    return true;
+}
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    try {
-        const driver::RunOptions opt =
-            driver::parseCommandLine(argc, argv, /*strict=*/true);
-        bench::options() = opt;
-
-        const std::vector<Wk>& workloads = opt.workloads;
-        const SuiteParams sp = opt.suiteParams();
-        std::vector<Row> rows(workloads.size());
-        driver::parallelFor(workloads.size(), opt.jobs,
-                            [&](std::size_t i) {
-                                rows[i] =
-                                    characterize(workloads[i], sp);
-                            });
-
-        std::puts("");
-        std::puts("Tab-2  Workload characterization (default scale)");
-        rule(78);
-        std::printf("%-10s %7s %9s %9s %7s %11s %7s\n", "workload",
-                    "tasks", "barriers", "pipelines", "groups",
-                    "mean work", "CV");
-        rule(78);
-        for (std::size_t i = 0; i < workloads.size(); ++i) {
-            const Row& r = rows[i];
-            std::printf("%-10s %7zu %9zu %9zu %7zu %11.0f %7.2f\n",
-                        wkName(workloads[i]), r.tasks, r.barriers,
-                        r.pipelines, r.groups, r.meanWork, r.cvWork);
-        }
-        rule(78);
-        std::puts("CV = per-task work variation; the workloads with "
-                  "high CV are the ones where work-aware balancing "
-                  "pays off");
-        return 0;
-    } catch (const ts::FatalError& e) {
-        std::cerr << "tab_workloads: " << e.what() << "\n";
-        return 2;
-    }
+    return figureMain("tab_workloads", argc, argv, allWorkloads(), run);
 }

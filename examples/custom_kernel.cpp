@@ -33,7 +33,7 @@ main(int argc, char** argv)
 
     driver::RunSpec spec;
     spec.cfg = DeltaConfig::delta(8);
-    spec.tag = "custom_kernel";
+    spec.workload = "custom_kernel";
 
     spec.build = [&](Delta& delta, TaskGraph& graph) {
         MemImage& img = delta.image();

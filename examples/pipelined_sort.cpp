@@ -33,7 +33,8 @@ runConfig(const char* label, bool enablePipeline,
     driver::RunSpec spec;
     spec.cfg = DeltaConfig::delta(lanes);
     spec.cfg.enablePipeline = enablePipeline;
-    spec.tag = std::string("pipelined_sort_l") + std::to_string(lanes);
+    spec.workload = "pipelined_sort";
+    spec.config = enablePipeline ? "pipelined" : "roundtrip";
     spec.build = [&](Delta& d, TaskGraph& g) { wl.build(d, g); };
     std::uint64_t activated = 0, degraded = 0;
     spec.check = [&](Delta& d) {

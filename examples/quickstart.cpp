@@ -21,9 +21,8 @@ using namespace ts;
 int
 main(int argc, char** argv)
 {
-    // Shared flags (--trace, --stats-json, --log, ...),
-    // each with a TS_* environment fallback.  This is the only layer
-    // that reads the environment; Delta itself never does.
+    // Shared flags (--trace, --stats-json, --log, ...); Delta itself
+    // only ever sees the DeltaConfig they fold into.
     const driver::RunOptions opt =
         driver::parseCommandLineOrExit(argc, argv);
 
@@ -34,7 +33,7 @@ main(int argc, char** argv)
     // TaskStream configuration: work-aware balancing + pipeline
     // recovery + shared-read multicast, on 8 lanes.
     spec.cfg = DeltaConfig::delta(8);
-    spec.tag = "quickstart";
+    spec.workload = "quickstart";
 
     spec.build = [&](Delta& delta, TaskGraph& graph) {
         MemImage& img = delta.image();

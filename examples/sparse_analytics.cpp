@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "driver/run_one.hh"
+#include "driver/sweep.hh"
 #include "workloads/spmv.hh"
 
 using namespace ts;
@@ -27,14 +28,14 @@ namespace
 driver::RunOptions gOpt;
 
 double
-runConfig(const char* label, DeltaConfig cfg)
+runConfig(const char* label, const driver::ConfigVariant& config)
 {
     SpmvParams params;
     params.rows = 512;
     params.cols = 1024;
     SpmvWorkload wl(params);
 
-    const driver::RunResult r = driver::runOne(gOpt, wl, cfg);
+    const driver::RunResult r = driver::runOne(gOpt, wl, config);
     std::printf("  %-28s %9.0f cycles  imbalance %.2f  "
                 "dram lines %7.0f  %s\n",
                 label, r.cycles, r.stats.get("delta.imbalance"),
@@ -52,22 +53,15 @@ main(int argc, char** argv)
     std::printf("SpMV over a 512x1024 CSR matrix with heavy-row skew, "
                 "8 lanes\n\n");
 
-    const double base =
-        runConfig("static-parallel (baseline)",
-                  DeltaConfig::staticBaseline(8));
-
-    DeltaConfig count = DeltaConfig::delta(8);
-    count.policy = SchedPolicy::DynCount;
-    count.enableMulticast = false;
-    count.enablePipeline = false;
-    runConfig("dynamic, count-balanced", count);
-
-    DeltaConfig work = count;
-    work.policy = SchedPolicy::WorkAware;
-    runConfig("dynamic, work-aware", work);
-
+    // The ablation presets (driver::sweepConfig): static, then
+    // dynamic dispatch with count- and work-aware lane choice, then
+    // the full TaskStream configuration.
+    const double base = runConfig("static-parallel (baseline)",
+                                  driver::sweepConfig("static"));
+    runConfig("dynamic, count-balanced", driver::sweepConfig("dyn"));
+    runConfig("dynamic, work-aware", driver::sweepConfig("work"));
     const double full = runConfig("delta (work-aware + multicast)",
-                                  DeltaConfig::delta(8));
+                                  driver::sweepConfig("delta"));
 
     std::printf("\n  speedup over static-parallel: %.2fx\n",
                 base / full);

@@ -4,7 +4,7 @@
  *
  * Just enough JSON to ingest the simulator's own outputs — flat
  * StatSet dumps, the bench wrapper objects written under
- * TS_BENCH_JSON, and Perfetto/chrome trace-event files.  Not a
+ * --bench-json, and Perfetto/chrome trace-event files.  Not a
  * general-purpose parser: numbers are doubles, objects are ordered
  * maps, and duplicate keys keep the first value.
  */

@@ -70,15 +70,12 @@ statsFromJson(const Json& doc)
 
     const Json* flat = &doc;
     if (doc.has("stats") && doc.at("stats").isObj()) {
-        // TS_BENCH_JSON wrapper: metadata + nested stats object.
+        // Bench-JSON wrapper: metadata + nested stats object.
         flat = &doc.at("stats");
         if (doc.has("workload"))
             out.workload = doc.at("workload").str;
-        if (doc.has("policy"))
-            out.policy = doc.at("policy").str;
-        // The sweep's bench dumps label the grid point "config".
-        if (out.policy.empty() && doc.has("config"))
-            out.policy = doc.at("config").str;
+        if (doc.has("config"))
+            out.config = doc.at("config").str;
     }
     for (const auto& [name, v] : flat->obj) {
         if (v.isNum())
@@ -237,8 +234,8 @@ printHeader(std::ostream& os, const RunStats& s)
     os << "delta-report";
     if (!s.workload.empty())
         os << " — workload " << s.workload;
-    if (!s.policy.empty())
-        os << " (" << s.policy << ")";
+    if (!s.config.empty())
+        os << " (" << s.config << ")";
     os << "\n";
     os << "  cycles " << fmt(s.getOr("delta.cycles")) << ", lanes "
        << fmt(s.getOr("delta.lanes")) << ", imbalance "

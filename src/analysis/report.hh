@@ -2,8 +2,8 @@
  * @file
  * Turning a run's statistics dump into a human-readable diagnosis.
  *
- * Ingests the flat JSON a run writes (TS_STATS_JSON, or the
- * TS_BENCH_JSON wrapper objects the benchmarks emit) and renders the
+ * Ingests the flat JSON a run writes (--stats-json, or the
+ * --bench-json wrapper objects the benchmarks emit) and renders the
  * top-down story: where the lane-cycles went (accounting waterfall),
  * what each recovered mechanism bought (attribution), how close the
  * run came to its dependence-structure bound (critical path), and
@@ -33,9 +33,9 @@ struct RunStats
 {
     std::map<std::string, double> values;
 
-    // From the TS_BENCH_JSON wrapper, empty for raw dumps.
+    // From the bench-JSON wrapper, empty for raw dumps.
     std::string workload;
-    std::string policy;
+    std::string config;
 
     bool has(const std::string& name) const
     {
@@ -58,7 +58,7 @@ struct RunStats
  * Interpret a parsed JSON document as a statistics dump.  Accepts
  * both shapes the simulator writes: a flat object of numbers (the
  * StatSet dump) and the bench wrapper
- * `{"workload":..., "policy":..., "lanes":..., "stats": {...}}`.
+ * `{"workload":..., "config":..., "lanes":..., "stats": {...}}`.
  * Non-numeric entries (nulls from non-finite statistics) are
  * dropped.
  */

@@ -5,8 +5,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
 
+#include "driver/sweep.hh"
 #include "sim/logging.hh"
 
 namespace ts
@@ -32,87 +33,300 @@ suffixPath(const std::string& path, const std::string& tag)
     return out;
 }
 
+std::string
+trim(const std::string& s)
+{
+    const auto b = s.find_first_not_of(" \t\r");
+    const auto e = s.find_last_not_of(" \t\r");
+    return b == std::string::npos ? std::string()
+                                  : s.substr(b, e - b + 1);
+}
+
+// Value parsers: each names the option it parses in its error.
+
 double
-parseScale(const std::string& s, const char* what)
+parsePositive(const std::string& s, const char* key)
 {
     char* end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
     if (end == s.c_str() || *end != '\0' || !(v > 0))
-        fatal(what, " must be a positive number, got '", s, "'");
+        fatal("option '", key, "' must be a positive number, got '",
+              s, "'");
     return v;
 }
 
 std::uint64_t
-parseSeed(const std::string& s, const char* what)
+parseCount(const std::string& s, const char* key)
 {
     char* end = nullptr;
     const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        fatal(what, " must be a non-negative integer, got '", s, "'");
+    if (end == s.c_str() || *end != '\0' || s[0] == '-')
+        fatal("option '", key,
+              "' must be a non-negative integer, got '", s, "'");
     return v;
 }
 
-int
-parseLogLevel(const std::string& s, const char* what)
+long
+parseRange(const std::string& s, const char* key, long lo, long hi)
 {
     char* end = nullptr;
     const long v = std::strtol(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < 0 || v > 2)
-        fatal(what, " must be 0, 1, or 2, got '", s, "'");
-    return static_cast<int>(v);
+    if (end == s.c_str() || *end != '\0' || v < lo || v > hi)
+        fatal("option '", key, "' must be an integer in ", lo, "..",
+              hi, ", got '", s, "'");
+    return v;
 }
 
-unsigned
-parseJobs(const std::string& s, const char* what)
+bool
+parseSwitch(const std::string& s, const char* key)
 {
-    char* end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < 1)
-        fatal(what, " must be a positive integer, got '", s, "'");
-    return static_cast<unsigned>(v);
-}
-
-std::string
-parseProgress(const std::string& s, const char* what)
-{
-    if (s != "auto" && s != "always" && s != "never")
-        fatal(what, " must be auto, always, or never, got '", s, "'");
-    return s;
+    if (s != "0" && s != "1")
+        fatal("option '", key, "' must be 0 or 1, got '", s, "'");
+    return s == "1";
 }
 
 std::uint64_t
-parseCount(const std::string& s, const char* what)
+parseCapBytes(const std::string& s)
 {
     char* end = nullptr;
     const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        fatal(what, " must be a non-negative integer, got '", s, "'");
-    return v;
+    std::uint64_t mult = 1;
+    if (end != s.c_str() && *end != '\0' && *(end + 1) == '\0') {
+        switch (*end) {
+          case 'K': case 'k': mult = 1ull << 10; break;
+          case 'M': case 'm': mult = 1ull << 20; break;
+          case 'G': case 'g': mult = 1ull << 30; break;
+          default: mult = 0; break;
+        }
+    }
+    if (end == s.c_str() || (*end != '\0' && mult == 1) || mult == 0)
+        fatal("option 'cache-cap' must be BYTES[K|M|G], got '", s,
+              "'");
+    return v * mult;
 }
 
-StealPolicy
-parseSteal(const std::string& s, const char* what)
+template <typename T, typename Parse>
+std::vector<T>
+parseList(const std::string& list, const char* key, Parse parse)
 {
-    StealPolicy p = StealPolicy::None;
-    if (!stealPolicyFromName(s, p))
-        fatal(what, " must be none, steal-one, or steal-half, got '",
-              s, "'");
-    return p;
+    std::vector<T> out;
+    for (const std::string& s : splitList(list))
+        out.push_back(parse(s, key));
+    if (out.empty())
+        fatal("option '", key, "' needs at least one entry");
+    return out;
 }
 
-SchedPolicy
-parseSched(const std::string& s, const char* what)
+/** One option: the key (flag `--key`, grid key `key`), the values it
+ *  accepts, a one-line meaning, who accepts it, and the setter.  A
+ *  switch takes no value as a flag (`--key` means 1). */
+struct OptionDef
 {
-    SchedPolicy p = SchedPolicy::WorkAware;
-    if (!schedPolicyFromName(s, p))
-        fatal(what,
-              " must be static, dyncount, workaware, or spatial, "
-              "got '",
-              s, "'");
-    return p;
+    const char* key;
+    const char* values;
+    const char* help;
+    Scope scope;
+    bool isSwitch;
+    void (*set)(const std::string& value, RunOptions& opt,
+                GridSettings& grid);
+};
+
+const OptionDef kOptions[] = {
+    {"workloads", "comma list of workload names, or 'all'",
+     "workload axis (default: the binary's own list)", Scope::Run,
+     false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.workloads = workloadsFromList(v);
+     }},
+    {"scale", "positive number", "problem-size multiplier",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.scale = parsePositive(v, "scale");
+     }},
+    {"seed", "non-negative integer", "base RNG seed", Scope::Run,
+     false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.seed = parseCount(v, "seed");
+     }},
+    {"trace", "path",
+     "Perfetto trace output (a sweep writes <base>.<tag>.<ext> per "
+     "point)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.tracePath = v;
+     }},
+    {"stats-json", "path",
+     "flat StatSet dump of the one run (multi-point binaries reject "
+     "it: use bench-json)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.statsJsonPath = v;
+     }},
+    {"bench-json", "directory path",
+     "per-run wrapper dumps <dir>/<tag>.json (created if missing)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.benchJsonDir = v;
+     }},
+    {"log", "0 | 1 | 2", "stderr verbosity: silent, warnings, +info",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.logLevel = static_cast<int>(parseRange(v, "log", 0, 2));
+     }},
+    {"no-fast-forward", "0 | 1",
+     "naive per-cycle ticking (bit-identical reference mode)",
+     Scope::Run, true,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.noFastForward = parseSwitch(v, "no-fast-forward");
+     }},
+    {"steal", "none | steal-one | steal-half",
+     "NoC work stealing for configs whose preset leaves it off "
+     "(changes results)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         if (!stealPolicyFromName(v, o.overrides.steal))
+             fatal("option 'steal' must be none, steal-one, or "
+                   "steal-half, got '", v, "'");
+     }},
+    {"sched", "static | dyncount | workaware | spatial",
+     "scheduling-policy override for every config (changes results)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         SchedPolicy p = SchedPolicy::WorkAware;
+         if (!schedPolicyFromName(v, p))
+             fatal("option 'sched' must be static, dyncount, "
+                   "workaware, or spatial, got '", v, "'");
+         o.overrides.sched = p;
+     }},
+    {"progress", "auto | always | never",
+     "sweep progress lines on stderr (auto: only on a TTY)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         if (v != "auto" && v != "always" && v != "never")
+             fatal("option 'progress' must be auto, always, or never, "
+                   "got '", v, "'");
+         o.progress = v;
+     }},
+    {"timeline", "non-negative integer (cycles; 0 = off)",
+     "delta.timeline.* sampling interval", Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.timelineInterval = parseCount(v, "timeline");
+     }},
+    {"timeline-series", "subset of lanes,ready,noc,dram",
+     "timeline probe groups (default: all)", Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.timelineSeries = v;
+     }},
+    {"host-profile", "0 | 1",
+     "host wall-time attribution (sim.host.profile.*)", Scope::Run,
+     true,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.hostProfile = parseSwitch(v, "host-profile");
+     }},
+    {"flight-recorder", "non-negative integer (records; 0 = off)",
+     "ring of the last N sleep/wake/commit/event records, dumped on "
+     "deadlock",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.overrides.flightRecorder = static_cast<std::size_t>(
+             parseCount(v, "flight-recorder"));
+     }},
+    {"jobs", "positive integer",
+     "host worker threads; also -j N (default: hardware concurrency)",
+     Scope::Run, false,
+     [](const std::string& v, RunOptions& o, GridSettings&) {
+         o.jobs = static_cast<unsigned>(
+             parseRange(v, "jobs", 1, 1 << 16));
+     }},
+    {"configs",
+     "comma list of: static, dyn, work, work-steal, pipe, delta, "
+     "spatial",
+     "accelerator-config axis (default: static,delta)", Scope::Sweep,
+     false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         (void)sweepConfigsFromList(v); // validate now
+         g.configs = v;
+     }},
+    {"seeds", "comma list of non-negative integers",
+     "RNG-seed axis (default: seed)", Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.seeds = parseList<std::uint64_t>(v, "seeds", parseCount);
+     }},
+    {"scales", "comma list of positive numbers",
+     "problem-size axis (default: scale)", Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.scales = parseList<double>(v, "scales", parsePositive);
+     }},
+    {"lanes", "integer in 1..62", "lane count of every config",
+     Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.lanes =
+             static_cast<std::uint32_t>(parseRange(v, "lanes", 1, 62));
+     }},
+    {"baseline", "a name from the configs list",
+     "config paired speedups are measured against (default: the "
+     "first)",
+     Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.baseline = v;
+     }},
+    {"out", "path", "aggregate JSON report (default: stdout)",
+     Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.out = v;
+     }},
+    {"cache", "directory path",
+     "content-addressed run cache: consult before running, publish "
+     "after",
+     Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.cacheDir = v;
+     }},
+    {"cache-cap", "BYTES[K|M|G]", "run-cache size budget",
+     Scope::Sweep, false,
+     [](const std::string& v, RunOptions&, GridSettings& g) {
+         g.cacheCapBytes = parseCapBytes(v);
+     }},
+};
+
+const OptionDef*
+findOption(const std::string& key, Scope scope)
+{
+    for (const OptionDef& def : kOptions) {
+        if (key == def.key &&
+            (def.scope == Scope::Run || scope == Scope::Sweep))
+            return &def;
+    }
+    return nullptr;
 }
 
 } // namespace
+
+DeltaConfig
+RunOverrides::applyTo(DeltaConfig cfg, const std::string& traceTag) const
+{
+    if (!cfg.trace.enabled && !tracePath.empty())
+        cfg.trace = traceTag.empty()
+                        ? nextTraceConfig(tracePath)
+                        : traceConfigTagged(tracePath, traceTag);
+    if (!statsJsonPath.empty())
+        cfg.statsJsonPath = statsJsonPath;
+    if (noFastForward)
+        cfg.noFastForward = true;
+    if (cfg.steal == StealPolicy::None)
+        cfg.steal = steal;
+    if (sched)
+        cfg.policy = *sched;
+    if (timelineInterval > 0) {
+        cfg.timelineInterval = timelineInterval;
+        cfg.timelineSeries = timelineSeries;
+    }
+    if (hostProfile)
+        cfg.hostProfile = true;
+    if (flightRecorder > 0)
+        cfg.flightRecorder = flightRecorder;
+    return cfg;
+}
 
 SuiteParams
 RunOptions::suiteParams() const
@@ -121,30 +335,6 @@ RunOptions::suiteParams() const
     sp.scale = scale;
     sp.seed = seed;
     return sp;
-}
-
-DeltaConfig
-RunOptions::applyTo(DeltaConfig cfg) const
-{
-    if (!cfg.trace.enabled && !tracePath.empty())
-        cfg.trace = nextTraceConfig(tracePath);
-    if (cfg.statsJsonPath.empty())
-        cfg.statsJsonPath = statsJsonPath;
-    if (noFastForward)
-        cfg.noFastForward = true;
-    if (cfg.steal == StealPolicy::None)
-        cfg.steal = steal;
-    if (schedSet)
-        cfg.policy = sched;
-    if (cfg.timelineInterval == 0)
-        cfg.timelineInterval = timelineInterval;
-    if (cfg.timelineSeries.empty())
-        cfg.timelineSeries = timelineSeries;
-    if (hostProfile)
-        cfg.hostProfile = true;
-    if (cfg.flightRecorder == 0)
-        cfg.flightRecorder = flightRecorder;
-    return cfg;
 }
 
 bool
@@ -157,188 +347,148 @@ RunOptions::progressEnabled() const
     return ::isatty(fileno(stderr)) != 0;
 }
 
-void
-RunOptions::applyLogLevel() const
+std::string
+optionsHelp(Scope scope)
 {
-    setLogVerbosity(logLevel);
-}
-
-RunOptions
-RunOptions::fromEnv()
-{
-    // The single place in the tree that reads the environment: the
-    // legacy TS_* variables remain supported as documented fallbacks
-    // for the shared flags.
-    RunOptions opt;
-    const auto env = [](const char* name) -> std::string {
-        const char* v = std::getenv(name);
-        return v == nullptr ? std::string() : std::string(v);
-    };
-
-    opt.workloads = workloadsFromList(env("TS_WORKLOADS"));
-    if (const std::string s = env("TS_SCALE"); !s.empty())
-        opt.scale = parseScale(s, "TS_SCALE");
-    if (const std::string s = env("TS_SEED"); !s.empty())
-        opt.seed = parseSeed(s, "TS_SEED");
-    if (const std::string s = env("TS_LOG"); !s.empty())
-        opt.logLevel = parseLogLevel(s, "TS_LOG");
-    opt.tracePath = env("TS_TRACE");
-    opt.statsJsonPath = env("TS_STATS_JSON");
-    opt.benchJsonDir = env("TS_BENCH_JSON");
-    if (const std::string s = env("TS_NO_FAST_FORWARD"); !s.empty())
-        opt.noFastForward = s != "0";
-    if (const std::string s = env("TS_STEAL"); !s.empty())
-        opt.steal = parseSteal(s, "TS_STEAL");
-    if (const std::string s = env("TS_SCHED"); !s.empty()) {
-        opt.sched = parseSched(s, "TS_SCHED");
-        opt.schedSet = true;
+    std::string out = "options (--key VALUE or --key=VALUE):\n";
+    for (const OptionDef& def : kOptions) {
+        if (def.scope == Scope::Sweep && scope == Scope::Run)
+            continue;
+        std::string flag = std::string("  --") + def.key;
+        if (!def.isSwitch)
+            flag += " <" + std::string(def.values) + ">";
+        out += flag + "\n      " + def.help + "\n";
     }
-    if (const std::string s = env("TS_PROGRESS"); !s.empty())
-        opt.progress = parseProgress(s, "TS_PROGRESS");
-    if (const std::string s = env("TS_TIMELINE"); !s.empty())
-        opt.timelineInterval = parseCount(s, "TS_TIMELINE");
-    opt.timelineSeries = env("TS_TIMELINE_SERIES");
-    if (const std::string s = env("TS_HOST_PROFILE"); !s.empty())
-        opt.hostProfile = s != "0";
-    if (const std::string s = env("TS_FLIGHT_RECORDER"); !s.empty())
-        opt.flightRecorder = static_cast<std::size_t>(
-            parseCount(s, "TS_FLIGHT_RECORDER"));
-    return opt;
+    return out;
 }
 
-const char*
-optionsHelp()
+void
+parseArgs(int argc, char** argv, Scope scope, RunOptions& opt,
+          GridSettings& grid, const ExtraArgs& extra)
 {
-    return
-        "shared run options (each falls back to its TS_* variable):\n"
-        "  --workloads LIST   comma-separated workloads, 'all' = suite\n"
-        "                     [TS_WORKLOADS]\n"
-        "  --scale X          problem-size multiplier, > 0 [TS_SCALE]\n"
-        "  --seed N           base RNG seed [TS_SEED]\n"
-        "  --trace PATH       Perfetto trace output [TS_TRACE]\n"
-        "  --stats-json PATH  flat StatSet JSON dump [TS_STATS_JSON]\n"
-        "  --bench-json DIR   per-run wrapper dumps [TS_BENCH_JSON]\n"
-        "  --log N            stderr verbosity 0|1|2 [TS_LOG]\n"
-        "  --no-fast-forward  naive per-cycle ticking (bit-identical\n"
-        "                     reference mode) [TS_NO_FAST_FORWARD]\n"
-        "  --steal P          lane work stealing over the NoC:\n"
-        "                     none|steal-one|steal-half (behaviour-\n"
-        "                     relevant: part of run-cache keys)\n"
-        "                     [TS_STEAL]\n"
-        "  --sched P          scheduling policy override:\n"
-        "                     static|dyncount|workaware|spatial\n"
-        "                     (behaviour-relevant: part of run-cache\n"
-        "                     keys) [TS_SCHED]\n"
-        "  --progress[=]MODE  sweep progress lines: auto|always|never\n"
-        "                     (auto = only when stderr is a TTY)\n"
-        "                     [TS_PROGRESS]\n"
-        "  --timeline N       sample a delta.timeline.* time series\n"
-        "                     every N simulated cycles (0 = off)\n"
-        "                     [TS_TIMELINE]\n"
-        "  --timeline-series LIST\n"
-        "                     probe-group subset out of\n"
-        "                     lanes,ready,noc,dram (default: all)\n"
-        "                     [TS_TIMELINE_SERIES]\n"
-        "  --host-profile     attribute host wall time per component\n"
-        "                     class and phase (sim.host.profile.*)\n"
-        "                     [TS_HOST_PROFILE]\n"
-        "  --flight-recorder N\n"
-        "                     keep a ring of the last N sleep/wake/\n"
-        "                     commit/event records, dumped on\n"
-        "                     deadlock (0 = off) [TS_FLIGHT_RECORDER]\n"
-        "  -j N, --jobs N     host worker threads (default: hardware\n"
-        "                     concurrency)\n";
-}
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        const auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                fatal("option '", arg, "' requires a value\n",
+                      optionsHelp(scope));
+            return argv[++i];
+        };
 
-RunOptions
-parseCommandLine(int& argc, char** argv, bool strict)
-{
-    RunOptions opt = RunOptions::fromEnv();
-
-    std::vector<char*> keep;
-    keep.reserve(static_cast<std::size_t>(argc));
-    if (argc > 0)
-        keep.push_back(argv[0]);
-
-    int i = 1;
-    const auto value = [&](const char* flag) -> std::string {
-        if (i + 1 >= argc)
-            fatal("option '", flag, "' requires a value\n",
-                  optionsHelp());
-        return argv[++i];
-    };
-
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--workloads") {
-            opt.workloads = workloadsFromList(value("--workloads"));
-        } else if (arg == "--scale") {
-            opt.scale = parseScale(value("--scale"), "--scale");
-        } else if (arg == "--seed") {
-            opt.seed = parseSeed(value("--seed"), "--seed");
-        } else if (arg == "--log") {
-            opt.logLevel = parseLogLevel(value("--log"), "--log");
-        } else if (arg == "--trace") {
-            opt.tracePath = value("--trace");
-        } else if (arg == "--stats-json") {
-            opt.statsJsonPath = value("--stats-json");
-        } else if (arg == "--bench-json") {
-            opt.benchJsonDir = value("--bench-json");
-        } else if (arg == "--no-fast-forward") {
-            opt.noFastForward = true;
-        } else if (arg == "--steal") {
-            opt.steal = parseSteal(value("--steal"), "--steal");
-        } else if (arg == "--sched") {
-            opt.sched = parseSched(value("--sched"), "--sched");
-            opt.schedSet = true;
-        } else if (arg == "--progress") {
-            opt.progress =
-                parseProgress(value("--progress"), "--progress");
-        } else if (arg.rfind("--progress=", 0) == 0) {
-            opt.progress = parseProgress(
-                arg.substr(std::strlen("--progress=")), "--progress");
-        } else if (arg == "--timeline") {
-            opt.timelineInterval =
-                parseCount(value("--timeline"), "--timeline");
-        } else if (arg == "--timeline-series") {
-            opt.timelineSeries = value("--timeline-series");
-        } else if (arg == "--host-profile") {
-            opt.hostProfile = true;
-        } else if (arg == "--flight-recorder") {
-            opt.flightRecorder = static_cast<std::size_t>(parseCount(
-                value("--flight-recorder"), "--flight-recorder"));
-        } else if (arg == "-j" || arg == "--jobs") {
-            opt.jobs = parseJobs(value("--jobs"), "--jobs");
-        } else if (strict && (arg == "--help" || arg == "-h")) {
-            std::fputs(optionsHelp(), stdout);
+        std::string key;
+        std::optional<std::string> inlineValue;
+        if (arg == "-j") {
+            key = "jobs";
+        } else if (arg.rfind("--", 0) == 0) {
+            key = arg.substr(2);
+            const std::size_t eq = key.find('=');
+            if (eq != std::string::npos) {
+                inlineValue = key.substr(eq + 1);
+                key.erase(eq);
+            }
+        }
+        if (const OptionDef* def = findOption(key, scope)) {
+            def->set(inlineValue ? *inlineValue
+                                 : (def->isSwitch ? "1" : value()),
+                     opt, grid);
+        } else if (extra && extra(arg, value)) {
+            continue;
+        } else if (!extra && (arg == "--help" || arg == "-h")) {
+            std::fputs(optionsHelp(scope).c_str(), stdout);
             std::exit(0);
-        } else if (strict && !arg.empty() && arg[0] == '-') {
-            fatal("unknown option '", arg, "'\n", optionsHelp());
         } else {
-            keep.push_back(argv[i]);
+            fatal("unknown option '", arg, "'\n", optionsHelp(scope));
         }
     }
-
-    argc = static_cast<int>(keep.size());
-    for (std::size_t k = 0; k < keep.size(); ++k)
-        argv[k] = keep[k];
-    if (argc >= 0)
-        argv[argc] = nullptr;
-
-    opt.applyLogLevel();
-    return opt;
+    setLogVerbosity(opt.logLevel);
 }
 
 RunOptions
-parseCommandLineOrExit(int& argc, char** argv, bool strict)
+parseCommandLine(int argc, char** argv, RunOptions defaults)
+{
+    GridSettings unused;
+    parseArgs(argc, argv, Scope::Run, defaults, unused);
+    return defaults;
+}
+
+RunOptions
+parseCommandLineOrExit(int argc, char** argv)
 {
     try {
-        return parseCommandLine(argc, argv, strict);
+        return parseCommandLine(argc, argv);
     } catch (const FatalError& e) {
         std::fprintf(stderr, "%s: %s\n",
                      argc > 0 ? argv[0] : "run", e.what());
         std::exit(2);
     }
+}
+
+void
+applyGridKey(const std::string& key, const std::string& value,
+             RunOptions& opt, GridSettings& grid)
+{
+    if (const OptionDef* def = findOption(key, Scope::Sweep)) {
+        def->set(value, opt, grid);
+        return;
+    }
+    std::string valid;
+    for (const OptionDef& def : kOptions)
+        valid += (valid.empty() ? "" : ", ") + std::string(def.key);
+    fatal("unknown grid key '", key, "'; valid keys: ", valid);
+}
+
+void
+printGridKeys(std::ostream& os)
+{
+    os << "grid keys (`key = value` in grid files, `key=value` with "
+          "--set, `--key value` as flags):\n";
+    for (const OptionDef& def : kOptions) {
+        os << "  " << def.key << " = <" << def.values << ">\n"
+           << "      " << def.help << "\n";
+    }
+}
+
+void
+loadGridFile(const std::string& path, RunOptions& opt,
+             GridSettings& grid)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open grid file '", path, "'");
+    std::string line;
+    std::size_t lineno = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        const std::size_t hash = line.find('#');
+        if (hash != std::string::npos)
+            line.erase(hash);
+        if (trim(line).empty())
+            continue;
+        const std::size_t eq = line.find('=');
+        if (eq == std::string::npos)
+            fatal("grid file ", path, ":", lineno,
+                  ": expected `key = value`, got '", line, "'");
+        applyGridKey(trim(line.substr(0, eq)),
+                     trim(line.substr(eq + 1)), opt, grid);
+    }
+}
+
+std::vector<std::string>
+splitList(const std::string& list)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= list.size()) {
+        std::size_t comma = list.find(',', start);
+        if (comma == std::string::npos)
+            comma = list.size();
+        const std::string item =
+            trim(list.substr(start, comma - start));
+        if (!item.empty())
+            out.push_back(item);
+        start = comma + 1;
+    }
+    return out;
 }
 
 trace::TracerConfig
@@ -348,8 +498,8 @@ nextTraceConfig(const std::string& base)
     if (base.empty())
         return cfg;
 
-    // One process may run many accelerator instances (the benches);
-    // suffix each instance after the first so traces coexist.
+    // One process may run many accelerator instances; suffix each
+    // instance after the first so traces coexist.
     static std::atomic<unsigned> instance{0};
     const unsigned idx =
         instance.fetch_add(1, std::memory_order_relaxed);

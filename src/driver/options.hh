@@ -1,42 +1,31 @@
 /**
  * @file
- * RunOptions: the one typed description of "how to run a simulation"
- * shared by every binary in the tree (benches, tools, examples).
+ * The run-option vocabulary shared by every binary in the tree
+ * (benches, tools, examples): one table of options, each with its
+ * key, accepted values, help line and setter.
  *
- * Design rule: **this layer is the only place that reads the
- * environment.**  Binaries parse the shared command-line flags below;
- * each flag falls back to its legacy TS_* environment variable when
- * the flag is absent, so existing scripts keep working, but no
- * std::getenv() call exists anywhere below src/driver/.
+ * The same table backs every way to set an option:
+ *   --key VALUE / --key=VALUE    command-line flags of every binary
+ *   key = value                  delta-sweep grid files (--grid)
+ *   --set key=value              one grid setting inline
+ * and generates optionsHelp() and `delta-sweep --list-grid-keys`,
+ * so the listings cannot drift from what the parser accepts.
+ * Options are flags only: nothing in the tree reads the environment.
  *
- *   flag                    env fallback     meaning
- *   --workloads LIST        TS_WORKLOADS     comma-separated subset
- *                                            ("all"/empty = suite)
- *   --scale X               TS_SCALE         problem-size multiplier
- *   --seed N                TS_SEED          base RNG seed
- *   --trace PATH            TS_TRACE         Perfetto trace output
- *   --stats-json PATH       TS_STATS_JSON    flat StatSet dump
- *   --bench-json DIR        TS_BENCH_JSON    per-run wrapper dumps
- *   --log N                 TS_LOG           stderr verbosity 0|1|2
- *   --no-fast-forward       TS_NO_FAST_FORWARD
- *                                            naive per-cycle ticking
- *   --steal P               TS_STEAL         lane work stealing
- *                                            (none|steal-one|steal-half)
- *   --sched P               TS_SCHED         scheduling policy
- *                                            (static|dyncount|
- *                                            workaware|spatial)
- *   -j N / --jobs N         (none)           host worker threads
- *
- * parseCommandLine() erases the flags it consumed from argv, so
- * google-benchmark binaries can hand the remainder to
- * benchmark::Initialize().  In strict mode any leftover option is
- * fatal, listing the valid flags — tools use that.
+ * Options that shape a simulated run (trace, stats, no-fast-forward,
+ * steal, sched, timeline, host-profile, flight-recorder, ...) land in
+ * one RunOverrides value, held by both RunOptions and SweepSpec and
+ * folded into a DeltaConfig by RunOverrides::applyTo — the single
+ * place a command-line choice reaches the accelerator config.
  */
 
 #ifndef TS_DRIVER_OPTIONS_HH
 #define TS_DRIVER_OPTIONS_HH
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -48,129 +37,159 @@ namespace ts
 namespace driver
 {
 
+/** One named accelerator configuration (a sweep grid column, or the
+ *  "config" label of a one-shot run). */
+struct ConfigVariant
+{
+    std::string name;
+    DeltaConfig cfg;
+};
+
+/** Per-run choices folded into every DeltaConfig a binary runs. */
+struct RunOverrides
+{
+    std::string tracePath;     ///< Perfetto trace out ("" = off)
+    std::string statsJsonPath; ///< flat StatSet dump; one run only
+    std::string benchJsonDir;  ///< per-run wrapper dumps ("" = off)
+
+    /** Naive per-cycle ticking (bit-identical reference mode). */
+    bool noFastForward = false;
+
+    /** NoC work stealing for configs whose preset leaves it off. */
+    StealPolicy steal = StealPolicy::None;
+
+    /** Scheduling-policy override for every config (unset = each
+     *  preset keeps its own policy). */
+    std::optional<SchedPolicy> sched;
+
+    /** delta.timeline.* sampling interval (0 = off) and probe-group
+     *  subset (empty = all). */
+    Tick timelineInterval = 0;
+    std::string timelineSeries;
+
+    /** Host wall-time attribution (sim.host.profile.*). */
+    bool hostProfile = false;
+
+    /** Flight-recorder ring capacity in records (0 = off). */
+    std::size_t flightRecorder = 0;
+
+    /**
+     * @p cfg with every set override applied.  Overrides replace the
+     * config's value, except that steal only fills configs whose
+     * preset leaves stealing off and a config that already traces
+     * keeps its tracer.  With a @p traceTag the trace lands at
+     * `<base>.<tag>.<ext>` (sweep points); without one, instances are
+     * numbered in creation order and the first gets the path
+     * verbatim (nextTraceConfig).
+     */
+    DeltaConfig applyTo(DeltaConfig cfg,
+                        const std::string& traceTag = "") const;
+};
+
 /** Everything a single simulated run needs from the outside world. */
 struct RunOptions
 {
-    /** Workloads this process operates on (the whole suite unless
-     *  narrowed by --workloads/TS_WORKLOADS). */
-    std::vector<Wk> workloads;
+    /** Workloads this process operates on; a figure pre-sets its own
+     *  list before parsing, --workloads replaces it. */
+    std::vector<Wk> workloads = allWorkloads();
 
     double scale = 1.0;      ///< problem-size multiplier (> 0)
     std::uint64_t seed = 7;  ///< base RNG seed
     int logLevel = 1;        ///< stderr verbosity (0|1|2)
 
-    std::string tracePath;     ///< Perfetto trace out ("" = off)
-    std::string statsJsonPath; ///< flat StatSet dump ("" = off)
-    std::string benchJsonDir;  ///< per-run wrapper dumps ("" = off)
-
-    /** Disable the activity-driven simulation core and tick every
-     *  component every cycle (the naive reference mode).  Results are
-     *  bit-identical either way; this exists for differential testing
-     *  and host-performance comparison. */
-    bool noFastForward = false;
-
-    /** NoC work stealing between lane task units
-     *  (none|steal-one|steal-half).  Behaviour-relevant: participates
-     *  in canonicalConfig / cache keys.  --steal P / TS_STEAL. */
-    StealPolicy steal = StealPolicy::None;
-
-    /** Scheduling policy override
-     *  (static|dyncount|workaware|spatial); only applied when
-     *  schedSet (presets keep their own policy otherwise).
-     *  Behaviour-relevant: participates in canonicalConfig / cache
-     *  keys.  --sched P / TS_SCHED. */
-    SchedPolicy sched = SchedPolicy::WorkAware;
-    bool schedSet = false; ///< --sched/TS_SCHED was given
-
-    /** Host worker threads for sweep-style drivers (0 = pick
-     *  hardware concurrency at use site). */
+    /** Host worker threads (0 = hardware concurrency). */
     unsigned jobs = 0;
 
-    /**
-     * Progress/ETA lines on stderr for sweep-style drivers:
-     * "auto" (default) emits them only when stderr is a TTY,
-     * "always" forces them (CI logs), "never" suppresses them.
-     * --progress[=]VALUE / TS_PROGRESS.
-     */
+    /** Sweep progress lines on stderr: "auto" (only when stderr is
+     *  a TTY), "always", or "never". */
     std::string progress = "auto";
 
-    /** Timeline sampling interval in simulated cycles (0 = off).
-     *  --timeline N / TS_TIMELINE. */
-    Tick timelineInterval = 0;
+    RunOverrides overrides;
 
-    /** Timeline probe-group subset ("lanes,ready,noc,dram"; empty =
-     *  all).  --timeline-series LIST / TS_TIMELINE_SERIES. */
-    std::string timelineSeries;
-
-    /** Attribute host wall-ns per component class and simulator
-     *  phase (sim.host.profile.*).  --host-profile /
-     *  TS_HOST_PROFILE. */
-    bool hostProfile = false;
-
-    /** Flight-recorder ring capacity in records (0 = off).
-     *  --flight-recorder N / TS_FLIGHT_RECORDER. */
-    std::size_t flightRecorder = 0;
-
-    /**
-     * Resolve the progress setting against a TTY check of stderr:
-     * "always" is true, "never" is false, "auto" is isatty(stderr).
-     */
+    /** Resolve `progress` against a TTY check of stderr. */
     bool progressEnabled() const;
 
     /** Suite knobs in the shape the workload factories expect. */
     SuiteParams suiteParams() const;
+};
 
-    /**
-     * Inject this run's output options into an accelerator config:
-     * sets cfg.statsJsonPath, and when tracing is requested installs
-     * a per-instance trace path (the second and later accelerator
-     * instances in one process get a ".N" suffix before the
-     * extension, so traces never overwrite each other).
-     */
-    DeltaConfig applyTo(DeltaConfig cfg) const;
+/** The grid axes and sweep outputs only delta-sweep sets. */
+struct GridSettings
+{
+    std::string configs;   ///< preset list ("" = static,delta)
+    std::vector<std::uint64_t> seeds; ///< empty = {--seed}
+    std::vector<double> scales;       ///< empty = {--scale}
+    std::uint32_t lanes = 8;
+    std::string baseline;
+    std::string out;
 
-    /** Apply logLevel to the process-wide logger (setLogVerbosity). */
-    void applyLogLevel() const;
+    std::string cacheDir;            ///< run cache ("" = off)
+    std::uint64_t cacheCapBytes = 0; ///< cache budget (0 = unbounded)
+};
 
-    /**
-     * Options from the environment alone: every TS_* fallback above,
-     * validated exactly like the flags (fatal on bad values, unknown
-     * workload names listed).  This is the only function in the tree
-     * that reads the environment.
-     */
-    static RunOptions fromEnv();
+/** Which binaries accept an option. */
+enum class Scope
+{
+    Run,   ///< every binary
+    Sweep, ///< delta-sweep: the Run options plus the grid axes
 };
 
 /**
- * Parse the shared flags out of argv (argv[0] is preserved).
- * Consumed arguments are erased and argc updated; anything
- * unrecognized is left in place for the caller (google-benchmark
- * flags, positional arguments).  With @p strict set, any remaining
- * argument starting with '-' is fatal() listing the valid flags.
- * Starts from fromEnv(), so flags override the environment.
- * `--help` prints optionsHelp() to stdout and exits 0 in strict
- * mode; in lenient mode it is left for the caller's own help path.
+ * A binary's own flags, tried after the option table: return true
+ * when @p arg is yours, pulling its value (if any) with value().
  */
-RunOptions parseCommandLine(int& argc, char** argv,
-                            bool strict = false);
+using ExtraArgs = std::function<bool(
+    const std::string& arg, const std::function<std::string()>& value)>;
 
-/** One-screen reference for the shared flags (ends with '\n'). */
-const char* optionsHelp();
+/**
+ * Parse argv[1..] against the option table into @p opt and @p grid,
+ * in order, so later flags win.  An argument the table does not know
+ * (in @p scope) goes to @p extra; when there is no handler, `--help`
+ * prints optionsHelp(scope) and exits 0, and anything else is fatal,
+ * listing the valid flags.  Applies opt.logLevel to the process-wide
+ * logger when done.
+ */
+void parseArgs(int argc, char** argv, Scope scope, RunOptions& opt,
+               GridSettings& grid, const ExtraArgs& extra = {});
 
-/** parseCommandLine(strict), but option errors print to stderr and
- *  exit(2) instead of throwing — for examples and small CLIs whose
- *  main() has no try/catch. */
-RunOptions parseCommandLineOrExit(int& argc, char** argv,
-                                  bool strict = true);
+/** parseArgs for a single-run or figure binary, starting from
+ *  @p defaults (a figure's own workload list, say). */
+RunOptions parseCommandLine(int argc, char** argv,
+                            RunOptions defaults = {});
+
+/** parseCommandLine, but option errors print to stderr and exit(2)
+ *  instead of throwing — for examples whose main() has no
+ *  try/catch. */
+RunOptions parseCommandLineOrExit(int argc, char** argv);
+
+/** One-screen reference for the flags of @p scope, generated from
+ *  the option table (ends with '\n'). */
+std::string optionsHelp(Scope scope = Scope::Run);
+
+/**
+ * Apply one `key = value` setting (grid files, --set).  Every table
+ * key is valid; an unknown one is fatal listing them all.
+ */
+void applyGridKey(const std::string& key, const std::string& value,
+                  RunOptions& opt, GridSettings& grid);
+
+/** Print the whole `key = value` vocabulary from the option table
+ *  (backs `delta-sweep --list-grid-keys`). */
+void printGridKeys(std::ostream& os);
+
+/** Read a `key = value` grid file ('#' comments, blank lines ok). */
+void loadGridFile(const std::string& path, RunOptions& opt,
+                  GridSettings& grid);
+
+/** Split a comma-separated list, trimming surrounding whitespace and
+ *  dropping empty entries. */
+std::vector<std::string> splitList(const std::string& list);
 
 /**
  * Trace config for one accelerator instance: disabled when @p base
  * is empty; otherwise instance 0 gets @p base verbatim and instance
  * i > 0 gets ".i" inserted before the extension.  Instance numbers
- * come from a process-wide atomic counter, so serial benches that
- * construct many Deltas keep distinct trace files.  Sweep drivers
- * that need deterministic names bypass this and set
- * DeltaConfig::trace explicitly via traceConfigTagged().
+ * come from a process-wide atomic counter.
  */
 trace::TracerConfig nextTraceConfig(const std::string& base);
 

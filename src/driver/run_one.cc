@@ -1,8 +1,9 @@
 #include "driver/run_one.hh"
 
-#include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -11,50 +12,66 @@ namespace ts
 namespace driver
 {
 
-namespace
+std::string
+formatScale(double scale)
 {
-
-/**
- * The bench-JSON wrapper for a one-shot run, written to
- * opt.benchJsonDir as `<seq>_<tag>.json`.  The process-wide sequence
- * number keeps files from a bench that runs many points in one
- * process distinct and in execution order (sweeps use deterministic
- * point tags instead — see sweep.cc).
- */
-void
-emitBenchJson(const RunOptions& opt, const std::string& tag,
-              const std::string& name, const DeltaConfig& cfg,
-              const RunResult& r)
-{
-    if (opt.benchJsonDir.empty())
-        return;
-    static std::atomic<int> seq{0};
-    const std::string path =
-        opt.benchJsonDir + "/" +
-        std::to_string(seq.fetch_add(1, std::memory_order_relaxed)) +
-        "_" + tag + ".json";
-    std::error_code ec;
-    std::filesystem::create_directories(opt.benchJsonDir, ec);
-    std::ofstream os(path);
-    os << "{\n  \"workload\": \"" << name << "\",\n"
-       << "  \"policy\": \"" << schedPolicyName(cfg.policy) << "\",\n"
-       << "  \"steal\": \"" << stealPolicyName(cfg.steal) << "\",\n"
-       << "  \"lanes\": " << cfg.lanes << ",\n"
-       << "  \"correct\": " << (r.correct ? "true" : "false") << ",\n"
-       << "  \"stats\": ";
-    r.stats.dumpJson(os);
-    os << "}\n";
-    os.close();
-    if (!os)
-        fatal("runOne: cannot write bench JSON '", path, "'");
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", scale);
+    return buf;
 }
 
-} // namespace
+std::string
+runTag(const std::string& workload, const std::string& config,
+       std::uint32_t lanes, std::uint64_t seed, double scale)
+{
+    return workload + "_" + config + "_l" + std::to_string(lanes) +
+           "_s" + std::to_string(seed) + "_x" + formatScale(scale);
+}
+
+std::string
+benchWrapperJson(const std::string& workload, const std::string& config,
+                 std::uint32_t lanes, std::uint64_t seed, double scale,
+                 bool correct, double cycles, const StatSet& stats)
+{
+    std::ostringstream os;
+    os << "{\n  \"workload\": \"" << workload
+       << "\",\n  \"config\": \"" << config
+       << "\",\n  \"lanes\": " << lanes << ",\n  \"seed\": " << seed
+       << ",\n  \"scale\": " << formatScale(scale)
+       << ",\n  \"correct\": " << (correct ? "true" : "false")
+       << ",\n  \"cycles\": " << jsonNumber(cycles)
+       << ",\n  \"stats\": ";
+    stats.dumpJson(os);
+    os << "}\n";
+    return os.str();
+}
+
+std::string
+writeBenchJson(const std::string& dir, const std::string& tag,
+               const std::string& payload)
+{
+    const std::string path = dir + "/" + tag + ".json";
+    std::ofstream os(path, std::ios::binary);
+    os << payload;
+    os.close();
+    return os ? std::string()
+              : "cannot write bench JSON '" + path + "'";
+}
+
+void
+makeBenchJsonDir(const std::string& dir)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec || !std::filesystem::is_directory(dir))
+        fatal("cannot create bench-json directory '", dir, "'",
+              ec ? ": " + ec.message() : std::string());
+}
 
 RunResult
 runOne(const RunOptions& opt, const RunSpec& spec)
 {
-    Delta delta(opt.applyTo(spec.cfg));
+    Delta delta(opt.overrides.applyTo(spec.cfg));
     TaskGraph graph;
     spec.build(delta, graph);
 
@@ -62,31 +79,37 @@ runOne(const RunOptions& opt, const RunSpec& spec)
     r.stats = delta.run(graph);
     r.cycles = r.stats.get("delta.cycles");
     r.correct = !spec.check || spec.check(delta);
-    const std::string tag = spec.tag.empty() ? "run" : spec.tag;
-    emitBenchJson(opt, tag, spec.name.empty() ? tag : spec.name,
-                  spec.cfg, r);
+
+    const std::string& dir = opt.overrides.benchJsonDir;
+    if (!dir.empty()) {
+        const DeltaConfig& cfg = delta.config();
+        const std::string config = spec.config.empty()
+                                       ? schedPolicyName(cfg.policy)
+                                       : spec.config;
+        makeBenchJsonDir(dir);
+        const std::string error = writeBenchJson(
+            dir,
+            runTag(spec.workload, config, cfg.lanes, opt.seed,
+                   opt.scale),
+            benchWrapperJson(spec.workload, config, cfg.lanes,
+                             opt.seed, opt.scale, r.correct, r.cycles,
+                             r.stats));
+        if (!error.empty())
+            fatal("runOne: ", error);
+    }
     return r;
 }
 
 RunResult
-runOne(const RunOptions& opt, Workload& wl, DeltaConfig cfg)
+runOne(const RunOptions& opt, Workload& wl, const ConfigVariant& config)
 {
     RunSpec spec;
-    spec.cfg = cfg;
+    spec.cfg = config.cfg;
     spec.build = [&wl](Delta& d, TaskGraph& g) { wl.build(d, g); };
     spec.check = [&wl](Delta& d) { return wl.check(d.image()); };
-    spec.tag = wl.name() + "_" +
-               std::string(schedPolicyName(cfg.policy)) + "_l" +
-               std::to_string(cfg.lanes);
-    spec.name = wl.name();
+    spec.workload = wl.name();
+    spec.config = config.name;
     return runOne(opt, spec);
-}
-
-RunResult
-runOne(const RunOptions& opt, Wk w, DeltaConfig cfg)
-{
-    const auto wl = makeWorkload(w, opt.suiteParams());
-    return runOne(opt, *wl, cfg);
 }
 
 } // namespace driver

@@ -1,26 +1,19 @@
 /**
  * @file
- * runOne: the one way to assemble and execute a single simulated run.
+ * runOne: the one way to assemble and execute a single simulated run
+ * outside a sweep grid (examples, and fig_grain's custom workload
+ * instances).  The sweep engine (sweep.hh) runs its points through
+ * the same override folding and writes the same bench-JSON wrapper.
  *
- * Every binary that is not a sweep — the figure benches, the
- * examples, one-shot tools — used to repeat the same glue: make a
- * workload, build a Delta with the options applied, emit the graph,
- * run, check, and hand-write a bench-JSON wrapper.  That glue lives
- * here once.  The sweep engine (sweep.hh) remains separate: it adds
- * caching and deterministic grid aggregation on top of the same
- * underlying steps.
+ * Two entry points:
+ *   runOne(opt, spec)            custom build/check callbacks
+ *                                (examples with hand-rolled graphs)
+ *   runOne(opt, wl, config)      a constructed Workload instance
  *
- * Three entry points, most-derived first:
- *   runOne(opt, spec)       custom build/check callbacks (examples
- *                           with hand-rolled graphs)
- *   runOne(opt, wl, cfg)    a constructed Workload instance
- *   runOne(opt, w, cfg)     a suite workload by id, scaled by
- *                           opt.suiteParams()
- *
- * All of them inject the options' outputs (trace, stats-json,
- * bench-json, ...) via RunOptions::applyTo, and write the
- * bench-JSON wrapper to opt.benchJsonDir when set — callers never
- * touch StatSet serialization themselves.
+ * Both fold opt.overrides into the config (RunOverrides::applyTo)
+ * and, when opt.overrides.benchJsonDir is set, write the run's
+ * wrapper to `<dir>/<tag>.json` — callers never touch StatSet
+ * serialization themselves.
  */
 
 #ifndef TS_DRIVER_RUN_ONE_HH
@@ -55,22 +48,45 @@ struct RunSpec
     /** Verify results after the run (empty = always correct). */
     std::function<bool(Delta&)> check;
 
-    /** Stem of the bench-JSON wrapper file (defaults to "run"). */
-    std::string tag;
-
-    /** The wrapper's "workload" field (defaults to tag). */
-    std::string name;
+    /** The wrapper's "workload" and "config" labels, which also make
+     *  up the file tag (config defaults to the policy name). */
+    std::string workload = "run";
+    std::string config;
 };
 
 /** Assemble and execute one run described by @p spec. */
 RunResult runOne(const RunOptions& opt, const RunSpec& spec);
 
-/** Run a constructed workload instance under @p cfg. */
-RunResult runOne(const RunOptions& opt, Workload& wl, DeltaConfig cfg);
+/** Run a constructed workload instance under @p config. */
+RunResult runOne(const RunOptions& opt, Workload& wl,
+                 const ConfigVariant& config);
 
-/** Run suite workload @p w under @p cfg, scaled and seeded by
- *  opt.suiteParams(). */
-RunResult runOne(const RunOptions& opt, Wk w, DeltaConfig cfg);
+/** A scale as tags and JSON spell it ("%g"). */
+std::string formatScale(double scale);
+
+/** `<workload>_<config>_l<lanes>_s<seed>_x<scale>`: the stem of a
+ *  run's bench-JSON and trace file names. */
+std::string runTag(const std::string& workload,
+                   const std::string& config, std::uint32_t lanes,
+                   std::uint64_t seed, double scale);
+
+/** The bench-JSON wrapper of one finished run, as every per-run dump
+ *  and run-cache payload spells it. */
+std::string benchWrapperJson(const std::string& workload,
+                             const std::string& config,
+                             std::uint32_t lanes, std::uint64_t seed,
+                             double scale, bool correct, double cycles,
+                             const StatSet& stats);
+
+/** Write @p payload to `<dir>/<tag>.json`; returns "" or an error
+ *  naming the path. */
+std::string writeBenchJson(const std::string& dir,
+                           const std::string& tag,
+                           const std::string& payload);
+
+/** Create a bench-JSON directory (fatal, naming it, when it cannot
+ *  be created). */
+void makeBenchJsonDir(const std::string& dir);
 
 } // namespace driver
 } // namespace ts

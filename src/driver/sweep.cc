@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -14,6 +12,7 @@
 
 #include "analysis/json.hh"
 #include "cache/run_cache.hh"
+#include "driver/run_one.hh"
 #include "sim/logging.hh"
 #include "task/task_graph.hh"
 
@@ -24,14 +23,6 @@ namespace driver
 
 namespace
 {
-
-std::string
-formatScale(double scale)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", scale);
-    return buf;
-}
 
 unsigned
 resolveJobs(unsigned jobs)
@@ -116,24 +107,8 @@ std::vector<ConfigVariant>
 sweepConfigsFromList(const std::string& list, std::uint32_t lanes)
 {
     std::vector<ConfigVariant> out;
-    std::string cur;
-    const auto flush = [&] {
-        // Trim surrounding whitespace.
-        const auto b = cur.find_first_not_of(" \t");
-        const auto e = cur.find_last_not_of(" \t");
-        const std::string name =
-            b == std::string::npos ? "" : cur.substr(b, e - b + 1);
-        if (!name.empty())
-            out.push_back(sweepConfig(name, lanes));
-        cur.clear();
-    };
-    for (const char c : list) {
-        if (c == ',')
-            flush();
-        else
-            cur += c;
-    }
-    flush();
+    for (const std::string& name : splitList(list))
+        out.push_back(sweepConfig(name, lanes));
     if (out.empty()) {
         out.push_back(sweepConfig("static", lanes));
         out.push_back(sweepConfig("delta", lanes));
@@ -152,9 +127,7 @@ SweepSpec::baselineName() const
 std::string
 RunPoint::tag() const
 {
-    return std::string(wkName(workload)) + "_" + config + "_l" +
-           std::to_string(lanes) + "_s" + std::to_string(seed) +
-           "_x" + formatScale(scale);
+    return runTag(wkName(workload), config, lanes, seed, scale);
 }
 
 std::string
@@ -201,43 +174,45 @@ canonicalConfig(const DeltaConfig& cfg)
     return os.str();
 }
 
-namespace
-{
-
-/** The DeltaConfig a point runs under, mirroring exactly what
- *  executePoint builds (minus trace wiring, which bypasses the
- *  cache). */
 DeltaConfig
-resolvePointConfig(const SweepSpec& spec, const RunPoint& point)
+SweepSpec::pointConfig(const RunPoint& point) const
 {
-    DeltaConfig cfg;
-    for (const ConfigVariant& c : spec.configs) {
+    for (const ConfigVariant& c : configs) {
         if (c.name == point.config)
-            cfg = c.cfg;
+            return overrides.applyTo(c.cfg, point.tag());
     }
-    if (spec.noFastForward)
-        cfg.noFastForward = true;
-    if (spec.timelineInterval > 0) {
-        cfg.timelineInterval = spec.timelineInterval;
-        cfg.timelineMaxSamples = spec.timelineMaxSamples;
-        cfg.timelineSeries = spec.timelineSeries;
-    }
-    // Host-side only: changes sim.host.* output but never simulated
-    // results, so it stays out of canonicalConfig/cache keys.
-    if (spec.hostProfile)
-        cfg.hostProfile = true;
-    // Behaviour-relevant: canonicalConfig covers cfg.steal, so a
-    // spec-level override changes every point's cache key.
-    if (cfg.steal == StealPolicy::None)
-        cfg.steal = spec.steal;
-    // Same for the scheduling policy (canonicalConfig covers
-    // cfg.policy).
-    if (spec.schedSet)
-        cfg.policy = spec.sched;
-    return cfg;
+    fatal("sweep: point config '", point.config,
+          "' is not in the config list");
 }
 
-} // namespace
+SweepSpec
+sweepSpec(const RunOptions& opt, std::vector<ConfigVariant> configs)
+{
+    SweepSpec spec;
+    spec.workloads = opt.workloads;
+    spec.configs = std::move(configs);
+    spec.seeds = {opt.seed};
+    spec.scales = {opt.scale};
+    spec.jobs = opt.jobs;
+    spec.overrides = opt.overrides;
+    spec.progress = opt.progressEnabled();
+    return spec;
+}
+
+SweepSpec
+buildSweepSpec(const RunOptions& opt, const GridSettings& grid)
+{
+    SweepSpec spec =
+        sweepSpec(opt, sweepConfigsFromList(grid.configs, grid.lanes));
+    if (!grid.seeds.empty())
+        spec.seeds = grid.seeds;
+    if (!grid.scales.empty())
+        spec.scales = grid.scales;
+    spec.baseline = grid.baseline;
+    spec.cacheDir = grid.cacheDir;
+    spec.cacheCapBytes = grid.cacheCapBytes;
+    return spec;
+}
 
 std::string
 canonicalCell(const SweepSpec& spec, const RunPoint& point)
@@ -248,7 +223,7 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     os << "v3 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
-       << canonicalConfig(resolvePointConfig(spec, point));
+       << canonicalConfig(spec.pointConfig(point));
     return os.str();
 }
 
@@ -258,6 +233,9 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
         fatal("sweep: no workloads selected");
     if (spec_.configs.empty())
         fatal("sweep: no configs selected");
+    if (!spec_.overrides.statsJsonPath.empty())
+        fatal("--stats-json writes one run's stats, but a sweep runs "
+              "many points; use --bench-json DIR");
     if (spec_.seeds.empty())
         fatal("sweep: no seeds selected");
     if (spec_.scales.empty())
@@ -302,44 +280,28 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
 namespace
 {
 
-/**
- * The bench-JSON wrapper for a finished run.  This exact string is
- * both the per-run file under benchJsonDir and the run-cache
- * payload, so warm replays reproduce the file byte-for-byte.
- */
+/** The bench-JSON wrapper for a finished run.  This exact string is
+ *  both the per-run file under benchJsonDir and the run-cache
+ *  payload, so warm replays reproduce the file byte-for-byte. */
 std::string
-benchWrapperJson(const RunOutcome& out)
+wrapperOf(const RunOutcome& out)
 {
-    std::ostringstream os;
-    os << "{\n  \"workload\": \"" << wkName(out.point.workload)
-       << "\",\n  \"config\": \"" << out.point.config
-       << "\",\n  \"lanes\": " << out.point.lanes
-       << ",\n  \"seed\": " << out.point.seed
-       << ",\n  \"scale\": " << formatScale(out.point.scale)
-       << ",\n  \"correct\": " << (out.correct ? "true" : "false")
-       << ",\n  \"cycles\": " << jsonNumber(out.cycles)
-       << ",\n  \"stats\": ";
-    out.stats.dumpJson(os);
-    os << "}\n";
-    return os.str();
+    const RunPoint& p = out.point;
+    return benchWrapperJson(wkName(p.workload), p.config, p.lanes,
+                            p.seed, p.scale, out.correct, out.cycles,
+                            out.stats);
 }
 
 /** Write @p payload as the point's per-run bench JSON.  A failed
  *  write fails the point, naming the path, so the sweep exits
  *  nonzero instead of silently dropping the file. */
 void
-writeBenchJson(const SweepSpec& spec, const RunPoint& point,
+writePointJson(const SweepSpec& spec, const RunPoint& point,
                const std::string& payload, RunOutcome& out)
 {
-    const std::string path =
-        spec.benchJsonDir + "/" + point.tag() + ".json";
-    std::ofstream os(path, std::ios::binary);
-    os << payload;
-    os.close();
-    if (!os) {
-        out.failed = true;
-        out.error = "cannot write bench JSON '" + path + "'";
-    }
+    out.error = writeBenchJson(spec.overrides.benchJsonDir,
+                               point.tag(), payload);
+    out.failed = !out.error.empty();
 }
 
 /**
@@ -399,8 +361,8 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
         if (cache->lookup(cacheKey, payload)) {
             RunOutcome cached;
             if (rehydrateOutcome(payload, point, cached)) {
-                if (!spec.benchJsonDir.empty())
-                    writeBenchJson(spec, point, payload, cached);
+                if (!spec.overrides.benchJsonDir.empty())
+                    writePointJson(spec, point, payload, cached);
                 fromCache = true;
                 return cached;
             }
@@ -410,10 +372,7 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
     }
 
     try {
-        DeltaConfig cfg = resolvePointConfig(spec, point);
-        if (!spec.tracePath.empty())
-            cfg.trace = traceConfigTagged(spec.tracePath, point.tag());
-
+        const DeltaConfig cfg = spec.pointConfig(point);
         SuiteParams sp;
         sp.seed = point.seed;
         sp.scale = point.scale;
@@ -431,11 +390,11 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
     }
 
     if (!out.failed) {
-        const std::string payload = benchWrapperJson(out);
+        const std::string payload = wrapperOf(out);
         if (cache != nullptr && out.ok())
             cache->publish(cacheKey, cellKey, payload);
-        if (!spec.benchJsonDir.empty())
-            writeBenchJson(spec, point, payload, out);
+        if (!spec.overrides.benchJsonDir.empty())
+            writePointJson(spec, point, payload, out);
     }
     return out;
 }
@@ -478,18 +437,12 @@ Sweep::run()
     report.spec = spec_;
     report.runs.resize(points_.size());
 
-    if (!spec_.benchJsonDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(spec_.benchJsonDir, ec);
-        if (ec || !std::filesystem::is_directory(spec_.benchJsonDir))
-            fatal("sweep: cannot create bench-json directory '",
-                  spec_.benchJsonDir, "'",
-                  ec ? ": " + ec.message() : std::string());
-    }
+    if (!spec_.overrides.benchJsonDir.empty())
+        makeBenchJsonDir(spec_.overrides.benchJsonDir);
 
     std::unique_ptr<cache::RunCache> cache;
     if (!spec_.cacheDir.empty()) {
-        if (!spec_.tracePath.empty()) {
+        if (!spec_.overrides.tracePath.empty()) {
             warn("sweep: tracing requested; bypassing the run cache");
         } else {
             cache::RunCacheConfig ccfg;

@@ -23,9 +23,9 @@
  *    the bench-JSON wrapper shape `tools/delta-report --baseline`
  *    already ingests.
  *
- * tools/delta-sweep is a thin CLI over this; the ported figure
- * benches (fig_speedup, fig_ablation, fig_energy) build a SweepSpec
- * and render their tables from the SweepReport.
+ * tools/delta-sweep is a thin CLI over this; the figure benches
+ * build a SweepSpec with sweepSpec() and render their tables from
+ * the SweepReport.
  */
 
 #ifndef TS_DRIVER_SWEEP_HH
@@ -42,13 +42,6 @@ namespace ts
 {
 namespace driver
 {
-
-/** One named accelerator configuration in a sweep grid. */
-struct ConfigVariant
-{
-    std::string name;
-    DeltaConfig cfg;
-};
 
 /** Names accepted by sweepConfig(): the ablation ladder.
  *    static      bulk-synchronous static-parallel baseline
@@ -70,6 +63,20 @@ ConfigVariant sweepConfig(const std::string& name,
 std::vector<ConfigVariant>
 sweepConfigsFromList(const std::string& list, std::uint32_t lanes = 8);
 
+/** One point of the expanded grid, in deterministic grid order. */
+struct RunPoint
+{
+    Wk workload = Wk::Spmv;
+    std::string config;   ///< ConfigVariant name
+    std::uint64_t seed = 7;
+    double scale = 1.0;
+    std::uint32_t lanes = 8;
+
+    /** Stable identifier: `<wk>_<config>_l<lanes>_s<seed>_x<scale>`
+     *  — also the per-run JSON file stem. */
+    std::string tag() const;
+};
+
 /** The declarative grid: the cross product of the four axes. */
 struct SweepSpec
 {
@@ -85,52 +92,16 @@ struct SweepSpec
     /** Worker threads (0 = hardware concurrency). */
     unsigned jobs = 0;
 
-    /** When non-empty, each run writes its StatSet in the bench-JSON
-     *  wrapper shape to `<dir>/<tag>.json` (delta-report ingestible,
-     *  deterministic names).  Sweep::run creates the directory and
-     *  fails loudly when it cannot; a failed write fails its point. */
-    std::string benchJsonDir;
-
-    /** When non-empty, each run writes a Perfetto trace to
-     *  `<base>.<tag>.json`-style deterministic per-point paths. */
-    std::string tracePath;
+    /** Per-run overrides applied to every point's config (see
+     *  RunOverrides::applyTo).  A point's trace lands at
+     *  `<base>.<tag>.<ext>` and its bench JSON at `<dir>/<tag>.json`;
+     *  Sweep::run creates the directory and fails loudly when it
+     *  cannot, and a failed write fails its point.  statsJsonPath
+     *  names one file, so a sweep rejects it. */
+    RunOverrides overrides;
 
     /** Progress/ETA lines on stderr as runs retire. */
     bool progress = false;
-
-    /** Run every point with naive per-cycle ticking instead of the
-     *  activity-driven core (bit-identical; for differential checks
-     *  and host-throughput comparison). */
-    bool noFastForward = false;
-
-    /** Sample a delta.timeline.* time series in every run at this
-     *  interval (0 = off).  Cache-key relevant: it changes the
-     *  emitted stats, so it participates in canonicalConfig. */
-    Tick timelineInterval = 0;
-
-    /** Timeline sample cap (see DeltaConfig::timelineMaxSamples). */
-    std::size_t timelineMaxSamples = 512;
-
-    /** Timeline probe-group subset (empty = all). */
-    std::string timelineSeries;
-
-    /** Attribute host wall time per component class and phase
-     *  (sim.host.profile.*).  Host-side only: never cache-key
-     *  relevant, and excluded from byte-compared dumps. */
-    bool hostProfile = false;
-
-    /** Work-stealing override applied to every config whose preset
-     *  left stealing off.  Behaviour-relevant (unlike hostProfile): the
-     *  resolved policy lands in canonicalConfig and so in every
-     *  point's cache key. */
-    StealPolicy steal = StealPolicy::None;
-
-    /** Scheduling-policy override applied to every config when
-     *  schedSet (presets keep their own policy otherwise).
-     *  Behaviour-relevant like steal: the resolved policy lands in
-     *  canonicalConfig and so in every point's cache key. */
-    SchedPolicy sched = SchedPolicy::WorkAware;
-    bool schedSet = false; ///< sched override was requested
 
     /**
      * When non-empty, consult a content-addressed run cache rooted
@@ -147,21 +118,22 @@ struct SweepSpec
 
     /** Resolved baseline name ("" when speedups are off). */
     std::string baselineName() const;
+
+    /** The config a point of this grid runs under: the named
+     *  variant with the overrides applied (trace tagged by
+     *  @p point).  Fatal on a name outside `configs`. */
+    DeltaConfig pointConfig(const RunPoint& point) const;
 };
 
-/** One point of the expanded grid, in deterministic grid order. */
-struct RunPoint
-{
-    Wk workload = Wk::Spmv;
-    std::string config;   ///< ConfigVariant name
-    std::uint64_t seed = 7;
-    double scale = 1.0;
-    std::uint32_t lanes = 8;
+/** A grid over @p configs with everything else from @p opt: its
+ *  workloads, seed, scale, jobs, overrides and progress setting. */
+SweepSpec sweepSpec(const RunOptions& opt,
+                    std::vector<ConfigVariant> configs);
 
-    /** Stable identifier: `<wk>_<config>_l<lanes>_s<seed>_x<scale>`
-     *  — also the per-run JSON file stem. */
-    std::string tag() const;
-};
+/** delta-sweep's grid: sweepSpec over grid.configs (at grid.lanes),
+ *  with grid's seed/scale axes, baseline and cache when set. */
+SweepSpec buildSweepSpec(const RunOptions& opt,
+                         const GridSettings& grid);
 
 /** Outcome of one executed point. */
 struct RunOutcome

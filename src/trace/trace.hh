@@ -29,9 +29,8 @@
  * bit-identical simulation results.
  *
  * Activation is runtime-gated and programmatic: DeltaConfig::trace
- * carries the configuration.  The TS_TRACE environment variable is
- * honored as a fallback by the options layer (src/driver/options.hh),
- * which is the only place in the tree that reads the environment.
+ * carries the configuration, which the --trace flag fills in
+ * through the options layer (src/driver/options.hh).
  */
 
 #ifndef TS_TRACE_TRACE_HH

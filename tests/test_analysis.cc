@@ -191,12 +191,12 @@ TEST(AnalysisJson, BenchWrapperCarriesMetadata)
 {
     Json doc;
     ASSERT_TRUE(parseJson(
-        R"({"workload": "spmv", "policy": "workaware", "lanes": 8,
+        R"({"workload": "spmv", "config": "delta", "lanes": 8,
             "correct": true, "stats": {"delta.cycles": 123}})",
         doc));
     const RunStats rs = analysis::statsFromJson(doc);
     EXPECT_EQ(rs.workload, "spmv");
-    EXPECT_EQ(rs.policy, "workaware");
+    EXPECT_EQ(rs.config, "delta");
     EXPECT_EQ(rs.getOr("delta.cycles"), 123.0);
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Driver-layer tests: the RunOptions API (shared flag parser + env
- * fallbacks, the only environment-reading layer in the tree), the
- * grid-key vocabulary, and the parallel sweep engine (grid expansion,
- * -j N determinism, failure surfacing, loud bench-JSON output
- * failures, deterministic aggregation).
+ * Driver-layer tests: the option table (flags, grid keys, and the
+ * one override fold they share), and the parallel sweep engine (grid
+ * expansion, -j N determinism, failure surfacing, loud bench-JSON
+ * output failures, deterministic aggregation).
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 
 #include <unistd.h>
 
-#include "driver/grid.hh"
 #include "driver/options.hh"
 #include "driver/run_one.hh"
 #include "driver/sweep.hh"
@@ -50,13 +48,12 @@ struct Argv
     char** argv() { return ptrs.data(); }
 };
 
-void
-clearSharedEnv()
+/** Parse @p args as a single-run binary would. */
+RunOptions
+parse(std::vector<std::string> args)
 {
-    for (const char* v :
-         {"TS_WORKLOADS", "TS_SCALE", "TS_SEED", "TS_LOG", "TS_TRACE",
-          "TS_STATS_JSON", "TS_BENCH_JSON", "TS_NO_FAST_FORWARD"})
-        ::unsetenv(v);
+    Argv a(std::move(args));
+    return parseCommandLine(a.argc, a.argv());
 }
 
 /** Fresh per-test scratch directory, removed on destruction. */
@@ -86,7 +83,7 @@ benchJsonSpec(const std::filesystem::path& dir)
     spec.seeds = {7};
     spec.scales = {0.25};
     spec.jobs = 1;
-    spec.benchJsonDir = dir.string();
+    spec.overrides.benchJsonDir = dir.string();
     return spec;
 }
 
@@ -106,125 +103,97 @@ smallSpec()
 } // namespace
 
 // ---------------------------------------------------------------------
-// RunOptions: env fallbacks and the shared flag parser.
+// RunOptions: the option table as command-line flags.
 // ---------------------------------------------------------------------
 
 TEST(RunOptionsTest, DefaultsSelectWholeSuite)
 {
-    clearSharedEnv();
-    const RunOptions opt = RunOptions::fromEnv();
+    const RunOptions opt = parse({"prog"});
     EXPECT_EQ(opt.workloads, allWorkloads());
     EXPECT_DOUBLE_EQ(opt.scale, 1.0);
     EXPECT_EQ(opt.seed, 7u);
     EXPECT_EQ(opt.logLevel, 1);
-    EXPECT_TRUE(opt.tracePath.empty());
-    EXPECT_TRUE(opt.statsJsonPath.empty());
-    EXPECT_TRUE(opt.benchJsonDir.empty());
+    EXPECT_TRUE(opt.overrides.tracePath.empty());
+    EXPECT_TRUE(opt.overrides.statsJsonPath.empty());
+    EXPECT_TRUE(opt.overrides.benchJsonDir.empty());
+    EXPECT_FALSE(opt.overrides.sched.has_value());
     EXPECT_EQ(opt.jobs, 0u);
-}
-
-TEST(RunOptionsTest, EnvFallbacksAreHonored)
-{
-    clearSharedEnv();
-    ASSERT_EQ(::setenv("TS_WORKLOADS", "spmv,msort", 1), 0);
-    ASSERT_EQ(::setenv("TS_SCALE", "0.5", 1), 0);
-    ASSERT_EQ(::setenv("TS_SEED", "123", 1), 0);
-    ASSERT_EQ(::setenv("TS_LOG", "2", 1), 0);
-    ASSERT_EQ(::setenv("TS_STATS_JSON", "/tmp/ts_stats.json", 1), 0);
-    ASSERT_EQ(::setenv("TS_BENCH_JSON", "/tmp/ts_bench", 1), 0);
-    const RunOptions opt = RunOptions::fromEnv();
-    clearSharedEnv();
-
-    EXPECT_EQ(opt.workloads,
-              (std::vector<Wk>{Wk::Spmv, Wk::Msort}));
-    EXPECT_DOUBLE_EQ(opt.scale, 0.5);
-    EXPECT_EQ(opt.seed, 123u);
-    EXPECT_EQ(opt.logLevel, 2);
-    EXPECT_EQ(opt.statsJsonPath, "/tmp/ts_stats.json");
-    EXPECT_EQ(opt.benchJsonDir, "/tmp/ts_bench");
-}
-
-TEST(RunOptionsTest, BadEnvValueFailsFast)
-{
-    clearSharedEnv();
-    ASSERT_EQ(::setenv("TS_SCALE", "-1", 1), 0);
-    EXPECT_THROW(RunOptions::fromEnv(), FatalError);
-    ASSERT_EQ(::setenv("TS_SCALE", "abc", 1), 0);
-    EXPECT_THROW(RunOptions::fromEnv(), FatalError);
-    clearSharedEnv();
 }
 
 TEST(RunOptionsTest, FlagsOverrideEnv)
 {
-    clearSharedEnv();
+    // The environment is never read: variables that once served as
+    // fallbacks change nothing, and the flags alone decide.
     ASSERT_EQ(::setenv("TS_SCALE", "0.5", 1), 0);
     ASSERT_EQ(::setenv("TS_SEED", "123", 1), 0);
-    Argv a({"prog", "--scale", "2.0", "--seed", "9", "--workloads",
-            "lu", "-j", "4"});
-    const RunOptions opt = parseCommandLine(a.argc, a.argv());
-    clearSharedEnv();
+    ASSERT_EQ(::setenv("TS_SCHED", "spatial", 1), 0);
+    ASSERT_EQ(::setenv("TS_STEAL", "steal-half", 1), 0);
+    const RunOptions opt = parse({"prog", "--scale", "2.0", "--seed=9",
+                                  "--workloads", "lu", "-j", "4"});
+    for (const char* v : {"TS_SCALE", "TS_SEED", "TS_SCHED", "TS_STEAL"})
+        ::unsetenv(v);
 
     EXPECT_DOUBLE_EQ(opt.scale, 2.0);
     EXPECT_EQ(opt.seed, 9u);
     EXPECT_EQ(opt.workloads, (std::vector<Wk>{Wk::Lu}));
     EXPECT_EQ(opt.jobs, 4u);
-    EXPECT_EQ(a.argc, 1) << "shared flags must be consumed";
+    EXPECT_FALSE(opt.overrides.sched.has_value());
+    EXPECT_EQ(opt.overrides.steal, StealPolicy::None);
 }
 
-TEST(RunOptionsTest, NoFastForwardFlagAndEnvFallback)
+TEST(RunOptionsTest, NoFastForwardFlag)
 {
-    clearSharedEnv();
-    EXPECT_FALSE(RunOptions::fromEnv().noFastForward);
-
-    ASSERT_EQ(::setenv("TS_NO_FAST_FORWARD", "1", 1), 0);
-    EXPECT_TRUE(RunOptions::fromEnv().noFastForward);
-    ASSERT_EQ(::setenv("TS_NO_FAST_FORWARD", "0", 1), 0);
-    EXPECT_FALSE(RunOptions::fromEnv().noFastForward);
-    clearSharedEnv();
-
-    Argv a({"prog", "--no-fast-forward"});
-    const RunOptions opt = parseCommandLine(a.argc, a.argv());
-    EXPECT_TRUE(opt.noFastForward);
-    EXPECT_EQ(a.argc, 1) << "the flag must be consumed";
+    EXPECT_FALSE(parse({"prog"}).overrides.noFastForward);
+    const RunOptions opt = parse({"prog", "--no-fast-forward"});
+    EXPECT_TRUE(opt.overrides.noFastForward);
+    EXPECT_FALSE(
+        parse({"prog", "--no-fast-forward=0"}).overrides.noFastForward);
 
     DeltaConfig cfg;
     EXPECT_FALSE(cfg.noFastForward);
-    EXPECT_TRUE(opt.applyTo(cfg).noFastForward);
+    EXPECT_TRUE(opt.overrides.applyTo(cfg).noFastForward);
 }
 
 TEST(RunOptionsTest, LenientParserLeavesUnknownArgs)
 {
-    clearSharedEnv();
+    // bench_host's shape: the table takes its options, a handler
+    // collects everything else for google-benchmark, in order.
     Argv a({"prog", "--benchmark_filter=fig1", "--seed", "3",
             "positional"});
-    const RunOptions opt = parseCommandLine(a.argc, a.argv());
+    RunOptions opt;
+    GridSettings grid;
+    std::vector<std::string> rest;
+    parseArgs(a.argc, a.argv(), Scope::Run, opt, grid,
+              [&](const std::string& arg,
+                  const std::function<std::string()>&) {
+                  rest.push_back(arg);
+                  return true;
+              });
     EXPECT_EQ(opt.seed, 3u);
-    ASSERT_EQ(a.argc, 3);
-    EXPECT_STREQ(a.argv()[1], "--benchmark_filter=fig1");
-    EXPECT_STREQ(a.argv()[2], "positional");
+    EXPECT_EQ(rest, (std::vector<std::string>{"--benchmark_filter=fig1",
+                                              "positional"}));
 }
 
 TEST(RunOptionsTest, StrictParserRejectsUnknownFlagListingValid)
 {
-    clearSharedEnv();
-    Argv a({"prog", "--no-such-flag"});
-    try {
-        parseCommandLine(a.argc, a.argv(), /*strict=*/true);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("--no-such-flag"), std::string::npos);
-        EXPECT_NE(what.find("--workloads"), std::string::npos)
-            << "the error must list the valid flags";
+    // Grid axes belong to delta-sweep only.
+    for (const char* flag : {"--no-such-flag", "--configs"}) {
+        try {
+            parse({"prog", flag, "x"});
+            FAIL() << "expected FatalError for " << flag;
+        } catch (const FatalError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(flag), std::string::npos);
+            EXPECT_NE(what.find("--workloads"), std::string::npos)
+                << "the error must list the valid flags";
+        }
     }
 }
 
 TEST(RunOptionsTest, UnknownWorkloadFailsListingValid)
 {
-    clearSharedEnv();
-    Argv a({"prog", "--workloads", "bogus"});
     try {
-        parseCommandLine(a.argc, a.argv());
+        parse({"prog", "--workloads", "bogus"});
         FAIL() << "expected FatalError";
     } catch (const FatalError& e) {
         const std::string what = e.what();
@@ -236,29 +205,54 @@ TEST(RunOptionsTest, UnknownWorkloadFailsListingValid)
 
 TEST(RunOptionsTest, MissingValueFailsFast)
 {
-    clearSharedEnv();
-    Argv a({"prog", "--scale"});
-    EXPECT_THROW(parseCommandLine(a.argc, a.argv()), FatalError);
+    EXPECT_THROW(parse({"prog", "--scale"}), FatalError);
+}
+
+TEST(RunOptionsTest, BadValueFailsNamingTheOption)
+{
+    for (const auto& [flag, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"--scale", "-1"},
+             {"--scale", "abc"},
+             {"--seed", "-3"},
+             {"--log", "3"},
+             {"--sched", "fifo"},
+             {"--steal", "all"},
+             {"--progress", "sometimes"},
+             {"--jobs", "0"},
+             {"--host-profile", "2"}}) {
+        try {
+            parse({"prog", flag + "=" + value});
+            FAIL() << flag << "=" << value << " must be rejected";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(flag.substr(2)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(RunOptionsTest, ApplyToInjectsTraceAndStats)
 {
-    clearSharedEnv();
-    RunOptions opt = RunOptions::fromEnv();
-    opt.tracePath = "/tmp/ts_applyto_trace.json";
-    opt.statsJsonPath = "/tmp/ts_applyto_stats.json";
+    RunOverrides ov;
+    ov.tracePath = "/tmp/ts_applyto_trace.json";
+    ov.statsJsonPath = "/tmp/ts_applyto_stats.json";
 
-    const DeltaConfig cfg = opt.applyTo(DeltaConfig::delta(4));
+    const DeltaConfig cfg = ov.applyTo(DeltaConfig::delta(4));
     EXPECT_TRUE(cfg.trace.enabled);
     EXPECT_NE(cfg.trace.path.find("ts_applyto_trace"),
               std::string::npos);
     EXPECT_EQ(cfg.statsJsonPath, "/tmp/ts_applyto_stats.json");
 
+    // A run tag names the trace deterministically.
+    EXPECT_EQ(ov.applyTo(DeltaConfig::delta(4), "t1").trace.path,
+              "/tmp/ts_applyto_trace.t1.json");
+
     // An explicitly configured tracer wins over the option path.
     DeltaConfig pre = DeltaConfig::delta(4);
     pre.trace.enabled = true;
     pre.trace.path = "explicit.json";
-    EXPECT_EQ(opt.applyTo(pre).trace.path, "explicit.json");
+    EXPECT_EQ(ov.applyTo(pre).trace.path, "explicit.json");
 }
 
 TEST(RunOptionsTest, TaggedTraceConfigIsDeterministic)
@@ -573,24 +567,48 @@ TEST(SweepTest, UnwritableBenchJsonFileFailsItsPoint)
         << "diagnosis must name the file: " << report.runs.front().error;
 }
 
+/** @p path's lines, minus the host-side (non-deterministic) ones. */
+std::string
+deterministicLines(const std::filesystem::path& path)
+{
+    std::ifstream in(path);
+    std::string line, out;
+    while (std::getline(in, line)) {
+        if (line.find("\"sim.host.") == std::string::npos)
+            out += line + "\n";
+    }
+    return out;
+}
+
 TEST(RunOneTest, BenchJsonDirIsCreatedAndWriteFailureIsFatal)
 {
     const TempDir tmp("runone_bench");
     RunOptions opt;
     opt.scale = 0.25;
-    opt.benchJsonDir = (tmp.path / "a" / "b").string();
-    EXPECT_TRUE(runOne(opt, Wk::Spmv, DeltaConfig::staticBaseline())
-                    .correct);
-    EXPECT_FALSE(std::filesystem::is_empty(opt.benchJsonDir));
+    opt.overrides.benchJsonDir = (tmp.path / "a" / "b").string();
+    const auto run = [&] {
+        const auto wl = makeWorkload(Wk::Spmv, opt.suiteParams());
+        return runOne(opt, *wl, sweepConfig("static"));
+    };
+    EXPECT_TRUE(run().correct);
+
+    // The one-shot wrapper is the sweep's, under the sweep's name.
+    const SweepSpec spec = benchJsonSpec(tmp.path / "sweep");
+    ASSERT_TRUE(Sweep(spec).run().allOk());
+    const std::string file = "spmv_static_l8_s7_x0.25.json";
+    const std::string one = deterministicLines(
+        std::filesystem::path(opt.overrides.benchJsonDir) / file);
+    EXPECT_NE(one.find("\"config\": \"static\""), std::string::npos);
+    EXPECT_EQ(one, deterministicLines(tmp.path / "sweep" / file));
 
     const std::filesystem::path blocker = tmp.path / "file";
     std::ofstream(blocker) << "x";
-    opt.benchJsonDir = (blocker / "sub").string();
+    opt.overrides.benchJsonDir = (blocker / "sub").string();
     try {
-        runOne(opt, Wk::Spmv, DeltaConfig::staticBaseline());
+        run();
         FAIL() << "expected fatal";
     } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find(opt.benchJsonDir),
+        EXPECT_NE(std::string(e.what()).find(opt.overrides.benchJsonDir),
                   std::string::npos)
             << "diagnosis must name the path: " << e.what();
     }
@@ -610,6 +628,114 @@ TEST(GridKeyTest, RemovedKeysFailAsUnknown)
                 << e.what();
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// One override, three ways in.  Every option that sets a DeltaConfig
+// field must resolve to the same config whether it arrives as a
+// flag, as a grid key, or on a sweep point built the way the figures
+// build theirs (and so in canonicalCell) — and that config must
+// differ from the default.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Every DeltaConfig field an option can reach, as one string. */
+std::string
+describe(const DeltaConfig& cfg)
+{
+    std::ostringstream os;
+    os << canonicalConfig(cfg) << " hostProfile=" << cfg.hostProfile
+       << " flightRecorder=" << cfg.flightRecorder
+       << " trace=" << cfg.trace.enabled;
+    return os.str();
+}
+
+using Settings = std::vector<std::pair<std::string, std::string>>;
+
+} // namespace
+
+TEST(OptionTableTest, FlagGridKeyAndSweepPointResolveAlike)
+{
+    const std::vector<Settings> cases = {
+        {{"sched", "spatial"}},
+        {{"steal", "steal-half"}},
+        {{"flight-recorder", "64"}},
+        {{"no-fast-forward", "1"}},
+        {{"timeline", "500"}},
+        {{"timeline", "500"}, {"timeline-series", "lanes,noc"}},
+        {{"host-profile", "1"}},
+        {{"trace", "/tmp/ts_option_table.json"}},
+    };
+    const ConfigVariant base = sweepConfig("delta");
+    for (const Settings& set : cases) {
+        const std::string what = set.front().first;
+
+        std::vector<std::string> args{"prog"};
+        RunOptions gridOpt;
+        GridSettings grid;
+        grid.configs = "delta";
+        for (const auto& [key, value] : set) {
+            args.push_back("--" + key + "=" + value);
+            applyGridKey(key, value, gridOpt, grid);
+        }
+        const RunOptions flagOpt = parse(args);
+
+        const SweepSpec figure = sweepSpec(flagOpt, {base});
+        const SweepSpec cli = buildSweepSpec(gridOpt, grid);
+        const RunPoint point = Sweep(figure).points().front();
+        ASSERT_EQ(point.tag(), Sweep(cli).points().front().tag());
+
+        const DeltaConfig fromFlag =
+            flagOpt.overrides.applyTo(base.cfg, point.tag());
+        EXPECT_NE(describe(fromFlag), describe(base.cfg))
+            << what << " must change the config";
+        EXPECT_EQ(describe(cli.pointConfig(point)), describe(fromFlag))
+            << what << ": grid key and flag disagree";
+        EXPECT_EQ(describe(figure.pointConfig(point)), describe(fromFlag))
+            << what << ": a sweep point dropped the flag";
+        EXPECT_NE(canonicalCell(figure, point)
+                      .find(canonicalConfig(fromFlag)),
+                  std::string::npos)
+            << what << ": canonicalCell must see the override";
+    }
+}
+
+TEST(OptionTableTest, GridFileMatchesFlags)
+{
+    const TempDir tmp("grid_file");
+    const std::filesystem::path file = tmp.path / "g.grid";
+    std::ofstream(file) << "# a comment\n"
+                        << "configs = static, delta\n"
+                        << "seeds = 7, 11   # trailing comment\n"
+                        << "\n"
+                        << "sched = dyncount\n"
+                        << "workloads = spmv\n";
+    RunOptions fileOpt;
+    GridSettings fileGrid;
+    loadGridFile(file.string(), fileOpt, fileGrid);
+
+    Argv a({"delta-sweep", "--configs", "static,delta", "--seeds=7,11",
+            "--sched", "dyncount", "--workloads", "spmv"});
+    RunOptions flagOpt;
+    GridSettings flagGrid;
+    parseArgs(a.argc, a.argv(), Scope::Sweep, flagOpt, flagGrid);
+
+    const SweepSpec fromFile = buildSweepSpec(fileOpt, fileGrid);
+    const SweepSpec fromFlags = buildSweepSpec(flagOpt, flagGrid);
+    const Sweep sweep(fromFile);
+    ASSERT_EQ(sweep.points().size(), 4u);
+    for (const RunPoint& p : sweep.points())
+        EXPECT_EQ(canonicalCell(fromFile, p), canonicalCell(fromFlags, p));
+
+    // The listing is generated from the same table.
+    std::ostringstream keys;
+    printGridKeys(keys);
+    for (const char* key : {"sched", "flight-recorder", "configs"})
+        EXPECT_NE(keys.str().find(std::string("  ") + key + " = "),
+                  std::string::npos)
+            << key;
 }
 
 TEST(SweepTest, AggregationMathIsExact)

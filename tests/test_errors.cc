@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "accel/delta.hh"
+#include "driver/run_one.hh"
 #include "driver/sweep.hh"
 #include "workloads/workload.hh"
 
@@ -233,13 +236,58 @@ TEST(Errors, UnwritableTraceFailsItsSweepPoint)
     spec.configs = {driver::sweepConfig("static", 2)};
     spec.scales = {0.25};
     spec.jobs = 1;
-    spec.tracePath = "/nonexistent/t.json";
+    spec.overrides.tracePath = "/nonexistent/t.json";
     const driver::SweepReport report = driver::Sweep(spec).run();
     ASSERT_EQ(report.runs.size(), 1u);
     EXPECT_TRUE(report.runs[0].failed);
     EXPECT_NE(report.runs[0].error.find("/nonexistent/"),
               std::string::npos)
         << report.runs[0].error;
+}
+
+TEST(Errors, SweepRejectsStatsJson)
+{
+    // --stats-json names one run's file; delta-sweep (and every
+    // figure) runs many, so the option is a usage error (exit 2).
+    std::vector<std::string> args{"delta-sweep", "--stats-json", "x",
+                                  "--workloads", "spmv"};
+    std::vector<char*> argv;
+    for (std::string& a : args)
+        argv.push_back(a.data());
+    driver::RunOptions opt;
+    driver::GridSettings grid;
+    driver::parseArgs(static_cast<int>(argv.size()), argv.data(),
+                      driver::Scope::Sweep, opt, grid);
+    try {
+        driver::Sweep sweep(driver::buildSweepSpec(opt, grid));
+        FAIL() << "expected fatal";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("--bench-json"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Errors, EnvironmentNoLongerChangesARun)
+{
+    // Options are flags only: stale TS_* variables in the
+    // environment must not change a run.
+    const auto runMsort = [] {
+        char prog[] = "prog";
+        char* argv[] = {prog, nullptr};
+        driver::RunOptions opt = driver::parseCommandLine(1, argv);
+        opt.scale = 0.25;
+        const auto wl = makeWorkload(Wk::Msort, opt.suiteParams());
+        return driver::runOne(opt, *wl, driver::sweepConfig("delta"))
+            .cycles;
+    };
+    const double clean = runMsort();
+    ASSERT_EQ(::setenv("TS_SCHED", "spatial", 1), 0);
+    ASSERT_EQ(::setenv("TS_STEAL", "steal-half", 1), 0);
+    const double withEnv = runMsort();
+    ::unsetenv("TS_SCHED");
+    ::unsetenv("TS_STEAL");
+    EXPECT_EQ(withEnv, clean);
 }
 
 } // namespace

@@ -271,7 +271,7 @@ TEST(HostProfilerTest, SweepRunsNeverProfileMoreThanTheirWallTime)
     spec.seeds = {7, 11};
     spec.scales = {1.0};
     spec.jobs = 1;
-    spec.hostProfile = true;
+    spec.overrides.hostProfile = true;
     const driver::SweepReport report =
         driver::Sweep(std::move(spec)).run();
     ASSERT_EQ(report.runs.size(), 8u);
@@ -366,7 +366,7 @@ timelineSpec()
     spec.configs = driver::sweepConfigsFromList("static,delta");
     spec.seeds = {7};
     spec.scales = {0.25};
-    spec.timelineInterval = 500;
+    spec.overrides.timelineInterval = 500;
     return spec;
 }
 

@@ -435,19 +435,12 @@ TEST(Trace, TrackIdsAreStableAndOrdered)
     t.finish();
 }
 
-TEST(Trace, EnvFallbackSuffixesLaterInstances)
+TEST(Trace, LaterInstancesGetSuffixedPaths)
 {
-    // The TS_TRACE fallback now lives in the options layer — the
-    // trace subsystem itself never reads the environment.
-    ASSERT_EQ(::setenv("TS_TRACE", "/tmp/ts_env_trace.json", 1), 0);
-    const driver::RunOptions opt = driver::RunOptions::fromEnv();
-    ::unsetenv("TS_TRACE");
-    EXPECT_EQ(opt.tracePath, "/tmp/ts_env_trace.json");
-
-    const trace::TracerConfig first =
-        driver::nextTraceConfig(opt.tracePath);
-    const trace::TracerConfig second =
-        driver::nextTraceConfig(opt.tracePath);
+    // One process running many accelerators with --trace PATH.
+    const std::string path = "/tmp/ts_multi_trace.json";
+    const trace::TracerConfig first = driver::nextTraceConfig(path);
+    const trace::TracerConfig second = driver::nextTraceConfig(path);
 
     EXPECT_TRUE(first.enabled);
     EXPECT_TRUE(second.enabled);
@@ -458,10 +451,6 @@ TEST(Trace, EnvFallbackSuffixesLaterInstances)
 
     const trace::TracerConfig off = driver::nextTraceConfig("");
     EXPECT_FALSE(off.enabled) << "an empty path must disable tracing";
-
-    const driver::RunOptions unset = driver::RunOptions::fromEnv();
-    EXPECT_TRUE(unset.tracePath.empty())
-        << "unset env must disable tracing";
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * delta-report: human-readable diagnosis of a Delta run.
  *
- * Ingests the flat stats JSON a run writes (TS_STATS_JSON, or a
- * TS_BENCH_JSON per-bench file) and prints the cycle-accounting
+ * Ingests the flat stats JSON a run writes (--stats-json, or a
+ * --bench-json per-run file) and prints the cycle-accounting
  * waterfall, per-mechanism speedup attribution, the critical-path
  * bound, and the slowest task types with latency percentiles.
  *
@@ -103,8 +103,8 @@ main(int argc, char** argv)
     }
 
     auto label = [](const RunStats& s, const std::string& path) {
-        if (!s.policy.empty())
-            return s.policy;
+        if (!s.config.empty())
+            return s.config;
         const std::size_t slash = path.find_last_of('/');
         return slash == std::string::npos ? path
                                           : path.substr(slash + 1);

@@ -14,21 +14,24 @@
  *   --dry-run         print each point's tag, cache key, and
  *                     predicted hit/miss; execute nothing
  *
- * Per-run StatSets land in --bench-json DIR as `<tag>.json` in the
- * wrapper shape `tools/delta-report --baseline` ingests.  Exit code:
- * 0 when every run completed and passed its check, 1 otherwise, 2 on
- * usage errors or an unwritable --out report.
+ * Every other flag comes from the shared option table
+ * (src/driver/options.hh), which also defines the grid-file keys:
+ * `--key value` and `key = value` mean the same thing.  Per-run
+ * StatSets land in --bench-json DIR as `<tag>.json` in the wrapper
+ * shape `tools/delta-report --baseline` ingests.  Exit code: 0 when
+ * every run completed and passed its check, 1 otherwise, 2 on usage
+ * errors (including --stats-json, which names one run's file) or an
+ * unwritable --out report.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "cache/run_cache.hh"
-#include "driver/grid.hh"
+#include "driver/sweep.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -37,47 +40,15 @@ namespace
 
 using namespace ts;
 
-[[noreturn]] void
-usage(int code)
-{
-    std::FILE* os = code == 0 ? stdout : stderr;
-    std::fputs(
-        "usage: delta-sweep [grid options] [shared options]\n"
-        "grid options:\n"
-        "  --configs LIST    comma-separated presets (default\n"
-        "                    'static,delta'; valid: static, dyn,\n"
-        "                    work, work-steal, pipe, delta, spatial)\n"
-        "  --seeds LIST      comma-separated seeds (default: --seed)\n"
-        "  --scales LIST     comma-separated scales (default: --scale)\n"
-        "  --lanes N         lanes for every config (default 8)\n"
-        "  --baseline NAME   speedup baseline (default: first config)\n"
-        "  --out PATH        aggregate JSON report\n"
-        "  --grid FILE       `key = value` grid file\n"
-        "  --set KEY=VALUE   one grid-file setting inline\n"
-        "  --list-grid-keys  print the full `key = value` vocabulary\n"
-        "                    (every key with its accepted values)\n"
-        "                    and exit\n"
-        "  --quiet           no per-run progress on stderr\n"
-        "cache options:\n"
-        "  --cache DIR       content-addressed run cache: consult\n"
-        "                    before running, publish after\n"
-        "  --cache-cap BYTES cache size budget (K/M/G suffixes ok)\n"
-        "  --dry-run         print tag, cache key, and predicted\n"
-        "                    hit/miss per point; run nothing\n",
-        os);
-    std::fputs(ts::driver::optionsHelp(), os);
-    std::exit(code);
-}
-
-/** Split `KEY=VALUE` (fatal without '='). */
-std::pair<std::string, std::string>
-splitSetting(const std::string& arg)
-{
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos || eq == 0)
-        fatal("--set expects KEY=VALUE, got '", arg, "'");
-    return {arg.substr(0, eq), arg.substr(eq + 1)};
-}
+/** The flags only delta-sweep has, ahead of the option table's. */
+const char* const kUsage =
+    "usage: delta-sweep [options]\n"
+    "  --grid FILE       apply a `key = value` grid file\n"
+    "  --set KEY=VALUE   apply one grid setting inline\n"
+    "  --list-grid-keys  print every grid key with its values, exit\n"
+    "  --dry-run         print tag, cache key, and predicted hit/miss\n"
+    "                    per point; run nothing\n"
+    "  --quiet           no per-run progress on stderr\n";
 
 } // namespace
 
@@ -87,64 +58,54 @@ main(int argc, char** argv)
     using namespace ts;
 
     try {
-        // Shared flags first (consumed from argv, TS_* fallbacks
-        // applied); the remainder must all be grid options.
-        driver::RunOptions opt =
-            driver::parseCommandLine(argc, argv, /*strict=*/false);
+        driver::RunOptions opt;
         driver::GridSettings grid;
-
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    fatal("option '", arg, "' requires a value");
-                return argv[++i];
-            };
-            if (arg == "--configs") {
-                grid.configs = value();
-                (void)driver::sweepConfigsFromList(grid.configs);
-            } else if (arg == "--seeds") {
-                grid.seeds = driver::parseSeedList(value());
-            } else if (arg == "--scales") {
-                grid.scales = driver::parseScaleList(value());
-            } else if (arg == "--lanes") {
-                grid.lanes = driver::parseLanes(value());
-            } else if (arg == "--baseline") {
-                grid.baseline = value();
-            } else if (arg == "--out") {
-                grid.out = value();
-            } else if (arg == "--grid") {
-                driver::loadGridFile(value(), opt, grid);
-            } else if (arg == "--set") {
-                const auto [k, v] = splitSetting(value());
-                driver::applyGridKey(k, v, opt, grid);
-            } else if (arg == "--list-grid-keys") {
-                driver::printGridKeys(std::cout);
-                return 0;
-            } else if (arg == "--cache") {
-                grid.cacheDir = value();
-            } else if (arg == "--cache-cap") {
-                grid.cacheCapBytes = driver::parseCapBytes(value());
-            } else if (arg == "--dry-run") {
-                grid.dryRun = true;
-            } else if (arg == "--quiet") {
-                grid.quiet = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::cerr << "delta-sweep: unknown option '" << arg
-                          << "'\n\n";
-                usage(2);
-            }
+        bool dryRun = false, quiet = false, listKeys = false,
+             help = false;
+        driver::parseArgs(
+            argc, argv, driver::Scope::Sweep, opt, grid,
+            [&](const std::string& arg,
+                const std::function<std::string()>& value) {
+                if (arg == "--grid") {
+                    driver::loadGridFile(value(), opt, grid);
+                } else if (arg == "--set") {
+                    const std::string kv = value();
+                    const std::size_t eq = kv.find('=');
+                    if (eq == std::string::npos || eq == 0)
+                        fatal("--set expects KEY=VALUE, got '", kv,
+                              "'");
+                    driver::applyGridKey(kv.substr(0, eq),
+                                         kv.substr(eq + 1), opt, grid);
+                } else if (arg == "--list-grid-keys") {
+                    listKeys = true;
+                } else if (arg == "--dry-run") {
+                    dryRun = true;
+                } else if (arg == "--quiet") {
+                    quiet = true;
+                } else if (arg == "--help" || arg == "-h") {
+                    help = true;
+                } else {
+                    return false;
+                }
+                return true;
+            });
+        if (help) {
+            std::cout << kUsage
+                      << driver::optionsHelp(driver::Scope::Sweep);
+            return 0;
+        }
+        if (listKeys) {
+            driver::printGridKeys(std::cout);
+            return 0;
         }
 
         driver::SweepSpec spec = driver::buildSweepSpec(opt, grid);
         // Progress/ETA is interactive chrome: off for pipes by
         // default, but --progress=always forces it into CI logs and
         // --progress=never silences a TTY.
-        spec.progress = !grid.quiet && opt.progressEnabled();
+        spec.progress = spec.progress && !quiet;
 
-        if (grid.dryRun) {
+        if (dryRun) {
             driver::Sweep sweep(spec);
             std::unique_ptr<cache::RunCache> cache;
             if (!spec.cacheDir.empty())
@@ -161,7 +122,7 @@ main(int argc, char** argv)
                 std::printf("%-40s %s %s\n", p.tag().c_str(),
                             key.c_str(), hit ? "hit" : "miss");
             }
-            if (!grid.quiet)
+            if (!quiet)
                 std::fprintf(stderr,
                              "delta-sweep: dry run: %zu points, "
                              "%zu predicted hits, %zu misses\n",
@@ -175,7 +136,7 @@ main(int argc, char** argv)
         const std::size_t ns = spec.seeds.size();
         const std::size_t nx = spec.scales.size();
         driver::Sweep sweep(std::move(spec));
-        if (!grid.quiet) {
+        if (!quiet) {
             if (opt.jobs > 0)
                 std::fprintf(
                     stderr,
