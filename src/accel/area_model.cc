@@ -93,8 +93,10 @@ computeArea(const DeltaConfig& cfg)
     r.entries.push_back(
         {"shared-group table (16 x 32B)",
          kRegMm2PerKB * kb(16 * 32 * 8), true});
-    // Pipe receive buffers: 4KB per lane (covers the worst measured
-    // high-water mark in EXPERIMENTS.md with margin).
+    // Pipe receive buffers: a 4KB/lane budget.  The simulated pipes
+    // are unbounded and exceed it: msort x delta at scale 1 peaks at
+    // 2048 tokens (16KB) on lanes 1 and 2, and 4 of 8 lanes pass 4KB
+    // (lane<i>.pipeMaxOccupancy); DESIGN.md §4, pipe buffers.
     r.entries.push_back(
         {"pipe receive buffers (4KB/lane)",
          lanes * kSramMm2PerKB * 4.0, true});

@@ -223,6 +223,14 @@ Delta::run(const TaskGraph& graph)
 
     if (!dispatcher_->allComplete())
         panic("simulation quiesced with incomplete tasks");
+    // Each consumer releases its pipes and spatial groups on
+    // completion, so a drained run leaves none of them behind.
+    for (const auto& lane : lanes_) {
+        if (const auto id = lane->landing().firstLive()) {
+            panic(lane->name(), " still holds ", landingName(*id),
+                  " after the run drained");
+        }
+    }
 
     sim_.reportStats(stats);
     noc_->reportStats(stats);
@@ -342,7 +350,7 @@ Delta::run(const TaskGraph& graph)
             suppressed += lane->spatialLinesSuppressed();
             landingLines += lane->spatialLandingLines();
             hopWords += lane->spatialHopWords();
-            fwdWords += lane->spatialLanding().wordsReceived();
+            fwdWords += lane->landing().spatialWordsReceived();
             chunks += lane->spatialChunksSent();
         }
         stats.set("delta.spatial.forwards",

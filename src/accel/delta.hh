@@ -58,17 +58,15 @@ struct DeltaConfig
     /**
      * Cycle-level tracing (Perfetto/chrome://tracing JSON).  This is
      * the only way tracing is enabled: the accelerator never reads
-     * the environment.  The TS_TRACE fallback lives in the options
-     * layer — see ts::driver::RunOptions (src/driver/options.hh),
-     * whose applyTo() injects it here.
+     * the environment.  --trace sets it through
+     * ts::driver::RunOverrides::applyTo (src/driver/options.hh).
      */
     trace::TracerConfig trace;
 
     /**
      * When non-empty, Delta::run() dumps the run's full StatSet as
      * flat JSON to this path, and fatal()s when it cannot.
-     * Injected by RunOptions::applyTo() (TS_STATS_JSON fallback);
-     * never read from the environment here.
+     * Set by --stats-json through RunOverrides::applyTo().
      */
     std::string statsJsonPath;
 
@@ -76,8 +74,8 @@ struct DeltaConfig
      * Tick every component every cycle instead of running the
      * activity-driven core (Simulator::setFastForward(false)).
      * Bit-identical to the default; exists for differential testing
-     * and host-throughput comparison.  --no-fast-forward /
-     * TS_NO_FAST_FORWARD via RunOptions::applyTo().
+     * and host-throughput comparison.  Set by --no-fast-forward
+     * through RunOverrides::applyTo().
      */
     bool noFastForward = false;
 

@@ -25,12 +25,12 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
 
     fabric_ = std::make_unique<Fabric>(prefix + ".fabric", cfg.fabric);
     spm_ = std::make_unique<Scratchpad>(prefix + ".spm", cfg.spm);
-    landing_ = std::make_unique<SharedLanding>(img, *spm_);
+    landing_ = std::make_unique<Landing>(img, *spm_);
 
     for (std::uint32_t i = 0; i < cfg.numReadEngines; ++i) {
         readEngines_.push_back(std::make_unique<ReadEngine>(
             prefix + ".rd" + std::to_string(i), img, spm_.get(), this,
-            &pipes_, cfg.read));
+            landing_.get(), cfg.read));
     }
     for (std::uint32_t i = 0; i < cfg.numWriteEngines; ++i) {
         writeEngines_.push_back(std::make_unique<WriteEngine>(
@@ -44,9 +44,7 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
         ports.readEngines.push_back(re.get());
     for (auto& we : writeEngines_)
         ports.writeEngines.push_back(we.get());
-    ports.pipes = &pipes_;
     ports.landing = landing_.get();
-    ports.spatialLanding = &spatialLanding_;
     ports.memPort = this;
     ports.image = &img;
     ports.send = [this](Packet pkt) { return noc_.inject(pkt); };
@@ -209,12 +207,12 @@ Lane::tick(Tick)
             break;
           case PktKind::PipeChunk: {
             const auto& msg = std::get<PipeChunkMsg>(pkt.payload);
-            pipes_.deliver(msg.pipeId, msg.toks);
+            landing_->pipeChunk(msg.pipeId, msg.toks);
             break;
           }
           case PktKind::SpatialChunk: {
             const auto& msg = std::get<SpatialChunkMsg>(pkt.payload);
-            spatialLanding_.deliver(msg.group, msg.words, msg.done);
+            landing_->spatialChunk(msg.group, msg.words, msg.done);
             spatialHopWords_ +=
                 static_cast<std::uint64_t>(
                     noc_.hopDistance(pkt.src, selfNode_)) *
@@ -284,15 +282,7 @@ Lane::reportStats(StatSet& stats) const
     stats.set(name() + ".lineReads", static_cast<double>(lineReads_));
     stats.set(name() + ".lineWrites", static_cast<double>(lineWrites_));
     stats.set(name() + ".chunksSent", static_cast<double>(chunksSent_));
-    pipes_.reportStats(stats, name());
-    stats.set(name() + ".fillLinesLanded",
-              static_cast<double>(landing_->linesLanded()));
-    if (spatialLanding_.chunksReceived() > 0) {
-        stats.set(name() + ".spatialChunksRecv",
-                  static_cast<double>(spatialLanding_.chunksReceived()));
-        stats.set(name() + ".spatialWordsRecv",
-                  static_cast<double>(spatialLanding_.wordsReceived()));
-    }
+    landing_->reportStats(stats, name());
 }
 
 } // namespace ts

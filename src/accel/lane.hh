@@ -1,7 +1,7 @@
 /**
  * @file
  * One Delta lane: a reconfigurable dataflow fabric, stream engines, a
- * scratchpad, pipe buffers, a task unit, and the NoC adapter that
+ * scratchpad, the landing table, a task unit, and the NoC adapter that
  * stitches them to the mesh (memory port, pipe transmit, message
  * demultiplexing).
  */
@@ -65,17 +65,11 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     const TaskUnit& taskUnit() const { return *taskUnit_; }
     Fabric& fabric() { return *fabric_; }
     Scratchpad& scratchpad() { return *spm_; }
-    PipeSet& pipes() { return pipes_; }
-    const PipeSet& pipes() const { return pipes_; }
+    /** Pipe, multicast and spatial arrivals at this lane. */
+    const Landing& landing() const { return *landing_; }
 
     // -- Spatial-mapping attribution (receiver-side accounting, so
     //    write-engine and builtin senders are covered uniformly) --
-
-    /** The landing tracker (chunks/words received here). */
-    const spatial::LandingTracker& spatialLanding() const
-    {
-        return spatialLanding_;
-    }
 
     /** Σ hops × packet words over spatial chunks ejected here. */
     std::uint64_t spatialHopWords() const { return spatialHopWords_; }
@@ -98,8 +92,7 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
 
     std::unique_ptr<Fabric> fabric_;
     std::unique_ptr<Scratchpad> spm_;
-    PipeSet pipes_;
-    std::unique_ptr<SharedLanding> landing_;
+    std::unique_ptr<Landing> landing_;
     std::vector<std::unique_ptr<ReadEngine>> readEngines_;
     std::vector<std::unique_ptr<WriteEngine>> writeEngines_;
     std::unique_ptr<TaskUnit> taskUnit_;
@@ -125,7 +118,6 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     std::uint64_t lineWrites_ = 0;
     std::uint64_t chunksSent_ = 0;
 
-    spatial::LandingTracker spatialLanding_;
     std::uint64_t spatialHopWords_ = 0;
 };
 

@@ -15,9 +15,9 @@
  *   0  silent (suppress warnings and info)
  *   1  warnings only (the default)
  *   2  warnings + informational messages
- * The level is process-wide and set via setLogVerbosity(); the TS_LOG
- * environment variable is honored as a fallback by the options layer
- * (src/driver/options.hh), never read here.  warn()/inform() compose
+ * The level is process-wide and set via setLogVerbosity(), which the
+ * options layer calls for --log (src/driver/options.hh); nothing
+ * reads the environment.  warn()/inform() compose
  * their full line before a single stream insertion, so messages from
  * concurrent simulation threads do not interleave mid-line.
  */

@@ -27,9 +27,9 @@ streamKindName(StreamDesc::Kind k)
 } // namespace
 
 ReadEngine::ReadEngine(std::string name, const MemImage& img,
-                       Scratchpad* spm, MemPortIf* mem, PipeSet* pipes,
+                       Scratchpad* spm, MemPortIf* mem, Landing* landing,
                        ReadEngineCfg cfg)
-    : Ticked(std::move(name)), img_(img), spm_(spm), pipes_(pipes),
+    : Ticked(std::move(name)), img_(img), spm_(spm), landing_(landing),
       cfg_(cfg), ptrF_(img, spm, mem, cfg.fetcher),
       idxF_(img, spm, mem, cfg.fetcher), dataF_(img, spm, mem,
                                                 cfg.fetcher)
@@ -98,7 +98,7 @@ bool
 ReadEngine::waitingOnPipe() const
 {
     return active_ && d_.kind == StreamDesc::Kind::PipeIn &&
-           !pipes_->hasData(d_.pipeId);
+           !landing_->hasToken(d_.pipeId);
 }
 
 Addr
@@ -333,9 +333,9 @@ ReadEngine::deliver()
     while (budget > 0) {
         if (repeatLeft_ == 0) {
             if (d_.kind == StreamDesc::Kind::PipeIn) {
-                if (!pipes_->hasData(d_.pipeId))
+                if (!landing_->hasToken(d_.pipeId))
                     return;
-                repeatTok_ = pipes_->pop(d_.pipeId);
+                repeatTok_ = landing_->popToken(d_.pipeId);
             } else {
                 if (!dataF_.headReady())
                     return;

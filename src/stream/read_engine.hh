@@ -18,7 +18,7 @@
 
 #include "sim/simulator.hh"
 #include "stream/fetcher.hh"
-#include "stream/pipe_set.hh"
+#include "stream/landing.hh"
 
 namespace ts
 {
@@ -36,7 +36,7 @@ class ReadEngine : public Ticked
 {
   public:
     ReadEngine(std::string name, const MemImage& img, Scratchpad* spm,
-               MemPortIf* mem, PipeSet* pipes,
+               MemPortIf* mem, Landing* landing,
                ReadEngineCfg cfg = {});
 
     /**
@@ -86,7 +86,7 @@ class ReadEngine : public Ticked
 
     const MemImage& img_;
     Scratchpad* spm_;
-    PipeSet* pipes_;
+    Landing* landing_; ///< pipe tokens (PipeIn streams)
     ReadEngineCfg cfg_;
 
     StreamDesc d_;

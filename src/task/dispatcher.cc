@@ -785,8 +785,9 @@ Dispatcher::spatialRewriteConsumer(TaskId id, DispatchMsg& m)
             continue;
         }
         m.inputs[p].spatialLanding = true;
-        m.waitSpatial.push_back(
-            SpatialWait{g, it->second.expectedDones});
+        m.landings.push_back(
+            LandingGate{landingId(LandingKind::Spatial, g),
+                        it->second.expectedDones, true});
     }
 }
 
@@ -874,9 +875,8 @@ Dispatcher::fireGroup(std::uint32_t groupId)
 
     const Addr firstLine = lineAlign(gs.g.rangeBase);
     const Addr lastByte = gs.g.rangeBase + gs.g.words * wordBytes - 1;
-    const std::uint64_t lines =
-        (lineAlign(lastByte) - firstLine) / lineBytes + 1;
-    for (std::uint64_t l = 0; l < lines; ++l) {
+    gs.lines = (lineAlign(lastByte) - firstLine) / lineBytes + 1;
+    for (std::uint64_t l = 0; l < gs.lines; ++l) {
         MemReq req;
         req.lineAddr = firstLine + l * lineBytes;
         req.write = false;
@@ -1073,7 +1073,8 @@ Dispatcher::tryDispatchHead(Tick now)
                 DispatchMsg& cm = msgs.at(c);
                 cm.inputs.at(es.e.consumerPort) =
                     StreamDesc::pipeIn(pid);
-                cm.releasePipes.push_back(pid);
+                cm.landings.push_back(LandingGate{
+                    landingId(LandingKind::Pipe, pid), 0, true});
             } else {
                 ++pipesDegraded_;
                 if (trace::on()) {
@@ -1108,10 +1109,9 @@ Dispatcher::tryDispatchHead(Tick now)
                 d.dataSpace = Space::Spm;
                 d.dataBase = gs.landingOffset +
                              (d.dataBase - gs.g.rangeBase) / wordBytes;
-                TS_ASSERT(mm.waitGroup == kNoGroup ||
-                              mm.waitGroup == gId,
-                          "a task may subscribe to one group");
-                mm.waitGroup = gId;
+                mm.landings.push_back(LandingGate{
+                    landingId(LandingKind::Multicast, gId), gs.lines,
+                    false});
             }
         }
     }

@@ -257,6 +257,7 @@ class Dispatcher : public Ticked
         SharedGroup g;
         bool fired = false;
         std::uint64_t landingOffset = 0;
+        std::uint64_t lines = 0; ///< DRAM lines the range spans
     };
 
     /**
@@ -308,7 +309,7 @@ class Dispatcher : public Ticked
      *  outputs with spatial destinations / suppression. */
     void spatialResolveProducer(TaskId id, DispatchMsg& pm);
     /** Consumer-dispatch-time rewrites: landing-mode inputs plus the
-     *  waitSpatial gate snapshot. */
+     *  spatial landing gates (done markers to wait for). */
     void spatialRewriteConsumer(TaskId id, DispatchMsg& m);
     /** Free @p uid's landing-buffer reservations on completion. */
     void spatialRelease(TaskId uid);

@@ -16,6 +16,7 @@
 
 #include "cgra/token.hh"
 #include "noc/packet.hh"
+#include "stream/landing.hh"
 #include "task/task_graph.hh"
 #include "task/task_types.hh"
 
@@ -56,18 +57,6 @@ stealPolicyFromName(const std::string& s, StealPolicy& out)
     return false;
 }
 
-/**
- * One spatial-landing gate of a dispatch: the consumer must see
- * @p dones end-of-stream markers for @p group before it may start
- * (barrier semantics over forwarded producer streams, DESIGN.md §8).
- * The same list names the groups to release on task completion.
- */
-struct SpatialWait
-{
-    std::uint64_t group = 0; ///< (consumer uid << 3) | input port
-    std::uint32_t dones = 0; ///< forwarding producers to wait for
-};
-
 /** Dispatcher -> lane: run this task. */
 struct DispatchMsg
 {
@@ -81,15 +70,12 @@ struct DispatchMsg
      *  latency statistics at the executing lane). */
     Tick dispatchedAt = 0;
 
-    /** Gate start on this group's fill completion (kNoGroup: none). */
-    std::uint32_t waitGroup = kNoGroup;
-
-    /** Pipe buffers to release when the task completes. */
-    std::vector<std::uint64_t> releasePipes;
-
-    /** Spatial-landing groups gating task start (and released at
-     *  completion); empty outside SchedPolicy::Spatial. */
-    std::vector<SpatialWait> waitSpatial;
+    /** Landings this task reads from the lane's landing table:
+     *  pipes it streams (need 0, released at completion), the
+     *  multicast groups it waits to land (need = lines), and spatial
+     *  groups it waits on (need = done markers, released at
+     *  completion).  DESIGN.md §1, §8. */
+    std::vector<LandingGate> landings;
 
     /** Whether a peer lane may steal this task while it queues.  Set
      *  by the dispatcher only for solo dispatches (no pipeline

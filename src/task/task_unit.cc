@@ -14,9 +14,9 @@ TaskUnit::TaskUnit(std::string name, const TaskTypeRegistry& registry,
     : Ticked(std::move(name)), registry_(registry),
       ports_(std::move(ports))
 {
-    TS_ASSERT(ports_.fabric != nullptr && ports_.pipes != nullptr &&
-              ports_.landing != nullptr && ports_.send &&
-              ports_.memPort != nullptr && ports_.image != nullptr);
+    TS_ASSERT(ports_.fabric != nullptr && ports_.landing != nullptr &&
+              ports_.send && ports_.memPort != nullptr &&
+              ports_.image != nullptr);
 }
 
 void
@@ -223,7 +223,7 @@ TaskUnit::classify(bool fabricProgressed) const
             return CycleClass::Busy; // picks up a task this cycle
         return sendQ_.empty() ? CycleClass::Idle : CycleClass::NocWait;
       case Phase::WaitFill:
-        return CycleClass::MemWait; // multicast landing in flight
+        return CycleClass::MemWait; // gated landings in flight
       case Phase::Config:
       case Phase::BuiltinCompute:
         return CycleClass::Busy;
@@ -350,15 +350,10 @@ TaskUnit::step(Tick now)
         [[fallthrough]];
 
       case Phase::WaitFill:
-        if (cur_.waitGroup != kNoGroup &&
-            !ports_.landing->complete(cur_.waitGroup)) {
-            ++waitFillCycles_;
-            return;
-        }
-        // Spatial gates: every forwarding producer's done marker must
-        // have landed before the inputs read at landing speed.
-        for (const SpatialWait& w : cur_.waitSpatial) {
-            if (!ports_.spatialLanding->complete(w.group, w.dones)) {
+        // Multicast lines and spatial done markers must have landed
+        // before the inputs read the scratchpad copy or landing zone.
+        for (const LandingGate& g : cur_.landings) {
+            if (!ports_.landing->ready(g)) {
                 ++waitFillCycles_;
                 return;
             }
@@ -519,10 +514,10 @@ TaskUnit::step(Tick now)
       }
 
       case Phase::Finish:
-        for (std::uint64_t pid : cur_.releasePipes)
-            ports_.pipes->release(pid);
-        for (const SpatialWait& w : cur_.waitSpatial)
-            ports_.spatialLanding->release(w.group);
+        for (const LandingGate& g : cur_.landings) {
+            if (g.release)
+                ports_.landing->release(g.id);
+        }
         queueMsg(PktKind::TaskComplete,
                  CompleteMsg{cur_.uid, ports_.laneIndex}, 1);
         ++tasksRun_;

@@ -15,12 +15,10 @@
 
 #include "cgra/fabric.hh"
 #include "noc/packet.hh"
-#include "spatial/spatial.hh"
-#include "stream/pipe_set.hh"
+#include "stream/landing.hh"
 #include "stream/read_engine.hh"
 #include "stream/write_engine.hh"
 #include "task/messages.hh"
-#include "task/shared_landing.hh"
 #include "trace/accounting.hh"
 
 namespace ts
@@ -32,11 +30,7 @@ struct TaskUnitPorts
     Fabric* fabric = nullptr;
     std::vector<ReadEngine*> readEngines;
     std::vector<WriteEngine*> writeEngines;
-    PipeSet* pipes = nullptr;
-    SharedLanding* landing = nullptr;
-    /** Spatial landing tracker (only dereferenced when a dispatch
-     *  carries waitSpatial gates; may be null in bare-unit tests). */
-    spatial::LandingTracker* spatialLanding = nullptr;
+    Landing* landing = nullptr; ///< the lane's landing table
     MemPortIf* memPort = nullptr; ///< builtin output traffic
     MemImage* image = nullptr;    ///< builtin functional effects
 

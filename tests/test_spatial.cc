@@ -106,34 +106,6 @@ TEST(SpatialVocab, LandingGroupPacksUidAndPort)
     EXPECT_NE(spatial::landingGroup(7, 0), spatial::landingGroup(7, 1));
 }
 
-// --- landing tracker ------------------------------------------------------
-
-TEST(SpatialTracker, GatesOnDoneMarkersAndTracksPeak)
-{
-    spatial::LandingTracker t;
-    const std::uint64_t g = spatial::landingGroup(3, 1);
-
-    // Two producers forward into the group; the consumer may not
-    // start until both done markers arrived.
-    EXPECT_TRUE(t.complete(g, 0));
-    EXPECT_FALSE(t.complete(g, 2));
-    t.deliver(g, 16, false);
-    t.deliver(g, 16, true);
-    EXPECT_FALSE(t.complete(g, 2));
-    t.deliver(g, 8, true);
-    EXPECT_TRUE(t.complete(g, 2));
-
-    EXPECT_EQ(t.chunksReceived(), 3u);
-    EXPECT_EQ(t.wordsReceived(), 40u);
-
-    // Unknown groups are simply incomplete, and release is
-    // idempotent on them.
-    EXPECT_FALSE(t.complete(spatial::landingGroup(9, 0), 1));
-    t.release(g);
-    t.release(g);
-    EXPECT_FALSE(t.complete(g, 2));
-}
-
 // --- mapper ---------------------------------------------------------------
 
 struct MapperFixture
@@ -265,6 +237,14 @@ TEST(SpatialEndToEnd, EveryWorkloadStaysGoldenCorrect)
         EXPECT_GT(stats.get("delta.spatial.groups") +
                       stats.get("delta.attrib.spatial.forwardableEdges"),
                   -1.0);
+        // Every chunk a producer sent landed in some lane's table.
+        double recv = 0;
+        for (int i = 0; i < stats.get("delta.lanes"); ++i) {
+            recv += stats.getOr(
+                "lane" + std::to_string(i) + ".spatialChunksRecv", 0.0);
+        }
+        EXPECT_EQ(recv, stats.get("delta.attrib.spatial.chunks"))
+            << wkIdent(w);
     }
 }
 

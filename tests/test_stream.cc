@@ -10,6 +10,8 @@
 
 #include "mem/main_memory.hh"
 #include "sim/rng.hh"
+#include "spatial/spatial.hh"
+#include "stream/landing.hh"
 #include "stream/read_engine.hh"
 #include "stream/write_engine.hh"
 
@@ -93,7 +95,7 @@ struct Rig
     MemImage img;
     Scratchpad spm{"spm", ScratchpadConfig{1 << 14, 4}};
     DirectMemPort port{sim, MainMemoryConfig{}};
-    PipeSet pipes;
+    Landing landing{img, spm};
 
     Rig() { sim.add(&spm); }
 
@@ -443,7 +445,7 @@ TEST_P(ReadEngineMatchesGolden, DeliversGoldenTokenSequence)
 
     const auto want = expandStream(d, rig.img, &rig.spm);
 
-    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.pipes);
+    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
     rig.sim.add(&re);
     TokenFifo dest(8);
     re.program(d, &dest);
@@ -470,7 +472,7 @@ TEST(ReadEngine, SleepsWhileBlockedOnDram)
             ReadEngine::tick(now);
         }
     };
-    CountingEngine re("re", rig.img, &rig.spm, &rig.port, &rig.pipes);
+    CountingEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
     rig.sim.add(&re);
     TokenFifo dest(0);
     const auto d = StreamDesc::linear(Space::Dram, a, 64);
@@ -497,7 +499,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReadEngine, PipeInDeliversForwardedTokens)
 {
     Rig rig;
-    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.pipes);
+    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
     rig.sim.add(&re);
     TokenFifo dest(8);
     re.program(StreamDesc::pipeIn(42), &dest);
@@ -509,9 +511,9 @@ TEST(ReadEngine, PipeInDeliversForwardedTokens)
                                                     kStreamEnd)
                                      : std::uint8_t(0)});
     }
-    rig.pipes.deliver(42, {sent.begin(), sent.begin() + 7});
+    rig.landing.pipeChunk(42, {sent.begin(), sent.begin() + 7});
     rig.sim.step(3);
-    rig.pipes.deliver(42, {sent.begin() + 7, sent.end()});
+    rig.landing.pipeChunk(42, {sent.begin() + 7, sent.end()});
     const auto got = rig.drain(re, dest);
     expectTokensEqual(got, sent);
 }
@@ -519,7 +521,7 @@ TEST(ReadEngine, PipeInDeliversForwardedTokens)
 TEST(ReadEngine, RejectsZeroLengthStreams)
 {
     Rig rig;
-    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.pipes);
+    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
     TokenFifo dest(8);
     EXPECT_THROW(
         re.program(StreamDesc::linear(Space::Dram, 64, 0), &dest),
@@ -533,7 +535,7 @@ TEST(ReadEngine, BackpressureFromSlowConsumer)
     for (int i = 0; i < 64; ++i)
         rig.img.writeInt(a + i * wordBytes, i);
 
-    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.pipes);
+    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
     rig.sim.add(&re);
     TokenFifo dest(2);
     re.program(StreamDesc::linear(Space::Dram, a, 64), &dest);
@@ -556,7 +558,7 @@ TEST(ReadEngine, SinkModeModelsTrafficWithoutDelivery)
 {
     Rig rig;
     const Addr a = rig.img.allocWords(64);
-    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.pipes);
+    ReadEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
     rig.sim.add(&re);
     re.program(StreamDesc::linear(Space::Dram, a, 64), nullptr);
     rig.sim.run(100000);
@@ -691,34 +693,159 @@ TEST(WriteEngine, RetriesWhenPipeTxBackpressured)
     EXPECT_FALSE(we.active());
 }
 
-// --- pipe set ---------------------------------------------------------------
+// --- landing table ---------------------------------------------------------
 
-TEST(PipeSet, FifoPerPipeAndOccupancyStats)
+TEST(Landing, PipeFifoPerPipeAndOccupancyStats)
 {
-    PipeSet ps;
-    ps.deliver(1, {Token{fromInt(1), 0}, Token{fromInt(2), 0}});
-    ps.deliver(2, {Token{fromInt(9), 0}});
-    EXPECT_TRUE(ps.hasData(1));
-    EXPECT_EQ(asInt(ps.pop(1).value), 1);
-    EXPECT_EQ(asInt(ps.pop(2).value), 9);
-    EXPECT_EQ(asInt(ps.pop(1).value), 2);
-    EXPECT_FALSE(ps.hasData(1));
-    EXPECT_EQ(ps.totalBuffered(), 0u);
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+    l.pipeChunk(1, {Token{fromInt(1), 0}, Token{fromInt(2), 0}});
+    l.pipeChunk(2, {Token{fromInt(9), 0}});
+    EXPECT_TRUE(l.hasToken(1));
+    EXPECT_EQ(asInt(l.popToken(1).value), 1);
+    EXPECT_EQ(asInt(l.popToken(2).value), 9);
+    EXPECT_EQ(asInt(l.popToken(1).value), 2);
+    EXPECT_FALSE(l.hasToken(1));
 
     StatSet stats;
-    ps.reportStats(stats, "lane");
+    l.reportStats(stats, "lane");
     EXPECT_EQ(stats.get("lane.pipeTokens"), 3);
-    EXPECT_GE(stats.get("lane.pipeMaxOccupancy"), 2);
+    EXPECT_EQ(stats.get("lane.pipeMaxOccupancy"), 3);
+    EXPECT_EQ(stats.get("lane.fillLinesLanded"), 0);
+    EXPECT_FALSE(stats.has("lane.spatialChunksRecv"));
 }
 
-TEST(PipeSet, ReleaseRequiresDrainedPipe)
+TEST(Landing, ReleaseRequiresDrainedPipe)
 {
-    PipeSet ps;
-    ps.deliver(5, {Token{fromInt(1), 0}});
-    EXPECT_THROW(ps.release(5), PanicError);
-    ps.pop(5);
-    ps.release(5);
-    EXPECT_FALSE(ps.hasData(5));
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+    const std::uint64_t id = landingId(LandingKind::Pipe, 5);
+    l.pipeChunk(5, {Token{fromInt(1), 0}});
+    EXPECT_THROW(l.release(id), PanicError);
+    EXPECT_EQ(l.firstLive(), id);
+    l.popToken(5);
+    l.release(id);
+    EXPECT_FALSE(l.hasToken(5));
+    EXPECT_EQ(l.firstLive(), std::nullopt);
+}
+
+TEST(Landing, StashesFillsThatBeatTheSetup)
+{
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+    const LandingGate gate{landingId(LandingKind::Multicast, 3), 2, false};
+
+    const Addr base = 256; // line-aligned
+    for (unsigned w = 0; w < 16; ++w)
+        img.writeInt(base + w * wordBytes, 100 + w);
+
+    // Fill arrives before setup: must be stashed and applied later.
+    l.fill(3, base);
+    EXPECT_FALSE(l.ready(gate));
+    l.setup(GroupSetupMsg{3, base, 16, 32});
+    EXPECT_FALSE(l.ready(gate));
+    l.fill(3, base + lineBytes);
+    EXPECT_TRUE(l.ready(gate));
+    for (unsigned w = 0; w < 16; ++w)
+        EXPECT_EQ(asInt(spm.read(32 + w)), 100 + static_cast<int>(w));
+    // Multicast copies outlive their readers: no end-of-run residue.
+    EXPECT_EQ(l.firstLive(), std::nullopt);
+}
+
+TEST(Landing, UnalignedRangeLandsAtCorrectOffsets)
+{
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+
+    const Addr base = 256 + 3 * wordBytes; // mid-line start
+    for (unsigned w = 0; w < 8; ++w)
+        img.writeInt(base + w * wordBytes, 7 + w);
+    l.setup(GroupSetupMsg{1, base, 8, 0});
+    l.fill(1, 256);
+    l.fill(1, 256 + lineBytes);
+    EXPECT_TRUE(l.ready({landingId(LandingKind::Multicast, 1), 2, false}));
+    for (unsigned w = 0; w < 8; ++w)
+        EXPECT_EQ(asInt(spm.read(w)), 7 + static_cast<int>(w));
+}
+
+TEST(Landing, GatesOnDoneMarkersAndTracksPeak)
+{
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+    const std::uint64_t g = spatial::landingGroup(3, 1);
+    const std::uint64_t id = landingId(LandingKind::Spatial, g);
+
+    // Two producers forward into the group; the consumer may not
+    // start until both done markers arrived.
+    EXPECT_TRUE(l.ready({id, 0, true}));
+    EXPECT_FALSE(l.ready({id, 2, true}));
+    l.spatialChunk(g, 16, false);
+    l.spatialChunk(g, 16, true);
+    EXPECT_FALSE(l.ready({id, 2, true}));
+    l.spatialChunk(g, 8, true);
+    EXPECT_TRUE(l.ready({id, 2, true}));
+
+    EXPECT_EQ(l.spatialWordsReceived(), 40u);
+    StatSet stats;
+    l.reportStats(stats, "lane");
+    EXPECT_EQ(stats.get("lane.spatialChunksRecv"), 3);
+    EXPECT_EQ(stats.get("lane.spatialWordsRecv"), 40);
+
+    // Unknown groups are simply incomplete, and release is
+    // idempotent on them.  Release samples the group's peak.
+    EXPECT_FALSE(l.ready(
+        {landingId(LandingKind::Spatial, spatial::landingGroup(9, 0)), 1,
+         true}));
+    StatSet::setActive(&stats);
+    l.release(id);
+    l.release(id);
+    StatSet::setActive(nullptr);
+    EXPECT_FALSE(l.ready({id, 2, true}));
+    ASSERT_NE(stats.histogram("spatial.groupPeakWords"), nullptr);
+    EXPECT_EQ(stats.histogram("spatial.groupPeakWords")->count(), 1u);
+    EXPECT_EQ(stats.histogram("spatial.groupPeakWords")->max(), 40);
+}
+
+TEST(Landing, DoneMarkerBeforeTheGateIsChecked)
+{
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+    const std::uint64_t g = spatial::landingGroup(4, 0);
+    const std::uint64_t id = landingId(LandingKind::Spatial, g);
+
+    // A zero-output producer's bare done marker lands before the
+    // consumer is even dispatched: the first check must pass.
+    l.spatialChunk(g, 0, true);
+    EXPECT_EQ(l.firstLive(), id);
+    EXPECT_TRUE(l.ready({id, 1, true}));
+    l.release(id);
+    EXPECT_EQ(l.firstLive(), std::nullopt);
+}
+
+TEST(Landing, KindsShareKeysWithoutColliding)
+{
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
+    Landing l(img, spm);
+
+    // Producer 5 port 0 pipes into a lane where consumer 5 port 0
+    // also lands a spatial group: the same packed key, two entries.
+    const std::uint64_t key = spatial::landingGroup(5, 0);
+    l.pipeChunk(key, {Token{fromInt(1), 0}});
+    l.spatialChunk(key, 8, true);
+    EXPECT_TRUE(l.hasToken(key));
+    EXPECT_TRUE(l.ready({landingId(LandingKind::Spatial, key), 1, true}));
+    EXPECT_FALSE(
+        l.ready({landingId(LandingKind::Multicast, key), 1, false}));
+    EXPECT_EQ(landingName(landingId(LandingKind::Pipe, key)), "pipe 40");
+    EXPECT_EQ(landingName(landingId(LandingKind::Spatial, key)),
+              "spatial 40");
 }
 
 // --- word fetcher -------------------------------------------------------------

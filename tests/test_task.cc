@@ -504,45 +504,6 @@ TEST(Multicast, ReducesDramReadsVersusBaseline)
         << "multicast must collapse 8 reads of the range into 1";
 }
 
-// --- shared landing ----------------------------------------------------------
-
-TEST(SharedLanding, StashesFillsThatBeatTheSetup)
-{
-    MemImage img;
-    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    SharedLanding landing(img, spm);
-
-    const Addr base = 256; // line-aligned
-    for (unsigned w = 0; w < 16; ++w)
-        img.writeInt(base + w * wordBytes, 100 + w);
-
-    // Fill arrives before setup: must be stashed and applied later.
-    landing.fill(3, base);
-    EXPECT_FALSE(landing.known(3));
-    landing.setup(GroupSetupMsg{3, base, 16, 32});
-    landing.fill(3, base + lineBytes);
-    EXPECT_TRUE(landing.complete(3));
-    for (unsigned w = 0; w < 16; ++w)
-        EXPECT_EQ(asInt(spm.read(32 + w)), 100 + static_cast<int>(w));
-}
-
-TEST(SharedLanding, UnalignedRangeLandsAtCorrectOffsets)
-{
-    MemImage img;
-    Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    SharedLanding landing(img, spm);
-
-    const Addr base = 256 + 3 * wordBytes; // mid-line start
-    for (unsigned w = 0; w < 8; ++w)
-        img.writeInt(base + w * wordBytes, 7 + w);
-    landing.setup(GroupSetupMsg{1, base, 8, 0});
-    landing.fill(1, 256);
-    landing.fill(1, 256 + lineBytes);
-    EXPECT_TRUE(landing.complete(1));
-    for (unsigned w = 0; w < 8; ++w)
-        EXPECT_EQ(asInt(spm.read(w)), 7 + static_cast<int>(w));
-}
-
 // --- queue capacity ------------------------------------------------------------
 
 TEST(Dispatcher, RespectsLaneQueueCapacity)
