@@ -137,35 +137,15 @@ Lane::writeLine(Addr lineAddr)
 }
 
 bool
-Lane::sendChunk(std::uint64_t dstMask, std::uint64_t pipeId,
-                const std::vector<Token>& toks)
+Lane::sendForward(const ForwardChunk& c)
 {
-    Packet pkt;
-    pkt.src = selfNode_;
-    pkt.dstMask = dstMask;
-    pkt.kind = PktKind::PipeChunk;
-    pkt.sizeWords = static_cast<std::uint32_t>(toks.size());
-    pkt.payload = PipeChunkMsg{pipeId, toks};
+    Packet pkt = forwardPacket(selfNode_, c);
+    const bool pipe = pkt.kind == PktKind::PipeChunk;
     if (!noc_.inject(std::move(pkt)))
         return false;
-    ++chunksSent_;
+    if (pipe)
+        ++chunksSent_;
     return true;
-}
-
-bool
-Lane::sendSpatial(std::uint32_t dstNode, std::uint64_t group,
-                  std::uint32_t words, bool done)
-{
-    // Timing-only: the functional words already hit the global image.
-    // One header word plus the payload words crosses the mesh; the
-    // receiving lane does the attribution accounting.
-    Packet pkt;
-    pkt.src = selfNode_;
-    pkt.dstMask = Packet::unicast(dstNode);
-    pkt.kind = PktKind::SpatialChunk;
-    pkt.sizeWords = words + 1;
-    pkt.payload = SpatialChunkMsg{group, words, done};
-    return noc_.inject(std::move(pkt));
 }
 
 void

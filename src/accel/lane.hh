@@ -52,10 +52,7 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     bool writeLine(Addr lineAddr) override;
 
     // PipeTxIf
-    bool sendChunk(std::uint64_t dstMask, std::uint64_t pipeId,
-                   const std::vector<Token>& toks) override;
-    bool sendSpatial(std::uint32_t dstNode, std::uint64_t group,
-                     std::uint32_t words, bool done) override;
+    bool sendForward(const ForwardChunk& c) override;
 
     void tick(Tick now) override;
     bool busy() const override;

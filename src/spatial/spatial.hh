@@ -38,13 +38,14 @@ landingEligibleInput(const StreamDesc& d)
 
 /**
  * Whether a producer output port can be forwarded: a dense stride-1
- * DRAM write-back not already claimed by pipeline forwarding.
+ * DRAM write-back with no forward yet (pipe activation runs first, and
+ * a piped output must not be claimed twice).
  */
 inline bool
 forwardableOutput(const WriteDesc& w)
 {
-    return w.space == Space::Dram && w.toMemory &&
-           w.strideWords == 1 && w.pipeDstMask == 0;
+    return w.space == Space::Dram && w.strideWords == 1 &&
+           w.forwards.empty();
 }
 
 /** Whether @p w writes into the range @p in reads (base containment

@@ -7,30 +7,33 @@
 namespace ts
 {
 
-namespace
-{
-
-LandingKind
-kindOf(std::uint64_t id)
-{
-    return static_cast<LandingKind>(id >> 62);
-}
-
-std::uint64_t
-keyOf(std::uint64_t id)
-{
-    return id & ((std::uint64_t{1} << 62) - 1);
-}
-
-} // namespace
-
 std::string
 landingName(std::uint64_t id)
 {
     static const char* const kNames[] = {"?", "pipe", "multicast",
                                          "spatial"};
     return std::string(kNames[id >> 62]) + " " +
-           std::to_string(keyOf(id));
+           std::to_string(landingKey(id));
+}
+
+Packet
+forwardPacket(std::uint32_t src, const ForwardChunk& c)
+{
+    Packet pkt;
+    pkt.src = src;
+    pkt.dstMask = c.to.dstMask;
+    pkt.sizeWords = c.words + 1;
+    const std::uint64_t key = landingKey(c.to.landing);
+    if (landingKind(c.to.landing) == LandingKind::Pipe) {
+        TS_ASSERT(c.toks.size() == c.words, "pipe chunk of ", c.words,
+                  " words carries ", c.toks.size(), " tokens");
+        pkt.kind = PktKind::PipeChunk;
+        pkt.payload = PipeChunkMsg{key, c.toks};
+    } else {
+        pkt.kind = PktKind::SpatialChunk;
+        pkt.payload = SpatialChunkMsg{key, c.words, c.done};
+    }
+    return pkt;
 }
 
 void
@@ -127,7 +130,7 @@ Landing::release(std::uint64_t id)
         return;
     TS_ASSERT(it->second.toks.empty(), "releasing ", landingName(id),
               " with data buffered");
-    if (kindOf(id) == LandingKind::Spatial)
+    if (landingKind(id) == LandingKind::Spatial)
         groupPeakWords_.sample(static_cast<double>(it->second.arrived));
     entries_.erase(it);
 }
@@ -136,7 +139,7 @@ std::optional<std::uint64_t>
 Landing::firstLive() const
 {
     for (const auto& [id, e] : entries_) {
-        if (kindOf(id) != LandingKind::Multicast)
+        if (landingKind(id) != LandingKind::Multicast)
             return id;
     }
     return std::nullopt;

@@ -41,6 +41,7 @@
 #include "noc/packet.hh"
 #include "sim/ring.hh"
 #include "sim/stats.hh"
+#include "stream/lane_io.hh"
 
 namespace ts
 {
@@ -60,8 +61,30 @@ landingId(LandingKind kind, std::uint64_t key)
     return (static_cast<std::uint64_t>(kind) << 62) | key;
 }
 
+/** The kind a landing id names. */
+constexpr LandingKind
+landingKind(std::uint64_t id)
+{
+    return static_cast<LandingKind>(id >> 62);
+}
+
+/** The kind's own key inside a landing id. */
+constexpr std::uint64_t
+landingKey(std::uint64_t id)
+{
+    return id & ((std::uint64_t{1} << 62) - 1);
+}
+
 /** "pipe 42", "spatial 7": a landing id for diagnostics. */
 std::string landingName(std::uint64_t id);
+
+/**
+ * The packet that carries forwarded chunk @p c from node @p src.  The
+ * landing kind picks the format: a pipe chunk carries its tokens, a
+ * spatial chunk is timing-only (its words are already in the global
+ * image).  Either way one header word precedes the payload.
+ */
+Packet forwardPacket(std::uint32_t src, const ForwardChunk& c);
 
 /** One landing a dispatched task waits on and/or releases. */
 struct LandingGate

@@ -14,6 +14,7 @@
 
 #include "cgra/token.hh"
 #include "sim/types.hh"
+#include "stream/stream_desc.hh"
 
 namespace ts
 {
@@ -58,43 +59,31 @@ class MemPortIf
     virtual bool writeLine(Addr lineAddr) = 0;
 };
 
-/** Transmit side of inter-task pipeline forwarding. */
+/** One chunk of a forwarded output stream, bound for one forward. */
+struct ForwardChunk
+{
+    Forward to;
+    std::uint32_t words = 0; ///< payload words (0: a bare done marker)
+    bool done = false;       ///< the producer's end of stream
+    std::vector<Token> toks; ///< the payload (pipe forwards only)
+};
+
+/**
+ * Transmit side of lane-to-lane forwarding.  A write engine cuts each
+ * forwarded stream into chunks (WriteDesc::forwards) and queues one
+ * chunk per forward; the lane turns each into one packet whose format
+ * follows the landing kind (forwardPacket, stream/landing.hh).
+ */
 class PipeTxIf
 {
   public:
     virtual ~PipeTxIf() = default;
 
     /**
-     * Forward a chunk of produced tokens to consumer lane(s).
-     * @param dstMask NoC destination mask.
-     * @param pipeId the dependence's pipe identity.
-     * @param toks the chunk (order-preserving).
+     * Inject chunk @p c toward its consumer lane(s).
      * @return false when the network rejects the packet (retry).
      */
-    virtual bool sendChunk(std::uint64_t dstMask, std::uint64_t pipeId,
-                           const std::vector<Token>& toks) = 0;
-
-    /**
-     * Forward a spatially mapped chunk to a consumer lane's landing
-     * zone (timing-only; the words are already in the functional
-     * image).  Default accepts and drops the chunk so stream-layer
-     * unit tests need no NoC.
-     * @param dstNode consumer lane's NoC node.
-     * @param group landing-group identity ((consumer uid << 3)|port).
-     * @param words words in this chunk (0 for a pure done marker).
-     * @param done producer's end-of-stream marker for the group.
-     * @return false when the network rejects the packet (retry).
-     */
-    virtual bool sendSpatial(std::uint32_t dstNode,
-                             std::uint64_t group, std::uint32_t words,
-                             bool done)
-    {
-        (void)dstNode;
-        (void)group;
-        (void)words;
-        (void)done;
-        return true;
-    }
+    virtual bool sendForward(const ForwardChunk& c) = 0;
 };
 
 } // namespace ts

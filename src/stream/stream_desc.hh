@@ -123,38 +123,37 @@ struct StreamDesc
     bool dramRange(Addr& beginByte, std::uint64_t& words) const;
 };
 
+/** One consumer landing an output stream is forwarded to. */
+struct Forward
+{
+    std::uint64_t dstMask = 0; ///< NoC node(s) of the consumer lane(s)
+    std::uint64_t landing = 0; ///< landingId(kind, key) there
+};
+
 /** An output stream destination. */
 struct WriteDesc
 {
     Space space = Space::Dram;
     Addr base = 0;               ///< byte addr (Dram) / word offset (Spm)
     std::int64_t strideWords = 1;
-    bool toMemory = true;        ///< functional+traffic memory write
-
-    /** Non-zero: forward a copy of the stream to these NoC nodes. */
-    std::uint64_t pipeDstMask = 0;
-    std::uint64_t pipeId = 0;
-    std::uint32_t chunkWords = 16; ///< forwarding granularity
-
-    /** One spatially mapped consumer of this output stream. */
-    struct SpatialDst
-    {
-        std::uint32_t node = 0;  ///< consumer lane's NoC node
-        std::uint64_t group = 0; ///< (consumer uid << 3) | port
-    };
-
-    /** Spatial mapping: forward the stream lane-to-lane into these
-     *  consumers' landing zones (chunkWords granularity, final chunk
-     *  carries the done marker). */
-    std::vector<SpatialDst> spatialDsts;
 
     /**
-     * Spatial mapping: every consumer of this range receives the
-     * stream by forwarding, so the DRAM write-back line traffic is
-     * suppressed (the functional image is still updated — see
-     * DESIGN.md §8 for the fidelity contract).
+     * Copies of the stream sent lane-to-lane, cut into chunks of
+     * chunkWords (the last one at stream end).  The landing kind
+     * picks the packet: a pipe forward carries the tokens, a spatial
+     * forward is timing-only and its last chunk carries the done
+     * marker (stream/landing.hh).
      */
-    bool spatialSuppress = false;
+    std::vector<Forward> forwards;
+    std::uint32_t chunkWords = 16; ///< forwarding granularity
+
+    /**
+     * DRAM write-back line traffic.  Spatial mapping clears it when
+     * every consumer of the range receives the stream by forwarding;
+     * the functional image is still updated (DESIGN.md §8 has the
+     * fidelity contract).
+     */
+    bool writeBack = true;
 };
 
 /**

@@ -1,6 +1,9 @@
 #include "stream/write_engine.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
+#include "stream/landing.hh"
 #include "trace/trace.hh"
 
 namespace ts
@@ -19,8 +22,6 @@ WriteEngine::program(const WriteDesc& d, TokenFifo* src)
 {
     TS_ASSERT(!active_, name(), ": program while active");
     TS_ASSERT(src != nullptr);
-    TS_ASSERT(d.toMemory || d.pipeDstMask != 0,
-              name(), ": write stream with no destination");
     d_ = d;
     src_ = src;
     active_ = true;
@@ -28,16 +29,19 @@ WriteEngine::program(const WriteDesc& d, TokenFifo* src)
     sawStreamEnd_ = false;
     pos_ = 0;
     curLine_.reset();
+    fwdWords_ = 0;
     chunk_.clear();
-    chunkPending_ = false;
-    spatialAccum_ = 0;
-    pendingSpatial_.clear();
+    pipeForward_ = std::any_of(
+        d_.forwards.begin(), d_.forwards.end(), [](const Forward& f) {
+            return landingKind(f.landing) == LandingKind::Pipe;
+        });
+    sendQ_.clear();
     ++streamsRun_;
 
     if (trace::on()) {
         auto* t = trace::active();
         t->begin(t->track(name()),
-                 d_.pipeDstMask != 0 ? "write+pipe" : "write",
+                 pipeForward_ ? "write+pipe" : "write",
                  trace::args("base", d_.base));
     }
 }
@@ -45,10 +49,10 @@ WriteEngine::program(const WriteDesc& d, TokenFifo* src)
 void
 WriteEngine::queueLine(Addr line)
 {
-    // Spatially suppressed write-back: every consumer receives the
-    // stream by forwarding, so the line traffic never happens.  The
-    // count is what a non-forwarded run would have written.
-    if (d_.spatialSuppress) {
+    // Suppressed write-back: every consumer receives the stream by
+    // forwarding, so the line traffic never happens.  The count is
+    // what a non-forwarded run would have written.
+    if (!d_.writeBack) {
         ++linesSuppressed_;
         return;
     }
@@ -68,23 +72,31 @@ WriteEngine::flushTraffic()
         pendingLines_.pop_front();
         ++linesWritten_;
     }
-    // Retry a pending pipe chunk.
-    if (chunkPending_) {
-        if (!pipeTx_->sendChunk(d_.pipeDstMask, d_.pipeId, chunk_))
+    // Retry pending forward chunks, in cut order.
+    while (!sendQ_.empty()) {
+        const ForwardChunk& c = sendQ_.front();
+        if (!pipeTx_->sendForward(c))
             return false;
-        chunk_.clear();
-        chunkPending_ = false;
-        ++chunksSent_;
-    }
-    // Retry pending spatial forwards toward consumer landing zones.
-    while (!pendingSpatial_.empty()) {
-        const SpatialSend& s = pendingSpatial_.front();
-        if (!pipeTx_->sendSpatial(s.node, s.group, s.words, s.done))
-            return false;
-        pendingSpatial_.pop_front();
-        ++spatialChunksSent_;
+        if (landingKind(c.to.landing) == LandingKind::Pipe)
+            ++chunksSent_;
+        else
+            ++spatialChunksSent_;
+        sendQ_.pop_front();
     }
     return true;
+}
+
+void
+WriteEngine::cutChunk(bool done)
+{
+    for (const Forward& f : d_.forwards) {
+        ForwardChunk c{f, fwdWords_, done, {}};
+        if (landingKind(f.landing) == LandingKind::Pipe)
+            c.toks = chunk_;
+        sendQ_.push_back(std::move(c));
+    }
+    fwdWords_ = 0;
+    chunk_.clear();
 }
 
 void
@@ -100,52 +112,37 @@ WriteEngine::tick(Tick now)
 
     std::uint32_t budget = cfg_.width;
     while (budget > 0 && !src_->empty() && !sawStreamEnd_) {
-        if (pendingLines_.size() >= cfg_.writeQueueDepth)
+        if (pendingLines_.size() >= cfg_.writeQueueDepth ||
+            sendQ_.size() >= cfg_.writeQueueDepth) {
             break;
-        if (chunkPending_)
-            break;
-        if (pendingSpatial_.size() >= cfg_.writeQueueDepth)
-            break;
+        }
 
         // Scratchpad writes need a port this cycle.
         const std::int64_t elemOff =
             static_cast<std::int64_t>(pos_) * d_.strideWords;
-        if (d_.toMemory && d_.space == Space::Spm &&
-            !spm_->tryAccess(now)) {
+        if (d_.space == Space::Spm && !spm_->tryAccess(now))
             break;
-        }
 
         const Token t = src_->pop();
-        if (d_.toMemory) {
-            if (d_.space == Space::Dram) {
-                const Addr a =
-                    d_.base + static_cast<Addr>(elemOff) * wordBytes;
-                img_.writeWord(a, t.value);
-                const Addr line = lineAlign(a);
-                if (!curLine_ || *curLine_ != line) {
-                    if (curLine_)
-                        queueLine(*curLine_);
-                    curLine_ = line;
-                }
-            } else {
-                spm_->write(d_.base + static_cast<Addr>(elemOff),
-                            t.value);
+        if (d_.space == Space::Dram) {
+            const Addr a =
+                d_.base + static_cast<Addr>(elemOff) * wordBytes;
+            img_.writeWord(a, t.value);
+            const Addr line = lineAlign(a);
+            if (!curLine_ || *curLine_ != line) {
+                if (curLine_)
+                    queueLine(*curLine_);
+                curLine_ = line;
             }
+        } else {
+            spm_->write(d_.base + static_cast<Addr>(elemOff), t.value);
         }
-        if (d_.pipeDstMask != 0) {
-            chunk_.push_back(t);
-            if (chunk_.size() >= d_.chunkWords || t.streamEnd())
-                chunkPending_ = true;
-        }
-        if (!d_.spatialDsts.empty()) {
-            ++spatialAccum_;
-            if (spatialAccum_ >= d_.chunkWords || t.streamEnd()) {
-                for (const WriteDesc::SpatialDst& dst : d_.spatialDsts)
-                    pendingSpatial_.push_back(
-                        SpatialSend{dst.node, dst.group, spatialAccum_,
-                                    t.streamEnd()});
-                spatialAccum_ = 0;
-            }
+        if (!d_.forwards.empty()) {
+            ++fwdWords_;
+            if (pipeForward_)
+                chunk_.push_back(t);
+            if (fwdWords_ >= d_.chunkWords || t.streamEnd())
+                cutChunk(t.streamEnd());
         }
         ++pos_;
         ++tokensWritten_;

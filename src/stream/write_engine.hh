@@ -1,9 +1,9 @@
 /**
  * @file
  * The write stream engine: drains a fabric output port into memory
- * (functional write + line-granular traffic) and/or forwards the
- * stream as pipe chunks to consumer lanes — the transmit half of
- * pipelined inter-task dependence recovery.
+ * (functional write + line-granular traffic) and forwards copies of
+ * the stream as chunks to consumer lanes — the transmit half of
+ * pipelined dependences and spatial forwarding.
  */
 
 #ifndef TS_STREAM_WRITE_ENGINE_HH
@@ -24,7 +24,8 @@ namespace ts
 struct WriteEngineCfg
 {
     std::uint32_t width = 2;          ///< tokens consumed per cycle
-    std::size_t writeQueueDepth = 8;  ///< pending line writes
+    /** Pending line writes, and pending forward chunks. */
+    std::size_t writeQueueDepth = 8;
 };
 
 /** One output-stream engine. */
@@ -47,12 +48,8 @@ class WriteEngine : public Ticked
         return active_ && !pendingLines_.empty();
     }
 
-    /** Cycle-accounting probe: pipe chunk awaiting NoC injection. */
-    bool
-    blockedOnNoc() const
-    {
-        return active_ && (chunkPending_ || !pendingSpatial_.empty());
-    }
+    /** Cycle-accounting probe: forward chunk awaiting NoC injection. */
+    bool blockedOnNoc() const { return active_ && !sendQ_.empty(); }
 
     void tick(Tick now) override;
     bool busy() const override { return active_; }
@@ -60,8 +57,8 @@ class WriteEngine : public Ticked
 
     std::uint64_t tokensWritten() const { return tokensWritten_; }
 
-    /** DRAM write-back lines suppressed because every consumer of
-     *  this stream receives it by spatial forwarding. */
+    /** DRAM write-back lines suppressed (WriteDesc::writeBack off:
+     *  every consumer receives the stream by spatial forwarding). */
     std::uint64_t linesSuppressed() const { return linesSuppressed_; }
 
     /** Spatial chunks injected toward consumer landing zones. */
@@ -71,17 +68,9 @@ class WriteEngine : public Ticked
     }
 
   private:
-    /** One spatial chunk awaiting NoC injection. */
-    struct SpatialSend
-    {
-        std::uint32_t node = 0;
-        std::uint64_t group = 0;
-        std::uint32_t words = 0;
-        bool done = false;
-    };
-
     bool flushTraffic();
     void queueLine(Addr line);
+    void cutChunk(bool done);
 
     MemImage& img_;
     Scratchpad* spm_;
@@ -97,14 +86,14 @@ class WriteEngine : public Ticked
     std::uint64_t pos_ = 0; ///< elements written
     std::optional<Addr> curLine_;
     std::deque<Addr> pendingLines_;
-    std::vector<Token> chunk_;
-    bool chunkPending_ = false;
-    std::uint32_t spatialAccum_ = 0; ///< words since last spatial send
-    std::deque<SpatialSend> pendingSpatial_;
+    std::uint32_t fwdWords_ = 0; ///< words since the last cut
+    std::vector<Token> chunk_;     ///< those words, if a pipe forwards
+    bool pipeForward_ = false;     ///< some forward is a pipe
+    std::deque<ForwardChunk> sendQ_;
 
     std::uint64_t tokensWritten_ = 0;
     std::uint64_t linesWritten_ = 0;
-    std::uint64_t chunksSent_ = 0;
+    std::uint64_t chunksSent_ = 0; ///< pipe chunks
     std::uint64_t linesSuppressed_ = 0;
     std::uint64_t spatialChunksSent_ = 0;
     std::uint64_t streamsRun_ = 0;

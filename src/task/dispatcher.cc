@@ -18,6 +18,19 @@ namespace ts
 namespace
 {
 
+/** Dispatch packets injected per cycle. */
+constexpr std::uint32_t kSendPerCycle = 2;
+
+/** Upper bound on how long a ready task with soon-joinable pipeline
+ *  consumers is held back so whole pipeline regions co-dispatch
+ *  (holding is free: the blockers are running on the lanes anyway). */
+constexpr Tick kPipelineHoldCycles = 65536;
+
+/** Even with idle lanes, a ready task with pending pipeline consumers
+ *  waits this long so near-simultaneous siblings can coalesce into one
+ *  co-dispatched region. */
+constexpr Tick kPipelineGraceCycles = 768;
+
 /** Unique pipe identity for a producer output port. */
 std::uint64_t
 pipeIdOf(TaskId uid, std::uint8_t port)
@@ -755,8 +768,9 @@ Dispatcher::spatialResolveProducer(TaskId id, DispatchMsg& pm)
                     forwardedAll = false;
                     continue;
                 }
-                out.spatialDsts.push_back(WriteDesc::SpatialDst{
-                    cfg_.laneNodes[it->second.lane], g});
+                out.forwards.push_back(Forward{
+                    Packet::unicast(cfg_.laneNodes[it->second.lane]),
+                    landingId(LandingKind::Spatial, g)});
                 ++it->second.expectedDones;
                 ++spatialForwards_;
                 fwdGroups.push_back(g);
@@ -768,8 +782,8 @@ Dispatcher::spatialResolveProducer(TaskId id, DispatchMsg& pm)
                 }
             }
         }
-        if (touched && forwardedAll && !out.spatialDsts.empty())
-            out.spatialSuppress = true;
+        if (touched && forwardedAll && !out.forwards.empty())
+            out.writeBack = false;
     }
 }
 
@@ -958,8 +972,8 @@ Dispatcher::tryDispatchHead(Tick now)
     }
     const Tick waited = now - rs.readyAt;
     const bool withinHold =
-        (allLanesBusy && waited < cfg_.pipelineHoldCycles) ||
-        waited < cfg_.pipelineGraceCycles;
+        (allLanesBusy && waited < kPipelineHoldCycles) ||
+        waited < kPipelineGraceCycles;
     if (cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial &&
         withinHold) {
         for (const TaskId member : closure) {
@@ -1065,16 +1079,23 @@ Dispatcher::tryDispatchHead(Tick now)
                                            c));
                 }
                 const std::uint64_t pid = pipeIdOf(id, es.e.producerPort);
-                DispatchMsg& pm = msgs.at(id);
-                WriteDesc& out = pm.outputs.at(es.e.producerPort);
-                out.pipeDstMask |= Packet::unicast(
-                    cfg_.laneNodes[states_[c].lane]);
-                out.pipeId = pid;
+                const std::uint64_t lid =
+                    landingId(LandingKind::Pipe, pid);
+                // Consumers of one producer port share one forward,
+                // multicast to each of their lanes.
+                std::vector<Forward>& fwds =
+                    msgs.at(id).outputs.at(es.e.producerPort).forwards;
+                auto fwd = std::find_if(
+                    fwds.begin(), fwds.end(),
+                    [&](const Forward& f) { return f.landing == lid; });
+                if (fwd == fwds.end())
+                    fwd = fwds.insert(fwds.end(), Forward{0, lid});
+                fwd->dstMask |=
+                    Packet::unicast(cfg_.laneNodes[states_[c].lane]);
                 DispatchMsg& cm = msgs.at(c);
                 cm.inputs.at(es.e.consumerPort) =
                     StreamDesc::pipeIn(pid);
-                cm.landings.push_back(LandingGate{
-                    landingId(LandingKind::Pipe, pid), 0, true});
+                cm.landings.push_back(LandingGate{lid, 0, true});
             } else {
                 ++pipesDegraded_;
                 if (trace::on()) {
@@ -1143,7 +1164,7 @@ Dispatcher::tick(Tick now)
     processInbox(now);
 
     // Drain the send queue.
-    std::uint32_t sends = cfg_.sendPerCycle;
+    std::uint32_t sends = kSendPerCycle;
     while (sends > 0 && !sendQ_.empty()) {
         if (!noc_.inject(sendQ_.front()))
             break;
@@ -1254,8 +1275,6 @@ Dispatcher::reportStats(StatSet& stats) const
               static_cast<double>(pipesDegraded_));
     stats.set("dispatcher.groupsFired",
               static_cast<double>(groupsFired_));
-    stats.set("dispatcher.groupMembersDegraded",
-              static_cast<double>(groupMembersDegraded_));
     stats.set("dispatcher.fillLines",
               static_cast<double>(fillLinesRequested_));
     stats.set("dispatcher.tasksCompleted",

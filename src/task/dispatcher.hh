@@ -68,16 +68,6 @@ struct DispatcherConfig
      *  L completes before level L+1 may start). */
     bool bulkSynchronous = false;
     std::uint32_t laneQueueCap = 2;  ///< per-lane queue (incl. running)
-    std::uint32_t sendPerCycle = 2;  ///< packets injected per cycle
-    /** Upper bound on how long a ready task with soon-joinable
-     *  pipeline consumers is held back so whole pipeline regions
-     *  co-dispatch (holding is free: the blockers are running on the
-     *  lanes anyway). */
-    Tick pipelineHoldCycles = 65536;
-    /** Even with idle lanes, a ready task with pending pipeline
-     *  consumers waits this long so near-simultaneous siblings can
-     *  coalesce into one co-dispatched region. */
-    Tick pipelineGraceCycles = 768;
     std::uint64_t spmLandingWords = 1u << 16; ///< shared-copy budget
 
     /** Spatial: per-lane landing-buffer budget (words).  A forwarded
@@ -339,7 +329,6 @@ class Dispatcher : public Ticked
     std::uint64_t pipesActivated_ = 0;
     std::uint64_t pipesDegraded_ = 0;
     std::uint64_t groupsFired_ = 0;
-    std::uint64_t groupMembersDegraded_ = 0;
     std::uint64_t fillLinesRequested_ = 0;
 
     /** Per-lane measured service cycles: actual assignment vs. the

@@ -48,6 +48,17 @@ TaskUnit::queueMsgTo(std::uint32_t dstNode, PktKind kind,
     sendQ_.push_back(std::move(pkt));
 }
 
+void
+TaskUnit::cutBuiltinChunk(const WriteDesc& out, bool done)
+{
+    for (const Forward& f : out.forwards) {
+        sendQ_.push_back(forwardPacket(
+            ports_.selfNode, ForwardChunk{f, builtinFwdWords_, done, {}}));
+        ++spatialChunksSent_;
+    }
+    builtinFwdWords_ = 0;
+}
+
 TaskUnit::TypeProbes&
 TaskUnit::typeProbes(TaskTypeId type)
 {
@@ -442,8 +453,7 @@ TaskUnit::step(Tick now)
             type.builtin->outputWords(*ports_.image, view), lineWords);
         builtinWriteCursor_ =
             cur_.outputs.empty() ? 0 : lineAlign(cur_.outputs[0].base);
-        builtinFwdAccum_ = 0;
-        builtinFwdDoneSent_ = false;
+        builtinFwdWords_ = 0;
         phase_ = Phase::BuiltinCompute;
         return;
       }
@@ -455,16 +465,16 @@ TaskUnit::step(Tick now)
         [[fallthrough]];
 
       case Phase::BuiltinWrite: {
-        // Builtin bodies stream outputs[0] only; under spatial
-        // mapping the same stream may be suppressed (every consumer
-        // forwarded) and/or forwarded as chunks through the unit's
-        // send queue (whose FIFO order puts them ahead of our
-        // CompleteMsg injection).
+        // Builtin bodies stream outputs[0] only, line by line; its
+        // write-back may be suppressed and its forwards are cut by the
+        // write engine's rule (chunkWords, or stream end) into the
+        // unit's send queue, whose FIFO order puts them ahead of our
+        // CompleteMsg.
         const WriteDesc* out =
             cur_.outputs.empty() ? nullptr : &cur_.outputs[0];
         std::uint32_t budget = 2;
         while (budget > 0 && builtinLinesLeft_ > 0) {
-            if (out != nullptr && out->spatialSuppress) {
+            if (out != nullptr && !out->writeBack) {
                 ++spatialLinesSuppressed_;
             } else if (!ports_.memPort->writeLine(
                            builtinWriteCursor_)) {
@@ -475,40 +485,20 @@ TaskUnit::step(Tick now)
             builtinWriteCursor_ += lineBytes;
             --builtinLinesLeft_;
             --budget;
-            if (out != nullptr && !out->spatialDsts.empty()) {
-                builtinFwdAccum_ += lineWords;
-                const bool last = builtinLinesLeft_ == 0;
-                if (builtinFwdAccum_ >= out->chunkWords || last) {
-                    for (const WriteDesc::SpatialDst& dst :
-                         out->spatialDsts) {
-                        queueMsgTo(
-                            dst.node, PktKind::SpatialChunk,
-                            SpatialChunkMsg{dst.group,
-                                            builtinFwdAccum_, last},
-                            builtinFwdAccum_ + 1);
-                        ++spatialChunksSent_;
-                    }
-                    if (last)
-                        builtinFwdDoneSent_ = true;
-                    builtinFwdAccum_ = 0;
-                }
+            builtinFwdWords_ += lineWords;
+            if (out != nullptr && builtinLinesLeft_ > 0 &&
+                builtinFwdWords_ >= out->chunkWords) {
+                cutBuiltinChunk(*out, false);
             }
         }
         if (builtinLinesLeft_ > 0)
             return;
         builtinWriteBlocked_ = false;
-        // A zero-output producer (e.g. an internal sort that spawns
-        // its subtree and transfers successors) still owes its
-        // consumers a done marker on each forwarded group.
-        if (out != nullptr && !out->spatialDsts.empty() &&
-            !builtinFwdDoneSent_) {
-            for (const WriteDesc::SpatialDst& dst : out->spatialDsts) {
-                queueMsgTo(dst.node, PktKind::SpatialChunk,
-                           SpatialChunkMsg{dst.group, 0, true}, 1);
-                ++spatialChunksSent_;
-            }
-            builtinFwdDoneSent_ = true;
-        }
+        // The stream end cuts the last chunk; a zero-output producer
+        // (e.g. an internal sort that spawns its subtree) still owes
+        // each forward its done marker.
+        if (out != nullptr)
+            cutBuiltinChunk(*out, true);
         phase_ = Phase::Finish;
         return;
       }

@@ -95,7 +95,8 @@ class TaskUnit : public Ticked
         return spatialLinesSuppressed_;
     }
 
-    /** Spatial chunks this unit's builtin outputs sent. */
+    /** Spatial chunks this unit's builtin outputs sent (builtins
+     *  never feed pipes). */
     std::uint64_t spatialChunksSent() const
     {
         return spatialChunksSent_;
@@ -130,6 +131,8 @@ class TaskUnit : public Ticked
                   std::uint32_t sizeWords);
     void queueMsgTo(std::uint32_t dstNode, PktKind kind,
                     PacketPayload payload, std::uint32_t sizeWords);
+    /** Queue one chunk of the builtin output per forward of @p out. */
+    void cutBuiltinChunk(const WriteDesc& out, bool done);
     /** Idle with an empty inbox: probe the next victim, if any. */
     void maybeProbeSteal();
     /** Re-arm the probe round (on deliver/grant/task finish). */
@@ -150,11 +153,8 @@ class TaskUnit : public Ticked
     Tick computeUntil_ = 0;
     std::uint64_t builtinLinesLeft_ = 0;
     Addr builtinWriteCursor_ = 0;
-    /** Builtin spatial forwarding: words accumulated toward the next
-     *  chunk, and whether the done marker went out (zero-output
-     *  producers still owe one). */
-    std::uint32_t builtinFwdAccum_ = 0;
-    bool builtinFwdDoneSent_ = false;
+    /** Builtin forwarding: words accumulated toward the next chunk. */
+    std::uint32_t builtinFwdWords_ = 0;
 
     std::uint64_t tasksRun_ = 0;
     std::uint64_t busyCycles_ = 0;

@@ -66,7 +66,8 @@ TEST(SpatialVocab, ForwardableOutput)
     // An output already claimed by pipeline forwarding keeps its
     // pipe; spatial forwarding must not double-claim it.
     WriteDesc piped = ok;
-    piped.pipeDstMask = 0b10;
+    piped.forwards.push_back(
+        Forward{0b10, landingId(LandingKind::Pipe, 9)});
     EXPECT_FALSE(spatial::forwardableOutput(piped));
 }
 

@@ -569,21 +569,43 @@ TEST(ReadEngine, SinkModeModelsTrafficWithoutDelivery)
 
 // --- write engine ----------------------------------------------------------
 
+/** Records every forward chunk the engine sends; rejects all of them
+ *  while @c accept is false. */
 struct CapturePipeTx : public PipeTxIf
 {
-    std::vector<std::vector<Token>> chunks;
+    std::vector<ForwardChunk> sent;
     bool accept = true;
 
     bool
-    sendChunk(std::uint64_t, std::uint64_t,
-              const std::vector<Token>& toks) override
+    sendForward(const ForwardChunk& c) override
     {
         if (!accept)
             return false;
-        chunks.push_back(toks);
+        sent.push_back(c);
         return true;
     }
+
+    /** The tokens of every chunk sent, in order. */
+    std::vector<Token>
+    tokens() const
+    {
+        std::vector<Token> flat;
+        for (const ForwardChunk& c : sent)
+            flat.insert(flat.end(), c.toks.begin(), c.toks.end());
+        return flat;
+    }
 };
+
+/** @p n tokens 0..n-1, the last one ending the stream. */
+void
+pushStream(TokenFifo& src, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        src.push(Token{fromInt(i),
+                       i == n - 1 ? std::uint8_t(kSegEnd | kStreamEnd)
+                                  : std::uint8_t(0)});
+    }
+}
 
 TEST(WriteEngine, WritesTokensToMemoryInOrder)
 {
@@ -650,21 +672,19 @@ TEST(WriteEngine, ForwardsPipeChunksAndFinishesOnStreamEnd)
     }
     WriteDesc d;
     d.base = out;
-    d.pipeDstMask = 1u << 3;
-    d.pipeId = 9;
+    d.forwards.push_back(
+        Forward{1u << 3, landingId(LandingKind::Pipe, 9)});
     d.chunkWords = 8;
     we.program(d, &src);
     rig.sim.run(10000);
     EXPECT_FALSE(we.active());
 
-    std::vector<Token> flat;
-    for (const auto& c : tx.chunks)
-        flat.insert(flat.end(), c.begin(), c.end());
+    const std::vector<Token> flat = tx.tokens();
     ASSERT_EQ(flat.size(), static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
         EXPECT_EQ(asInt(flat[i].value), i);
     EXPECT_TRUE(flat.back().streamEnd());
-    EXPECT_EQ(tx.chunks.size(), 3u) << "8 + 8 + 4 tokens";
+    EXPECT_EQ(tx.sent.size(), 3u) << "8 + 8 + 4 tokens";
 }
 
 TEST(WriteEngine, RetriesWhenPipeTxBackpressured)
@@ -683,14 +703,139 @@ TEST(WriteEngine, RetriesWhenPipeTxBackpressured)
     }
     WriteDesc d;
     d.base = rig.img.allocWords(16);
-    d.pipeDstMask = 1;
-    d.pipeId = 1;
+    d.forwards.push_back(Forward{1, landingId(LandingKind::Pipe, 1)});
     we.program(d, &src);
     rig.sim.step(200);
     EXPECT_TRUE(we.active()) << "cannot finish while chunk unsent";
     tx.accept = true;
     rig.sim.run(10000);
     EXPECT_FALSE(we.active());
+}
+
+TEST(WriteEngine, SpatialForwardsCutOneChunkPerLandingAndSkipWriteBack)
+{
+    Rig rig;
+    CapturePipeTx tx;
+    WriteEngine we("we", rig.img, &rig.spm, &rig.port, &tx);
+    rig.sim.add(&we);
+
+    const Addr out = rig.img.allocWords(32);
+    TokenFifo src(64);
+    pushStream(src, 20);
+    const Forward a{1u << 2, landingId(LandingKind::Spatial, 11)};
+    const Forward b{1u << 5, landingId(LandingKind::Spatial, 12)};
+    WriteDesc d;
+    d.base = out;
+    d.forwards = {a, b};
+    d.chunkWords = 8;
+    d.writeBack = false;
+    we.program(d, &src);
+    rig.sim.run(10000);
+    EXPECT_FALSE(we.active());
+
+    // 8 + 8 + 4 words, each boundary cut once per forward.
+    const std::uint32_t words[] = {8, 8, 4};
+    ASSERT_EQ(tx.sent.size(), 6u);
+    for (std::size_t i = 0; i < tx.sent.size(); ++i) {
+        const ForwardChunk& c = tx.sent[i];
+        EXPECT_EQ(c.to.landing, (i % 2 == 0 ? a : b).landing);
+        EXPECT_EQ(c.to.dstMask, (i % 2 == 0 ? a : b).dstMask);
+        EXPECT_EQ(c.words, words[i / 2]);
+        EXPECT_EQ(c.done, i >= 4) << "only the last chunk is done";
+        EXPECT_TRUE(c.toks.empty()) << "spatial chunks are timing-only";
+    }
+    EXPECT_EQ(we.spatialChunksSent(), 6u);
+
+    // Write-back suppressed: the image holds the words, no line moved.
+    for (int i = 0; i < 20; ++i)
+        EXPECT_EQ(rig.img.readInt(out + i * wordBytes), i);
+    EXPECT_EQ(rig.port.memory().linesWritten(), 0u);
+    EXPECT_EQ(we.linesSuppressed(), 3u);
+}
+
+TEST(WriteEngine, FullSendQueueStallsPipeAndSpatialForwardsAlike)
+{
+    for (const LandingKind kind :
+         {LandingKind::Pipe, LandingKind::Spatial}) {
+        SCOPED_TRACE(landingName(landingId(kind, 3)));
+        Rig rig;
+        CapturePipeTx tx;
+        tx.accept = false;
+        // Wide enough that the queue bound, not the token budget,
+        // ends the first cycle's consumption.
+        WriteEngineCfg cfg;
+        cfg.width = 64;
+        WriteEngine we("we", rig.img, &rig.spm, &rig.port, &tx, cfg);
+        rig.sim.add(&we);
+
+        TokenFifo src(64);
+        pushStream(src, 40);
+        WriteDesc d;
+        d.base = rig.img.allocWords(40);
+        d.forwards.push_back(Forward{1, landingId(kind, 3)});
+        d.chunkWords = 2;
+        we.program(d, &src);
+        rig.sim.step(200);
+
+        // writeQueueDepth (8) chunks of 2 words are pending, and a
+        // rejected send stalls the engine.
+        EXPECT_EQ(we.tokensWritten(), 16u);
+        EXPECT_EQ(src.size(), 24u);
+        EXPECT_TRUE(we.active());
+        EXPECT_TRUE(we.blockedOnNoc());
+        EXPECT_TRUE(tx.sent.empty());
+
+        tx.accept = true;
+        rig.sim.run(10000);
+        EXPECT_FALSE(we.active());
+        ASSERT_EQ(tx.sent.size(), 20u);
+        for (std::size_t i = 0; i < tx.sent.size(); ++i) {
+            EXPECT_EQ(tx.sent[i].words, 2u);
+            EXPECT_EQ(tx.sent[i].done, i == 19);
+        }
+        if (kind == LandingKind::Pipe) {
+            const std::vector<Token> flat = tx.tokens();
+            ASSERT_EQ(flat.size(), 40u);
+            for (int i = 0; i < 40; ++i)
+                EXPECT_EQ(asInt(flat[i].value), i);
+        }
+    }
+}
+
+TEST(WriteEngine, ForwardPacketsPayOneHeaderWord)
+{
+    Rig rig;
+    CapturePipeTx tx;
+    WriteEngine we("we", rig.img, &rig.spm, &rig.port, &tx);
+    rig.sim.add(&we);
+
+    TokenFifo src(64);
+    pushStream(src, 20);
+    WriteDesc d;
+    d.base = rig.img.allocWords(20);
+    d.forwards = {Forward{1u << 3, landingId(LandingKind::Pipe, 9)},
+                  Forward{1u << 4, landingId(LandingKind::Spatial, 7)}};
+    d.chunkWords = 8;
+    we.program(d, &src);
+    rig.sim.run(10000);
+    ASSERT_EQ(tx.sent.size(), 6u);
+
+    for (const ForwardChunk& c : tx.sent) {
+        const Packet pkt = forwardPacket(5, c);
+        EXPECT_EQ(pkt.src, 5u);
+        EXPECT_EQ(pkt.dstMask, c.to.dstMask);
+        EXPECT_EQ(pkt.sizeWords, c.words + 1);
+        if (landingKind(c.to.landing) == LandingKind::Pipe) {
+            EXPECT_EQ(pkt.kind, PktKind::PipeChunk);
+            EXPECT_EQ(pkt.sizeWords, c.toks.size() + 1);
+            EXPECT_EQ(std::get<PipeChunkMsg>(pkt.payload).pipeId, 9u);
+        } else {
+            EXPECT_EQ(pkt.kind, PktKind::SpatialChunk);
+            const auto& msg = std::get<SpatialChunkMsg>(pkt.payload);
+            EXPECT_EQ(msg.group, 7u);
+            EXPECT_EQ(msg.done, c.done);
+        }
+    }
 }
 
 // --- landing table ---------------------------------------------------------
