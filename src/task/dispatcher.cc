@@ -132,6 +132,7 @@ Dispatcher::processInbox(Tick now)
     auto& inbox = noc_.eject(cfg_.selfNode);
     while (!inbox.empty()) {
         Packet pkt = inbox.pop();
+        ++stateEpoch_;
         switch (pkt.kind) {
           case PktKind::TaskStart: {
             const auto& msg = std::get<StartMsg>(pkt.payload);
@@ -827,6 +828,7 @@ Dispatcher::enqueueDispatch(TaskId id, DispatchMsg msg)
     TaskState& ts = states_[id];
     TS_ASSERT(ts.lane >= 0);
     ts.dispatched = true;
+    plans_.erase(id);
     ts.origLane = ts.lane;
     ++laneQueued_[ts.lane];
     laneWork_[ts.lane] += ts.workEst;
@@ -908,42 +910,77 @@ Dispatcher::fireGroup(std::uint32_t groupId)
     }
 }
 
+Dispatcher::RootPlan&
+Dispatcher::planFor(TaskId root, std::uint32_t freeSlots)
+{
+    RootPlan& plan = plans_[root];
+    if (plan.epoch == stateEpoch_)
+        return plan;
+    plan.epoch = stateEpoch_;
+    // Pipeline closure (TaskStream) or the single task (baseline).
+    // Spatial dispatch is always solo: forwarding happens through
+    // landing zones, not co-dispatched pipe batches.
+    const bool pipelined =
+        cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial;
+    if (pipelined) {
+        plan.closure = pipelineClosure(root);
+        ++closureEvals_;
+    } else {
+        plan.closure.assign(1, root);
+    }
+    // Cap the batch at the total free queue slots (members may share
+    // lanes; intra-batch uid order keeps per-lane queues topological,
+    // which makes sharing deadlock-free).
+    if (plan.closure.size() > freeSlots)
+        plan.closure.resize(freeSlots);
+    plan.soonConsumer = pipelined && hasSoonJoinableConsumer(plan.closure);
+    return plan;
+}
+
 bool
+Dispatcher::hasSoonJoinableConsumer(
+    const std::vector<TaskId>& closure) const
+{
+    for (const TaskId member : closure) {
+        for (std::size_t ei : states_[member].outEdges) {
+            const EdgeState& es = edges_[ei];
+            if (es.e.kind != DepKind::Pipeline || es.resolved)
+                continue;
+            if (std::binary_search(closure.begin(), closure.end(),
+                                   es.e.consumer)) {
+                continue;
+            }
+            if (soonJoinable(es.e.consumer, 0))
+                return true;
+        }
+    }
+    return false;
+}
+
+Dispatcher::Attempt
 Dispatcher::tryDispatchHead(Tick now)
 {
-    (void)now;
     const TaskId root = readyQ_.front();
     TaskState& rs = states_[root];
     if (rs.dispatched || rs.completed) {
         readyQ_.pop_front();
-        return true;
+        return Attempt::Advanced;
     }
     // A dynamic edge may have targeted this task after it became
     // ready; drop the stale entry — it re-enters the queue when the
     // new dependence resolves.
     if (rs.remDeps > 0) {
         readyQ_.pop_front();
-        return true;
+        return Attempt::Advanced;
     }
 
     // Bulk-synchronous mode: wait for the level barrier.
     if (cfg_.bulkSynchronous && rs.level > curLevel_) {
         readyQ_.pop_front();
         readyQ_.push_back(root);
-        return false;
+        return Attempt::Waiting;
     }
 
-    // 1. Pipeline closure (TaskStream) or the single task (baseline).
-    // Spatial dispatch is always solo: forwarding happens through
-    // landing zones, not co-dispatched pipe batches.
-    std::vector<TaskId> closure =
-        (cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial)
-            ? pipelineClosure(root)
-            : std::vector<TaskId>{root};
-
-    // Cap the batch at the total free queue slots (members may share
-    // lanes; intra-batch uid order keeps per-lane queues topological,
-    // which makes sharing deadlock-free).
     std::uint32_t freeSlots = 0;
     for (std::size_t l = 0; l < cfg_.laneNodes.size(); ++l) {
         freeSlots += cfg_.laneQueueCap > laneQueued_[l]
@@ -951,9 +988,10 @@ Dispatcher::tryDispatchHead(Tick now)
                          : 0;
     }
     if (freeSlots == 0)
-        return false;
-    if (closure.size() > freeSlots)
-        closure.resize(freeSlots);
+        return Attempt::LanesFull;
+
+    // 1. The root's closure, cached until the next state change.
+    RootPlan& plan = planFor(root, freeSlots);
 
     // Coalescing hold: if the root still has pipeline consumers that
     // could not join this closure but will become joinable without
@@ -974,24 +1012,10 @@ Dispatcher::tryDispatchHead(Tick now)
     const bool withinHold =
         (allLanesBusy && waited < kPipelineHoldCycles) ||
         waited < kPipelineGraceCycles;
-    if (cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial &&
-        withinHold) {
-        for (const TaskId member : closure) {
-            for (std::size_t ei : states_[member].outEdges) {
-                const EdgeState& es = edges_[ei];
-                if (es.e.kind != DepKind::Pipeline || es.resolved)
-                    continue;
-                if (std::binary_search(closure.begin(), closure.end(),
-                                       es.e.consumer)) {
-                    continue;
-                }
-                if (soonJoinable(es.e.consumer, 0)) {
-                    readyQ_.pop_front();
-                    readyQ_.push_back(root);
-                    return true;
-                }
-            }
-        }
+    if (withinHold && plan.soonConsumer) {
+        readyQ_.pop_front();
+        readyQ_.push_back(root);
+        return Attempt::Advanced;
     }
 
     // 2. Assign lanes to closure members in uid (topological) order;
@@ -1001,13 +1025,11 @@ Dispatcher::tryDispatchHead(Tick now)
     std::vector<std::uint32_t> extraLoad(cfg_.laneNodes.size(), 0);
     std::vector<double> extraWork(cfg_.laneNodes.size(), 0.0);
     std::vector<TaskId> placed;
-    for (std::size_t i = 0; i < closure.size(); ++i) {
-        const TaskId id = closure[i];
+    for (const TaskId id : plan.closure) {
         const std::int32_t lane = pickLane(id, extraLoad, extraWork);
         if (lane < 0) {
-            if (i == 0)
-                return false; // not even the root fits: retry later
-            closure.resize(i);
+            if (placed.empty())
+                return Attempt::LanesFull; // not even the root fits
             break;
         }
         states_[id].lane = lane;
@@ -1048,9 +1070,7 @@ Dispatcher::tryDispatchHead(Tick now)
     // stream, so they must sit on different lanes; a duplicate-lane
     // consumer degrades to the memory fallback.
     std::map<std::uint64_t, std::uint64_t> pipeLanesUsed;
-    for (TaskId id : closure) {
-        if (!inBatch(id))
-            continue;
+    for (TaskId id : placed) {
         for (std::size_t ei : states_[id].outEdges) {
             EdgeState& es = edges_[ei];
             if (es.e.kind != DepKind::Pipeline || es.resolved)
@@ -1151,11 +1171,12 @@ Dispatcher::tryDispatchHead(Tick now)
     // uid order (producers before consumers).
     readyWait_.sample(static_cast<double>(now - rs.readyAt));
     readyQ_.pop_front();
+    ++stateEpoch_;
     for (TaskId id : placed) {
         auto node = msgs.extract(id);
         enqueueDispatch(id, std::move(node.mapped()));
     }
-    return true;
+    return Attempt::Advanced;
 }
 
 void
@@ -1175,9 +1196,11 @@ Dispatcher::tick(Tick now)
     // Dispatch ready tasks (bounded per cycle; keep the send queue
     // from growing without bound).
     std::uint32_t dispatches = 4;
+    Attempt last = Attempt::Advanced;
     while (dispatches > 0 && !readyQ_.empty() &&
            sendQ_.size() < 4096) {
-        if (!tryDispatchHead(now))
+        last = tryDispatchHead(now);
+        if (last != Attempt::Advanced)
             break;
         --dispatches;
     }
@@ -1189,13 +1212,15 @@ Dispatcher::tick(Tick now)
             static_cast<double>(tracedReadyDepth_));
     }
 
-    // With no inbound packets, nothing to send, and an empty ready
-    // queue, every future tick is a no-op until the NoC delivers a
-    // TaskStart/TaskComplete (the eject channel wakes us).  A
-    // non-empty ready queue must keep ticking: held-back tasks
-    // (pipeline grace, bulk-sync barriers) re-evaluate per cycle.
-    if (readyQ_.empty() && sendQ_.empty() &&
-        noc_.eject(cfg_.selfNode).empty()) {
+    // With no inbound packets and nothing to send, every future tick
+    // is a no-op until the NoC delivers a packet (the eject channel
+    // wakes us) when the ready queue is empty or its head found no
+    // lane slot: only a TaskComplete, StealNotify or Spawn can free
+    // one.  A head that was held or rotated keeps ticking: the hold
+    // expires with time, and the bulk-synchronous rotation reorders
+    // the queue.
+    if ((readyQ_.empty() || last == Attempt::LanesFull) &&
+        sendQ_.empty() && noc_.eject(cfg_.selfNode).empty()) {
         sleepOnWake();
     }
 }
@@ -1279,6 +1304,8 @@ Dispatcher::reportStats(StatSet& stats) const
               static_cast<double>(fillLinesRequested_));
     stats.set("dispatcher.tasksCompleted",
               static_cast<double>(completed_));
+    stats.set("sim.host.dispatcher.closureEvals",
+              static_cast<double>(closureEvals_));
     stats.set("dispatcher.attrib.actualMaxService",
               actualMaxServiceCycles());
     stats.set("dispatcher.attrib.shadowStaticMaxService",

@@ -29,6 +29,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "noc/noc.hh"
 #include "task/messages.hh"
@@ -268,6 +269,31 @@ class Dispatcher : public Ticked
         bool allocated = false;
     };
 
+    /**
+     * A ready root's co-dispatch plan: its pipeline closure truncated
+     * to the free lane slots, and the coalescing-hold scan over it.
+     * Both depend only on dependence and lane-queue state, which
+     * changes only when an inbox packet is handled or a dispatch
+     * commits; each bumps stateEpoch_, and a plan built under an
+     * older epoch is rebuilt on its next use.
+     */
+    struct RootPlan
+    {
+        std::uint64_t epoch = 0;
+        std::vector<TaskId> closure;
+        /** A closure member has a pipeline consumer outside it that
+         *  is soon joinable: hold the root while the hold lasts. */
+        bool soonConsumer = false;
+    };
+
+    /** Outcome of one dispatch attempt on the ready-queue head. */
+    enum class Attempt : std::uint8_t
+    {
+        Advanced,  ///< dispatched, dropped or rotated the head
+        Waiting,   ///< bulk-synchronous barrier: retry next cycle
+        LanesFull  ///< no queue slot for the head until a packet
+    };
+
     void processInbox(Tick now);
     void onComplete(const CompleteMsg& msg, Tick now);
     void onSpawn(const SpawnMsg& msg, Tick now);
@@ -277,7 +303,10 @@ class Dispatcher : public Ticked
     void applyStealMove(TaskId uid, std::uint32_t toLane);
     /** Panic if the not-yet-completed subgraph has a cycle. */
     void checkLiveAcyclic() const;
-    bool tryDispatchHead(Tick now);
+    Attempt tryDispatchHead(Tick now);
+    /** The head's plan under the current epoch (rebuilt if stale). */
+    RootPlan& planFor(TaskId root, std::uint32_t freeSlots);
+    bool hasSoonJoinableConsumer(const std::vector<TaskId>& closure) const;
     std::vector<TaskId> pipelineClosure(TaskId root) const;
     std::optional<std::vector<TaskId>>
     tryJoinClosure(TaskId c, std::vector<TaskId> set,
@@ -314,6 +343,12 @@ class Dispatcher : public Ticked
     std::vector<GroupState> groups_;
     std::deque<TaskId> readyQ_;
     std::deque<Packet> sendQ_;
+
+    /** Plans of ready roots, dropped when the root dispatches. */
+    std::unordered_map<TaskId, RootPlan> plans_;
+    std::uint64_t stateEpoch_ = 1;
+    /** Pipeline closures built (host cost proxy, sim.host.*). */
+    std::uint64_t closureEvals_ = 0;
 
     std::vector<std::uint32_t> laneQueued_;
     std::vector<double> laneWork_;

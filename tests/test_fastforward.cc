@@ -1,9 +1,10 @@
 /**
  * @file
  * Differential tests for the activity-driven simulation core: every
- * workload, under both the TaskStream config and the static-parallel
- * baseline, must produce byte-identical statistics with and without
- * fast-forwarding (the `sim.host.*` wall-clock counters excluded).
+ * workload, under the TaskStream config, the static-parallel
+ * baseline, work stealing and spatial mapping, must produce
+ * byte-identical statistics with and without fast-forwarding (the
+ * `sim.host.*` wall-clock counters excluded).
  *
  * This is the enforcement arm of the bit-identity contract in
  * src/sim/simulator.hh: sleeping is only legal when the skipped ticks
@@ -14,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
 #include "accel/delta.hh"
+#include "driver/sweep.hh"
 #include "workloads/workload.hh"
 
 using namespace ts;
@@ -33,12 +36,12 @@ struct RunResult
     bool correct = false;
 };
 
+/** Run @p wk at scale 0.25 under the sweep preset @p config. */
 RunResult
-runOnce(Wk wk, bool staticConfig, bool noFastForward,
+runOnce(Wk wk, const std::string& config, bool noFastForward,
         Tick timelineInterval = 0)
 {
-    DeltaConfig cfg = staticConfig ? DeltaConfig::staticBaseline()
-                                   : DeltaConfig::delta();
+    DeltaConfig cfg = driver::sweepConfig(config).cfg;
     cfg.noFastForward = noFastForward;
     cfg.timelineInterval = timelineInterval;
 
@@ -64,41 +67,47 @@ runOnce(Wk wk, bool staticConfig, bool noFastForward,
 }
 
 class FastForwardDifferential
-    : public ::testing::TestWithParam<std::tuple<Wk, bool>>
+    : public ::testing::TestWithParam<std::tuple<Wk, std::string>>
 {
 };
 
 TEST_P(FastForwardDifferential, BitIdenticalToNaiveTicking)
 {
     const Wk wk = std::get<0>(GetParam());
-    const bool staticConfig = std::get<1>(GetParam());
+    const std::string& config = std::get<1>(GetParam());
 
-    const RunResult fast = runOnce(wk, staticConfig, false);
-    const RunResult naive = runOnce(wk, staticConfig, true);
+    const RunResult fast = runOnce(wk, config, false);
+    const RunResult naive = runOnce(wk, config, true);
 
     EXPECT_TRUE(fast.correct);
     EXPECT_TRUE(naive.correct);
     EXPECT_EQ(fast.cycles, naive.cycles);
     EXPECT_EQ(fast.statsJson, naive.statsJson)
         << "activity-driven and naive runs diverged for "
-        << wkName(wk) << " (" << (staticConfig ? "static" : "delta")
+        << wkName(wk) << " (" << config
         << "): a component slept through a cycle that was not a "
            "no-op, or a wake source is missing";
     EXPECT_LT(fast.ticks, naive.ticks)
         << "the activity-driven core should actually skip ticks";
 }
 
+/** `<workload>_<preset>`, with the preset's dashes as underscores. */
 std::string
-diffName(const ::testing::TestParamInfo<std::tuple<Wk, bool>>& info)
+diffName(const ::testing::TestParamInfo<std::tuple<Wk, std::string>>& info)
 {
-    return wkIdent(std::get<0>(info.param)) +
-           (std::get<1>(info.param) ? "_static" : "_delta");
+    std::string config = std::get<1>(info.param);
+    std::replace(config.begin(), config.end(), '-', '_');
+    return wkIdent(std::get<0>(info.param)) + "_" + config;
 }
 
+// delta and static cover pipelines, multicast and the bulk-synchronous
+// barrier; work-steal adds steals and spawns, and spatial adds pinned
+// lanes, so every way the dispatcher goes to sleep is covered.
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, FastForwardDifferential,
     ::testing::Combine(::testing::ValuesIn(allWorkloads()),
-                       ::testing::Bool()),
+                       ::testing::Values("delta", "static",
+                                         "work-steal", "spatial")),
     diffName);
 
 /**
@@ -110,17 +119,17 @@ INSTANTIATE_TEST_SUITE_P(
  * a stats mismatch.
  */
 class TimelineDifferential
-    : public ::testing::TestWithParam<std::tuple<Wk, bool>>
+    : public ::testing::TestWithParam<std::tuple<Wk, std::string>>
 {
 };
 
 TEST_P(TimelineDifferential, SampledRunsBitIdenticalToNaiveTicking)
 {
     const Wk wk = std::get<0>(GetParam());
-    const bool staticConfig = std::get<1>(GetParam());
+    const std::string& config = std::get<1>(GetParam());
 
-    const RunResult fast = runOnce(wk, staticConfig, false, 300);
-    const RunResult naive = runOnce(wk, staticConfig, true, 300);
+    const RunResult fast = runOnce(wk, config, false, 300);
+    const RunResult naive = runOnce(wk, config, true, 300);
 
     EXPECT_TRUE(fast.correct);
     EXPECT_TRUE(naive.correct);
@@ -130,7 +139,7 @@ TEST_P(TimelineDifferential, SampledRunsBitIdenticalToNaiveTicking)
     EXPECT_EQ(fast.statsJson, naive.statsJson)
         << "timeline columns diverged between activity-driven and "
            "naive runs for "
-        << wkName(wk) << " (" << (staticConfig ? "static" : "delta")
+        << wkName(wk) << " (" << config
         << "): a sampler fired at a different simulated time or "
            "observed un-caught-up counters";
 }
@@ -138,7 +147,7 @@ TEST_P(TimelineDifferential, SampledRunsBitIdenticalToNaiveTicking)
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, TimelineDifferential,
     ::testing::Combine(::testing::ValuesIn(allWorkloads()),
-                       ::testing::Bool()),
+                       ::testing::Values("delta", "static")),
     diffName);
 
 } // namespace

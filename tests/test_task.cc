@@ -10,6 +10,7 @@
 
 #include "accel/delta.hh"
 #include "sim/rng.hh"
+#include "workloads/workload.hh"
 
 namespace ts
 {
@@ -524,6 +525,30 @@ TEST(Dispatcher, RespectsLaneQueueCapacity)
     }
     const StatSet stats = delta.run(g);
     EXPECT_EQ(stats.get("dispatcher.tasksCompleted"), 40.0);
+}
+
+// The dispatcher builds a ready root's pipeline closure once per
+// state change (an inbox packet or a dispatch commit), not once per
+// cycle while the root is held back for coalescing.  msort is the
+// pipeline-heavy workload, where ready roots wait in the hold.
+TEST(Dispatcher, ClosureBuiltOncePerStateChange)
+{
+    SuiteParams sp;
+    sp.scale = 0.25;
+    sp.seed = 7;
+    auto wl = makeWorkload(Wk::Msort, sp);
+    Delta delta(DeltaConfig::delta());
+    TaskGraph g;
+    wl->build(delta, g);
+    const StatSet stats = delta.run(g);
+    ASSERT_TRUE(wl->check(delta.image()));
+    EXPECT_GT(stats.get("dispatcher.pipesActivated"), 0.0);
+    const double tasks = stats.get("dispatcher.tasksCompleted");
+    const double evals = stats.get("sim.host.dispatcher.closureEvals");
+    EXPECT_GT(evals, 0.0);
+    EXPECT_LE(evals, tasks)
+        << "held roots must reuse their closure until the dependence "
+           "or lane state changes";
 }
 
 } // namespace
