@@ -152,7 +152,8 @@ void
 Lane::tick(Tick)
 {
     auto& inbox = noc_.eject(selfNode_);
-    std::uint32_t budget = 8;
+    constexpr std::uint32_t kEjectsPerCycle = 8;
+    std::uint32_t budget = kEjectsPerCycle;
     while (budget > 0 && !inbox.empty()) {
         Packet pkt = inbox.pop();
         --budget;
@@ -197,7 +198,6 @@ Lane::tick(Tick)
                 static_cast<std::uint64_t>(
                     noc_.hopDistance(pkt.src, selfNode_)) *
                 pkt.sizeWords;
-            taskUnit_->requestWake(); // a WaitFill gate may clear
             break;
           }
           case PktKind::StealRequest:
@@ -215,6 +215,11 @@ Lane::tick(Tick)
             panic(name(), ": unexpected packet kind");
         }
     }
+    // Every packet may change what the task unit reads: MSHR fills
+    // and pipe chunks flip engine probes, landings clear WaitFill
+    // gates.  It ticks after us, so it sees them this cycle.
+    if (budget < kEjectsPerCycle)
+        taskUnit_->requestWake();
     // Nothing to demux until the ejection channel commits again; a
     // leftover backlog (budget exhausted) keeps the adapter ticking.
     if (inbox.empty())

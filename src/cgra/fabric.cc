@@ -46,6 +46,10 @@ Fabric::configure(const MappedDfg* m, Tick now)
     pes_.resize(dfg.numNodes());
     inExt_.assign(dfg.numInputs(), TokenFifo(cfg_.portFifoDepth));
     outExt_.assign(dfg.numOutputs(), TokenFifo(cfg_.portFifoDepth));
+    for (TokenFifo& f : inExt_)
+        f.wakeOnPush(this);
+    for (TokenFifo& f : outExt_)
+        f.wakeOnPop(this);
     for (std::uint32_t id = 0; id < dfg.numNodes(); ++id) {
         PeState& pe = pes_[id];
         pe.id = id;
@@ -118,6 +122,7 @@ Fabric::advanceRoutes()
             if (fifo.size() < cfg_.operandFifoDepth) {
                 fifo.push_back(*regs[last]);
                 regs[last].reset();
+                ++moves_;
             }
         }
         // Shift earlier registers forward.
@@ -125,6 +130,7 @@ Fabric::advanceRoutes()
             if (!regs[i].has_value() && regs[i - 1].has_value()) {
                 regs[i] = regs[i - 1];
                 regs[i - 1].reset();
+                ++moves_;
             }
         }
     }
@@ -165,6 +171,7 @@ Fabric::outputStage(Tick now)
         if (pe.outRoutes.empty()) {
             pe.pipe.pop_front(); // dead value: discard
             --inFlight_;
+            ++moves_;
             continue;
         }
         bool allFree = true;
@@ -180,6 +187,7 @@ Fabric::outputStage(Tick now)
             routes_[ri].regs[0] = tok;
         inFlight_ += pe.outRoutes.size() - 1; // fan-out copies
         pe.pipe.pop_front();
+        ++moves_;
     }
 }
 
@@ -351,9 +359,26 @@ Fabric::pendingEmit() const
     return false;
 }
 
+std::optional<Tick>
+Fabric::nextRipening(Tick now) const
+{
+    std::optional<Tick> at;
+    for (const auto& pe : pes_) {
+        if (pe.pipe.empty())
+            continue;
+        const Tick readyAt = pe.pipe.front().second;
+        if (readyAt > now && (!at || readyAt < *at))
+            at = readyAt;
+    }
+    return at;
+}
+
 void
 Fabric::tick(Tick now)
 {
+    catchUp(now);
+    expectedNext_ = now + 1;
+    stalled_ = false;
     if (current_ == nullptr) {
         sleepOnWake(); // configure() wakes us
         return;
@@ -370,9 +395,33 @@ Fabric::tick(Tick now)
         return;
     }
     ++activeCycles_;
+    const std::uint64_t firings = firings_;
+    const std::uint64_t moves = moves_;
     advanceRoutes();
     outputStage(now);
     fireStage(now);
+    if (progressWatcher_ != nullptr && (firings_ != firings || drained()))
+        progressWatcher_->requestWake();
+    if (firings_ == firings && moves_ == moves) {
+        // Stalled: nothing fired or moved, so every tick repeats this
+        // one until an FU result ripens, a read engine delivers, a
+        // write engine pops an output port or the task unit
+        // configures us.  Each skipped cycle is still an active one.
+        stalled_ = true;
+        if (const std::optional<Tick> at = nextRipening(now))
+            sleepUntil(*at);
+        else
+            sleepOnWake();
+    }
+}
+
+void
+Fabric::catchUp(Tick now)
+{
+    if (stalled_ && now > expectedNext_) {
+        activeCycles_ += now - expectedNext_;
+        expectedNext_ = now;
+    }
 }
 
 bool

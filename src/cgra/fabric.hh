@@ -77,7 +77,13 @@ class Fabric : public Ticked
      */
     void resetStreams();
 
+    /** Wake @p t on every tick that fires a PE or leaves the fabric
+     *  drained: the cycle-accounting and completion inputs of the
+     *  task unit. */
+    void wakeOnProgress(Ticked* t) { progressWatcher_ = t; }
+
     void tick(Tick now) override;
+    void catchUp(Tick now) override;
     bool busy() const override;
     void reportStats(StatSet& stats) const override;
 
@@ -123,6 +129,8 @@ class Fabric : public Ticked
     void fireStage(Tick now);
     void firePe(PeState& pe, Tick now);
     bool pendingEmit() const;
+    /** The earliest FU result that ripens after @p now, if any. */
+    std::optional<Tick> nextRipening(Tick now) const;
     bool pipeHasSpace(const PeState& pe) const;
     void pushResult(PeState& pe, Token t, Tick now);
     Token takeOperand(PeState& pe, unsigned slot);
@@ -140,9 +148,19 @@ class Fabric : public Ticked
     std::size_t inFlight_ = 0;
 
     std::uint64_t firings_ = 0;
+    /** Route, pipe and discard moves; with firings_, every change to
+     *  the fabric's internal state. */
+    std::uint64_t moves_ = 0;
     std::uint64_t reconfigs_ = 0;
     std::uint64_t configCycles_ = 0;
     std::uint64_t activeCycles_ = 0;
+    Ticked* progressWatcher_ = nullptr;
+
+    // Stalled-sleep accounting: cycles in [expectedNext_, now) were
+    // skipped in a stall, each an active cycle, and are counted on
+    // the next tick or by catchUp.
+    Tick expectedNext_ = 0;
+    bool stalled_ = false;
 };
 
 } // namespace ts

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "sim/ring.hh"
+#include "sim/simulator.hh"
 #include "sim/types.hh"
 
 namespace ts
@@ -63,7 +64,12 @@ struct Token
     }
 };
 
-/** A bounded FIFO of tokens (external fabric port buffers). */
+/**
+ * A bounded FIFO of tokens (external fabric port buffers).  It has no
+ * channel hooks, so it wakes its two ends itself: a push wakes the
+ * consumer and a pop wakes the producer, each registered by the
+ * component at that end (DESIGN.md §6, lane units).
+ */
 class TokenFifo
 {
   public:
@@ -79,18 +85,34 @@ class TokenFifo
         if (full())
             return false;
         q_.push_back(t);
+        if (consumer_ != nullptr)
+            consumer_->requestWake();
         return true;
     }
 
     const Token& front() const { return q_.front(); }
 
-    Token pop() { return q_.pop(); }
+    Token
+    pop()
+    {
+        if (producer_ != nullptr)
+            producer_->requestWake();
+        return q_.pop();
+    }
 
     void clear() { q_.clear(); }
+
+    /** Wake @p t on every push (the component that pops). */
+    void wakeOnPush(Ticked* t) { consumer_ = t; }
+
+    /** Wake @p t on every pop (the component that pushes). */
+    void wakeOnPop(Ticked* t) { producer_ = t; }
 
   private:
     std::size_t capacity_;
     Ring<Token> q_;
+    Ticked* consumer_ = nullptr;
+    Ticked* producer_ = nullptr;
 };
 
 } // namespace ts

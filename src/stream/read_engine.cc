@@ -40,8 +40,7 @@ ReadEngine::ReadEngine(std::string name, const MemImage& img,
 }
 
 void
-ReadEngine::program(const StreamDesc& d, TokenFifo* dest,
-                    Ticked* destOwner)
+ReadEngine::program(const StreamDesc& d, TokenFifo* dest)
 {
     TS_ASSERT(!active_, name(), ": program while active");
     if (d.kind != StreamDesc::Kind::PipeIn && d.count == 0)
@@ -51,7 +50,8 @@ ReadEngine::program(const StreamDesc& d, TokenFifo* dest,
 
     d_ = d;
     dest_ = dest;
-    destOwner_ = destOwner;
+    if (dest_ != nullptr)
+        dest_->wakeOnPop(this);
     active_ = true;
     requestWake(); // the programming task unit ticks before us
     genPos_ = outer_ = inner_ = 0;
@@ -386,15 +386,12 @@ ReadEngine::tick(Tick now)
         sleepOnWake(); // program() wakes us
         return;
     }
+    const unsigned probes0 = probes();
     const std::uint64_t delivered = tokensDelivered_;
     const std::uint64_t moves =
         ptrF_.moves() + idxF_.moves() + dataF_.moves();
     generate(now);
     deliver();
-    // Tokens land in a plain TokenFifo (no channel hooks), so the
-    // consuming component is woken explicitly.
-    if (destOwner_ != nullptr && tokensDelivered_ != delivered)
-        destOwner_->requestWake();
     if (generationDone() && repeatLeft_ == 0) {
         active_ = false;
         if (trace::on()) {
@@ -402,20 +399,23 @@ ReadEngine::tick(Tick now)
             t->end(t->track(name()));
         }
         sleepOnWake();
-        return;
-    }
-
-    // Blocked on DRAM alone: this tick moved nothing through any
-    // window, no window can issue, and delivery waits on a line that
-    // is in flight.  Until a line arrives (which wakes us) every tick
-    // would repeat this one, so skip them.
-    if (tokensDelivered_ == delivered &&
-        ptrF_.moves() + idxF_.moves() + dataF_.moves() == moves &&
-        d_.kind != StreamDesc::Kind::PipeIn && repeatLeft_ == 0 &&
-        !dataF_.headReady() && !ptrF_.canIssue() &&
-        !idxF_.canIssue() && !dataF_.canIssue() && waitingOnMem()) {
+    } else if (tokensDelivered_ == delivered &&
+               ptrF_.moves() + idxF_.moves() + dataF_.moves() == moves &&
+               d_.kind != StreamDesc::Kind::PipeIn &&
+               !ptrF_.canIssue() && !idxF_.canIssue() &&
+               !dataF_.canIssue() &&
+               ((repeatLeft_ == 0 && !dataF_.headReady() &&
+                 waitingOnMem()) ||
+                (dest_ != nullptr && dest_->full()))) {
+        // Stalled: this tick moved nothing through any window, no
+        // window can issue, and delivery waits on a line in flight
+        // or on a full fabric port.  Until a line arrives or the
+        // fabric pops the port (each wakes us) every tick would
+        // repeat this one, so skip them.
         sleepOnWake();
     }
+    if (probeWatcher_ != nullptr && probes() != probes0)
+        probeWatcher_->requestWake();
 }
 
 std::uint64_t

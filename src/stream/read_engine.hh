@@ -42,12 +42,14 @@ class ReadEngine : public Ticked
     /**
      * Start streaming @p d into @p dest.  @p dest may be null to
      * model traffic without delivering tokens (builtin-kernel input
-     * staging).  @p destOwner, when given, is the component consuming
-     * @p dest; it is woken whenever tokens are delivered (TokenFifos
-     * carry no wake hooks of their own).
+     * staging).  The engine registers to be woken by pops from
+     * @p dest, so it can sleep while the port is full.
      */
-    void program(const StreamDesc& d, TokenFifo* dest,
-                 Ticked* destOwner = nullptr);
+    void program(const StreamDesc& d, TokenFifo* dest);
+
+    /** Wake @p t whenever a tick changes one of this engine's
+     *  cycle-accounting probes (active, waitingOnMem, waitingOnPipe). */
+    void wakeOnProbeChange(Ticked* t) { probeWatcher_ = t; }
 
     /** Whether a programmed stream is still in flight. */
     bool active() const { return active_; }
@@ -75,6 +77,13 @@ class ReadEngine : public Ticked
     }
 
   private:
+    /** The accounting probes as bits, to spot a change across a tick. */
+    unsigned probes() const
+    {
+        return unsigned{active_} | unsigned{waitingOnMem()} << 1 |
+               unsigned{waitingOnPipe()} << 2;
+    }
+
     void generate(Tick now);
     void deliver();
     bool generationDone() const;
@@ -91,8 +100,8 @@ class ReadEngine : public Ticked
 
     StreamDesc d_;
     TokenFifo* dest_ = nullptr;
-    Ticked* destOwner_ = nullptr;
     bool active_ = false;
+    Ticked* probeWatcher_ = nullptr;
 
     // Generator state.
     std::uint64_t genPos_ = 0;   ///< data elements addressed

@@ -24,6 +24,7 @@ WriteEngine::program(const WriteDesc& d, TokenFifo* src)
     TS_ASSERT(src != nullptr);
     d_ = d;
     src_ = src;
+    src_->wakeOnPush(this);
     active_ = true;
     requestWake(); // the programming task unit ticks before us
     sawStreamEnd_ = false;
@@ -106,9 +107,31 @@ WriteEngine::tick(Tick now)
         sleepOnWake(); // program() wakes us
         return;
     }
+    const unsigned probes0 = probes();
+    if (drain(now) && sawStreamEnd_ && flushTraffic()) {
+        active_ = false;
+        if (trace::on()) {
+            auto* t = trace::active();
+            t->end(t->track(name()));
+        }
+        sleepOnWake();
+    } else if (src_->empty() && pendingLines_.empty() && sendQ_.empty() &&
+               !sawStreamEnd_) {
+        // Starved: nothing to retry and nothing to drain.  Until the
+        // fabric pushes a token (which wakes us) every tick is a
+        // no-op.  We tick before the fabric, so a token it pushes
+        // this cycle is drained next cycle, as in the naive loop.
+        sleepOnWake();
+    }
+    if (probeWatcher_ != nullptr && probes() != probes0)
+        probeWatcher_->requestWake();
+}
 
+bool
+WriteEngine::drain(Tick now)
+{
     if (!flushTraffic())
-        return;
+        return false;
 
     std::uint32_t budget = cfg_.width;
     while (budget > 0 && !src_->empty() && !sawStreamEnd_) {
@@ -155,15 +178,7 @@ WriteEngine::tick(Tick now)
             }
         }
     }
-
-    if (sawStreamEnd_ && flushTraffic()) {
-        active_ = false;
-        if (trace::on()) {
-            auto* t = trace::active();
-            t->end(t->track(name()));
-        }
-        sleepOnWake();
-    }
+    return true;
 }
 
 void

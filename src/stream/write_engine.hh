@@ -36,8 +36,13 @@ class WriteEngine : public Ticked
                 MemPortIf* mem, PipeTxIf* pipeTx,
                 WriteEngineCfg cfg = {});
 
-    /** Start draining @p src per @p d. */
+    /** Start draining @p src per @p d.  The engine registers to be
+     *  woken by pushes into @p src, so it can sleep while it is empty. */
     void program(const WriteDesc& d, TokenFifo* src);
+
+    /** Wake @p t whenever a tick changes one of this engine's
+     *  cycle-accounting probes (active, blockedOnMem, blockedOnNoc). */
+    void wakeOnProbeChange(Ticked* t) { probeWatcher_ = t; }
 
     /** Whether the programmed stream is still in flight. */
     bool active() const { return active_; }
@@ -68,6 +73,16 @@ class WriteEngine : public Ticked
     }
 
   private:
+    /** The accounting probes as bits, to spot a change across a tick. */
+    unsigned probes() const
+    {
+        return unsigned{active_} | unsigned{blockedOnMem()} << 1 |
+               unsigned{blockedOnNoc()} << 2;
+    }
+
+    /** Retry queued traffic, then move tokens from the source port;
+     *  false while queued traffic is still back-pressured. */
+    bool drain(Tick now);
     bool flushTraffic();
     void queueLine(Addr line);
     void cutChunk(bool done);
@@ -82,6 +97,7 @@ class WriteEngine : public Ticked
     TokenFifo* src_ = nullptr;
     bool active_ = false;
     bool sawStreamEnd_ = false;
+    Ticked* probeWatcher_ = nullptr;
 
     std::uint64_t pos_ = 0; ///< elements written
     std::optional<Addr> curLine_;

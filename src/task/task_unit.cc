@@ -17,6 +17,13 @@ TaskUnit::TaskUnit(std::string name, const TaskTypeRegistry& registry,
     TS_ASSERT(ports_.fabric != nullptr && ports_.landing != nullptr &&
               ports_.send && ports_.memPort != nullptr &&
               ports_.image != nullptr);
+    // The inputs of classify() and dfgExecutionDone() that change
+    // outside our own tick, so the Running sleep can wake on them.
+    ports_.fabric->wakeOnProgress(this);
+    for (ReadEngine* re : ports_.readEngines)
+        re->wakeOnProbeChange(this);
+    for (WriteEngine* we : ports_.writeEngines)
+        we->wakeOnProbeChange(this);
 }
 
 void
@@ -297,25 +304,44 @@ TaskUnit::tick(Tick now)
     accountCycle();
     step(now);
 
-    // Sleep decision.  Both sites must leave gapClass_/gapBusy_
+    // Sleep decision.  Every site must leave gapClass_/gapBusy_
     // matching what classify()/busyCycles_ would have produced on
     // every skipped cycle.
-    if (phase_ == Phase::Idle && inbox_.empty() && sendQ_.empty()) {
+    if (!sendQ_.empty())
+        return;
+    if (phase_ == Phase::Idle && inbox_.empty()) {
         // classify() == Idle and busyCycles_ untouched until a
         // deliver() arrives (which wakes us the same cycle).
-        gapClass_ = CycleClass::Idle;
-        gapBusy_ = false;
-        sleepOnWake();
-    } else if (phase_ == Phase::BuiltinCompute && now < computeUntil_ &&
-               sendQ_.empty()) {
+        if (sleepsAs(CycleClass::Idle, false))
+            sleepOnWake();
+    } else if (phase_ == Phase::BuiltinCompute && now < computeUntil_) {
         // classify() == Busy and busyCycles_ increments on every
         // cycle spent in BuiltinCompute; nothing external can change
         // that before computeUntil_.  A deliver() wake before then is
         // spurious but safe (we just resume per-cycle ticking).
-        gapClass_ = CycleClass::Busy;
-        gapBusy_ = true;
-        sleepUntil(computeUntil_);
+        if (sleepsAs(CycleClass::Busy, true))
+            sleepUntil(computeUntil_);
+    } else if (phase_ == Phase::Running) {
+        // classify() keeps returning classify(false) and the task is
+        // not done until an input of either changes: an engine probe
+        // (the engines wake us), a fabric firing or drain (the fabric
+        // wakes us), or a packet the lane adapter ejects (MSHR fills
+        // and pipe chunks flip probes; the adapter wakes us).
+        if (sleepsAs(classify(false), true))
+            sleepOnWake();
     }
+}
+
+bool
+TaskUnit::sleepsAs(CycleClass gap, bool busy)
+{
+    // A traced run only sleeps when the skipped cycles continue the
+    // state span just traced: a change would be a trace event.
+    if (trace::on() && gap != lastClass_)
+        return false;
+    gapClass_ = gap;
+    gapBusy_ = busy;
+    return true;
 }
 
 void
@@ -391,8 +417,7 @@ TaskUnit::step(Tick now)
             ports_.readEngines[i]->program(
                 cur_.inputs[i],
                 &ports_.fabric->inPort(
-                    static_cast<std::uint32_t>(i)),
-                ports_.fabric);
+                    static_cast<std::uint32_t>(i)));
         }
         for (std::size_t o = 0; o < cur_.outputs.size(); ++o) {
             ports_.writeEngines[o]->program(

@@ -140,6 +140,9 @@ class TaskUnit : public Ticked
     bool dfgExecutionDone() const;
     CycleClass classify(bool fabricProgressed) const;
     void accountCycle();
+    /** Set the class and busy flag of the cycles a sleep will skip;
+     *  false when the sleep would not be exact. */
+    bool sleepsAs(CycleClass gap, bool busy);
 
     const TaskTypeRegistry& registry_;
     TaskUnitPorts ports_;

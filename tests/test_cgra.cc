@@ -627,6 +627,104 @@ TEST(Fabric, DrainedTracksTokensInsideTheFabric)
     passOneToken(fab, now);
 }
 
+/** A fabric that counts the ticks a simulator gives it. */
+struct CountingFabric : Fabric
+{
+    using Fabric::Fabric;
+    std::uint64_t ticks = 0;
+
+    void
+    tick(Tick now) override
+    {
+        ++ticks;
+        Fabric::tick(now);
+    }
+};
+
+double
+activeCycles(const Fabric& fab)
+{
+    StatSet st;
+    fab.reportStats(st);
+    return st.get(fab.name() + ".activeCycles");
+}
+
+/** What one simulator mode saw of the stalled-join run. */
+struct StallRun
+{
+    double stalledActive = 0;
+    std::uint64_t stalledTicks = 0;
+    double finalActive = 0;
+    std::vector<Token> out;
+};
+
+StallRun
+runStalledJoin(const MappedDfg& m, bool fastForward)
+{
+    Simulator sim;
+    sim.setFastForward(fastForward);
+    CountingFabric fab("fab", FabricConfig{});
+    sim.add(&fab);
+    fab.configure(&m, 0);
+    auto feed = [&](std::uint32_t port, std::int64_t base) {
+        for (int i = 0; i < 8; ++i) {
+            fab.inPort(port).push(Token{
+                fromInt(base + i),
+                i == 7 ? std::uint8_t(kSegEnd | kStreamEnd)
+                       : std::uint8_t(0)});
+        }
+    };
+
+    // Only a is fed: its tokens pile up in front of the add, and the
+    // fabric stalls with nothing left to fire or move.
+    feed(0, 0);
+    sim.step(300);
+    StallRun r;
+    r.stalledActive = activeCycles(fab);
+    r.stalledTicks = fab.ticks;
+
+    // Feeding b (the push wakes the fabric) completes every sum.
+    feed(1, 100);
+    sim.step(300);
+    r.finalActive = activeCycles(fab);
+    while (!fab.outPort(0).empty())
+        r.out.push_back(fab.outPort(0).pop());
+    return r;
+}
+
+TEST(Fabric, StalledJoinSleepsAndCountsNaiveActiveCycles)
+{
+    Dfg dfg("join");
+    const auto a = dfg.addInput();
+    const auto b = dfg.addInput();
+    dfg.addOutput(dfg.add(Op::Add, Operand::ref(a), Operand::ref(b)));
+    Mapper mapper(FabricGeometry{6, 6, 2});
+    const MappedDfg m = mapper.map(dfg);
+
+    const StallRun naive = runStalledJoin(m, false);
+    const StallRun fast = runStalledJoin(m, true);
+
+    // Every cycle after the configuration loads is active, asleep or
+    // not: the stall defers the count, it does not drop it.
+    const FabricConfig fc;
+    const double loaded =
+        300.0 - static_cast<double>(fc.configBaseCycles +
+                                    fc.configPerNodeCycles *
+                                        dfg.numNodes());
+    EXPECT_EQ(naive.stalledActive, loaded);
+    EXPECT_EQ(fast.stalledActive, naive.stalledActive);
+    EXPECT_EQ(naive.stalledTicks, 300u);
+    EXPECT_LT(fast.stalledTicks, 40u) << "the stalled fabric kept ticking";
+
+    EXPECT_EQ(fast.finalActive, naive.finalActive);
+    ASSERT_EQ(naive.out.size(), 8u);
+    ASSERT_EQ(fast.out.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(asInt(naive.out[i].value), 100 + 2 * i);
+        EXPECT_EQ(fast.out[i], naive.out[i]) << "token " << i;
+    }
+}
+
 TEST(Fabric, ThroughputApproachesOneTokenPerCycle)
 {
     // A clean elementwise pipeline should sustain II ~= 1.

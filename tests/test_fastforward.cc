@@ -150,4 +150,27 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("delta", "static")),
     diffName);
 
+/**
+ * Exact ratchet on host work: the lane units' sleep rules (DESIGN.md
+ * §6) cut the ticks the static-baseline memory-stream runs execute.
+ * Tick counts are deterministic, so each bound is the exact count:
+ * a change that keeps a lane unit awake longer fails here, and one
+ * that cuts ticks further lowers the bound in the same change.
+ * Before the write engines, fabric, read engines (on a full port) and
+ * task units slept through stalls, these runs ticked spmv 24,832,
+ * tricount 73,631 and centroid 110,962 times.
+ */
+TEST(TickRatchet, StaticStreamRunsTickNoMoreThanPinned)
+{
+    const std::pair<Wk, std::uint64_t> pinned[] = {
+        {Wk::Spmv, 12236}, {Wk::Tricount, 30109}, {Wk::Centroid, 70925}};
+    for (const auto& [wk, maxTicks] : pinned) {
+        const RunResult r = runOnce(wk, "static", false);
+        EXPECT_TRUE(r.correct) << wkName(wk);
+        EXPECT_LE(r.ticks, maxTicks)
+            << wkName(wk) << " x static: a lane unit ticks through "
+               "cycles it used to sleep through";
+    }
+}
+
 } // namespace

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "cgra/fabric.hh"
 #include "mem/main_memory.hh"
 #include "sim/rng.hh"
 #include "spatial/spatial.hh"
@@ -114,6 +117,21 @@ struct Rig
             out.push_back(dest.pop());
         EXPECT_FALSE(re.active()) << "engine failed to finish";
         return out;
+    }
+};
+
+/** Counts the ticks a simulator gives an engine. */
+template <typename Engine>
+struct Counting : Engine
+{
+    using Engine::Engine;
+    std::uint64_t ticks = 0;
+
+    void
+    tick(Tick now) override
+    {
+        ++ticks;
+        Engine::tick(now);
     }
 };
 
@@ -460,19 +478,8 @@ TEST(ReadEngine, SleepsWhileBlockedOnDram)
     for (int i = 0; i < 64; ++i)
         rig.img.writeInt(a + i * wordBytes, i);
 
-    struct CountingEngine : ReadEngine
-    {
-        using ReadEngine::ReadEngine;
-        std::uint64_t ticks = 0;
-
-        void
-        tick(Tick now) override
-        {
-            ++ticks;
-            ReadEngine::tick(now);
-        }
-    };
-    CountingEngine re("re", rig.img, &rig.spm, &rig.port, &rig.landing);
+    Counting<ReadEngine> re("re", rig.img, &rig.spm, &rig.port,
+                            &rig.landing);
     rig.sim.add(&re);
     TokenFifo dest(0);
     const auto d = StreamDesc::linear(Space::Dram, a, 64);
@@ -836,6 +843,135 @@ TEST(WriteEngine, ForwardPacketsPayOneHeaderWord)
             EXPECT_EQ(msg.done, c.done);
         }
     }
+}
+
+// --- fabric-port wake edges, in both simulator modes ----------------------
+
+/** out = in + 1: the smallest DFG a stream engine can face. */
+struct IncrementDfg
+{
+    Dfg dfg{"inc"};
+    MappedDfg mapped;
+
+    IncrementDfg()
+    {
+        const auto in = dfg.addInput();
+        dfg.addOutput(
+            dfg.add(Op::Add, Operand::ref(in), Operand::immI(1)));
+        mapped = Mapper(FabricGeometry{4, 4, 2}).map(dfg);
+    }
+};
+
+/** One run's per-cycle observations and its engine's tick count. */
+struct PortRun
+{
+    std::vector<std::array<std::uint64_t, 3>> seen;
+    std::uint64_t idleTicks = 0;
+};
+
+/** A write engine drains a fabric output port, registered before the
+ *  fabric as in a lane; one token enters once the engine sleeps. */
+PortRun
+runFabricIntoWriteEngine(bool fastForward)
+{
+    Rig rig;
+    rig.sim.setFastForward(fastForward);
+    IncrementDfg inc;
+    CapturePipeTx tx;
+    Counting<WriteEngine> we("we", rig.img, &rig.spm, &rig.port, &tx);
+    Fabric fab("fab", FabricConfig{});
+    rig.sim.add(&we);
+    rig.sim.add(&fab);
+    fab.configure(&inc.mapped, 0);
+    WriteDesc d;
+    d.base = rig.img.allocWords(1);
+    we.program(d, &fab.outPort(0));
+    rig.sim.step(100);
+
+    PortRun r;
+    r.idleTicks = we.ticks;
+    fab.inPort(0).push(Token{fromInt(41), kSegEnd | kStreamEnd});
+    for (int i = 0; i < 40; ++i) {
+        rig.sim.step(1);
+        r.seen.push_back({fab.outPort(0).size(), we.tokensWritten(),
+                          we.active()});
+    }
+    EXPECT_EQ(rig.img.readInt(d.base), 42);
+    return r;
+}
+
+TEST(WriteEngine, SleepingEngineDrainsTheCycleAfterTheFabricPushes)
+{
+    const PortRun naive = runFabricIntoWriteEngine(false);
+    const PortRun fast = runFabricIntoWriteEngine(true);
+    EXPECT_EQ(fast.seen, naive.seen);
+    EXPECT_EQ(naive.idleTicks, 100u);
+    EXPECT_LT(fast.idleTicks, 5u) << "the starved engine kept ticking";
+
+    // The cycle the fabric pushes leaves the token in the port; the
+    // engine, which ticks first, takes it on the next cycle.
+    std::size_t k = 0;
+    while (k < fast.seen.size() && fast.seen[k][0] == 0)
+        ++k;
+    ASSERT_LT(k + 1, fast.seen.size()) << "the fabric never pushed";
+    EXPECT_EQ(fast.seen[k][1], 0u);
+    EXPECT_EQ(fast.seen[k + 1][0], 0u);
+    EXPECT_EQ(fast.seen[k + 1][1], 1u);
+}
+
+/** A read engine feeds a two-deep fabric input port whose output
+ *  nobody drains until cycle 150, then one token every ten cycles. */
+PortRun
+runReadEngineIntoFabric(bool fastForward)
+{
+    Rig rig;
+    rig.sim.setFastForward(fastForward);
+    IncrementDfg inc;
+    const Addr a = rig.img.allocWords(64);
+    for (int i = 0; i < 64; ++i)
+        rig.img.writeInt(a + i * wordBytes, i);
+    FabricConfig fc;
+    fc.portFifoDepth = 2;
+    Counting<ReadEngine> re("re", rig.img, &rig.spm, &rig.port,
+                            &rig.landing);
+    Fabric fab("fab", fc);
+    rig.sim.add(&re);
+    rig.sim.add(&fab);
+    fab.configure(&inc.mapped, 0);
+    rig.sim.step(50);
+    re.program(StreamDesc::linear(Space::Dram, a, 64), &fab.inPort(0));
+
+    PortRun r;
+    for (int cycle = 0; cycle < 400; ++cycle) {
+        rig.sim.step(1);
+        if (cycle == 150)
+            r.idleTicks = re.ticks;
+        if (cycle >= 150 && cycle % 10 == 0 && !fab.outPort(0).empty())
+            fab.outPort(0).pop();
+        r.seen.push_back({re.tokensDelivered(), fab.inPort(0).size(),
+                          fab.outPort(0).size()});
+    }
+    return r;
+}
+
+TEST(ReadEngine, BlockedOnAFullPortResumesTheCycleAfterTheFabricPops)
+{
+    const PortRun naive = runReadEngineIntoFabric(false);
+    const PortRun fast = runReadEngineIntoFabric(true);
+    EXPECT_EQ(fast.seen, naive.seen);
+    EXPECT_LT(fast.idleTicks * 2, naive.idleTicks)
+        << "the engine kept ticking against a full port";
+
+    // The first pop from the full port: the engine ticked before the
+    // fabric that cycle and delivers on the next one.
+    const std::uint64_t full = 2;
+    std::size_t k = 1;
+    while (k < fast.seen.size() &&
+           !(fast.seen[k - 1][1] == full && fast.seen[k][1] < full))
+        ++k;
+    ASSERT_LT(k + 1, fast.seen.size()) << "the port never drained";
+    EXPECT_EQ(fast.seen[k][0], fast.seen[k - 1][0]);
+    EXPECT_EQ(fast.seen[k + 1][0], fast.seen[k][0] + 1);
 }
 
 // --- landing table ---------------------------------------------------------

@@ -541,6 +541,56 @@ TEST(TraceEndToEnd, TracedRunMatchesUntracedAndCoversAllLayers)
     EXPECT_TRUE(sawTaskSpan);
 }
 
+/** Every event on a `lane<i>.tu.state` track, in order, as text. */
+std::vector<std::string>
+laneStateEvents(const std::string& path)
+{
+    const std::vector<Json> events = loadEvents(path);
+    std::map<double, std::string> stateTracks; // tid -> track name
+    for (const Json& e : events) {
+        if (e.at("ph").str != "M" || e.at("name").str != "thread_name")
+            continue;
+        const std::string& track = e.at("args").at("name").str;
+        if (track.size() > 9 &&
+            track.compare(track.size() - 9, 9, ".tu.state") == 0)
+            stateTracks[e.at("tid").num] = track;
+    }
+    std::vector<std::string> out;
+    for (const Json& e : events) {
+        if (e.at("ph").str == "M" || !e.has("tid"))
+            continue;
+        const auto it = stateTracks.find(e.at("tid").num);
+        if (it == stateTracks.end())
+            continue;
+        std::ostringstream os;
+        os << it->second << ' ' << e.at("ph").str << ' '
+           << e.at("ts").num << ' '
+           << (e.has("name") ? e.at("name").str : "");
+        out.push_back(os.str());
+    }
+    return out;
+}
+
+TEST(TraceEndToEnd, LaneStateSpansMatchNaiveTicking)
+{
+    // A task unit sleeps only through cycles of the class it traced
+    // last, so its state spans open and close on the same cycles as
+    // in the naive loop.
+    std::vector<std::string> spans[2];
+    for (const bool naive : {false, true}) {
+        const std::string path = tmpPath(naive ? "ts_trace_state_naive.json"
+                                               : "ts_trace_state_fast.json");
+        DeltaConfig cfg = DeltaConfig::delta(4);
+        cfg.noFastForward = naive;
+        cfg.trace.enabled = true;
+        cfg.trace.path = path;
+        runScaleWorkload(cfg);
+        spans[naive] = laneStateEvents(path);
+    }
+    EXPECT_GT(spans[0].size(), 8u);
+    EXPECT_EQ(spans[0], spans[1]);
+}
+
 TEST(TraceEndToEnd, CycleAccountingBucketsSumToTotal)
 {
     const StatSet stats = runScaleWorkload(DeltaConfig::delta(4));
