@@ -136,6 +136,15 @@ Lane::writeLine(Addr lineAddr)
     return true;
 }
 
+void
+Lane::armSpaceWake(Ticked* t)
+{
+    noc_.armInjectSpaceWake(selfNode_, t);
+    if (std::find(mshrWaiters_.begin(), mshrWaiters_.end(), t) ==
+        mshrWaiters_.end())
+        mshrWaiters_.push_back(t);
+}
+
 bool
 Lane::sendForward(const ForwardChunk& c)
 {
@@ -171,6 +180,11 @@ Lane::tick(Tick)
             const Mshr m = mshrs_[resp.tag];
             mshrs_[resp.tag].sink = nullptr;
             freeMshrs_.push_back(static_cast<std::uint32_t>(resp.tag));
+            // The units armed on a refused request tick after us, so
+            // they see the free slot this cycle.
+            for (Ticked* t : mshrWaiters_)
+                t->requestWake();
+            mshrWaiters_.clear();
             if (trace::on()) {
                 trace::active()->counter(
                     (name() + ".mshr").c_str(), "inflight",

@@ -54,6 +54,11 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     // PipeTxIf
     bool sendForward(const ForwardChunk& c) override;
 
+    // MemPortIf and PipeTxIf: every refusal is a full injection queue
+    // or, for requestLine, a full MSHR table.
+    /** Arms the injection queue and the next MSHR free. */
+    void armSpaceWake(Ticked* t) override;
+
     void tick(Tick now) override;
     bool busy() const override;
     void reportStats(StatSet& stats) const override;
@@ -104,6 +109,8 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
     /** maxOutstandingLines slots; freeMshrs_ holds the idle ones. */
     std::vector<Mshr> mshrs_;
     std::vector<std::uint32_t> freeMshrs_;
+    /** Units woken (once) when the next MSHR frees. */
+    std::vector<Ticked*> mshrWaiters_;
 
     std::size_t
     mshrsInUse() const

@@ -15,7 +15,8 @@ MemNode::MemNode(Simulator& sim, Noc& noc, std::uint32_t selfNode,
     sim.add(this);
     sim.add(mem_.get());
 
-    // Sleep between bursts; woken by NoC arrivals and DRAM responses.
+    // Sleep between bursts and while blocked; woken by NoC arrivals,
+    // DRAM responses and the space wakes armed in tick().
     noc_.eject(selfNode_).addObserver(this);
     respCh_->addObserver(this);
 }
@@ -50,10 +51,14 @@ MemNode::tick(Tick)
         respCh_->pop();
     }
 
-    // A backlog on either side (full request channel, failed inject)
-    // keeps us ticking; otherwise wait for the next channel commit.
-    if (inbox.empty() && respCh_->empty())
-        sleepOnWake();
+    // Wait for the next channel commit; a backlog on either side
+    // also waits for the slot it is blocked on (a full request
+    // channel, a full injection queue).
+    if (!inbox.empty())
+        reqCh_->armSpaceWake(this);
+    if (!respCh_->empty())
+        noc_.armInjectSpaceWake(selfNode_, this);
+    sleepOnWake();
 }
 
 bool

@@ -14,7 +14,8 @@ MainMemory::MainMemory(Simulator& sim, const MainMemoryConfig& cfg,
 {
     if (cfg_.numBanks == 0 || cfg_.issueWidth == 0)
         fatal("main memory needs at least one bank and issue slot");
-    // Sleep when fully drained; woken by request-channel commits.
+    // Sleep when fully drained; woken by request-channel commits and
+    // by the response channel's space wake while responses are held.
     // In-flight reads need no ticks (responses are pure events).
     reqIn_.addObserver(this);
 }
@@ -29,15 +30,15 @@ MainMemory::bankOf(Addr lineAddr) const
 void
 MainMemory::tick(Tick now)
 {
+    // The response channel freed a slot this cycle: retry the held
+    // responses next cycle.  Scheduled ahead of this cycle's issues so
+    // that, at serviceLatency 1, the held block still goes first.
+    if (!held_.empty() && respOut_.canPush())
+        sim_.schedule(1, [this]() { drainHeld(); });
+
     // Accept new requests into the pending queue.
     while (!reqIn_.empty() && pending_.size() < cfg_.queueCapacity)
         pending_.push_back(Pending{reqIn_.pop(), now});
-    if (trace::on() && pending_.size() != tracedPending_) {
-        tracedPending_ = pending_.size();
-        trace::active()->counter(
-            "dram.queue", "pending",
-            static_cast<double>(tracedPending_));
-    }
 
     // Issue up to issueWidth requests whose banks are free.  Requests
     // may issue out of order across banks (FR-FCFS-like), but stay
@@ -77,16 +78,18 @@ MainMemory::tick(Tick now)
             ++inflight_;
             MemResp resp{it->req.lineAddr, it->req.srcNode,
                          it->req.multicastMask, it->req.tag};
-            sim_.schedule(cfg_.serviceLatency, [this, resp]() {
-                if (respOut_.push(resp)) {
-                    --inflight_;
-                } else {
-                    // Response path back-pressured: retry next cycle.
-                    retryResponse(resp);
-                }
-            });
+            sim_.schedule(cfg_.serviceLatency,
+                          [this, resp]() { respond(resp); });
         }
         it = pending_.erase(it);
+    }
+    // Sampled after issuing, so the tick before a sleep records the
+    // queue the sleep keeps.
+    if (trace::on() && pending_.size() != tracedPending_) {
+        tracedPending_ = pending_.size();
+        trace::active()->counter(
+            "dram.queue", "pending",
+            static_cast<double>(tracedPending_));
     }
 
     // A non-empty pending queue must keep ticking: the per-scan
@@ -96,14 +99,37 @@ MainMemory::tick(Tick now)
 }
 
 void
-MainMemory::retryResponse(const MemResp& resp)
+MainMemory::respond(const MemResp& resp)
 {
-    sim_.schedule(1, [this, resp]() {
-        if (respOut_.push(resp))
-            --inflight_;
-        else
-            retryResponse(resp);
-    });
+    if (respOut_.push(resp)) {
+        --inflight_;
+        return;
+    }
+    // Response path back-pressured: hold it until a slot frees.
+    const Tick now = sim_.now();
+    if (now != heldCycle_) {
+        heldCycle_ = now;
+        heldAhead_ = 0;
+    }
+    if (cfg_.serviceLatency >= 2) {
+        held_.insert(held_.begin() +
+                         static_cast<std::ptrdiff_t>(heldAhead_++),
+                     resp);
+    } else {
+        held_.push_back(resp);
+    }
+    respOut_.armSpaceWake(this);
+}
+
+void
+MainMemory::drainHeld()
+{
+    while (!held_.empty() && respOut_.push(held_.front())) {
+        held_.pop_front();
+        --inflight_;
+    }
+    if (!held_.empty())
+        respOut_.armSpaceWake(this);
 }
 
 bool

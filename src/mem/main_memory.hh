@@ -7,7 +7,9 @@
  * device as a whole accepts at most `issueWidth` new accesses per
  * cycle (channel bandwidth).  Every access completes `serviceLatency`
  * cycles after issue.  Requests that cannot issue wait in a bounded
- * queue, back-pressuring the producer channel.
+ * queue, back-pressuring the producer channel.  Responses the
+ * response channel refuses are held in order and retried together on
+ * the cycle after it frees a slot.
  */
 
 #ifndef TS_MEM_MAIN_MEMORY_HH
@@ -58,7 +60,8 @@ class MainMemory : public Ticked
     /** Lines written so far. */
     std::uint64_t linesWritten() const { return linesWritten_; }
 
-    /** Requests queued or in service (timeline probe). */
+    /** Requests queued or in service, responses held included
+     *  (timeline probe). */
     std::size_t queueDepth() const
     {
         return pending_.size() + static_cast<std::size_t>(inflight_);
@@ -74,7 +77,10 @@ class MainMemory : public Ticked
     };
 
     std::uint32_t bankOf(Addr lineAddr) const;
-    void retryResponse(const MemResp& resp);
+    /** A read's response is due: push it or hold it. */
+    void respond(const MemResp& resp);
+    /** Retry the held responses in order, up to the first refusal. */
+    void drainHeld();
 
     Simulator& sim_;
     MainMemoryConfig cfg_;
@@ -83,6 +89,18 @@ class MainMemory : public Ticked
 
     std::deque<Pending> pending_;
     std::vector<Tick> bankFreeAt_;
+    /**
+     * Responses the response channel refused, in retry order.  Each
+     * cycle the held block retries as one, after the responses due
+     * that cycle when serviceLatency >= 2 (those were scheduled
+     * earlier) and before them when it is 1, so a refused fresh
+     * response goes ahead of older ones in the first case and behind
+     * them in the second.  heldAhead_ counts this cycle's (heldCycle_)
+     * refusals already placed ahead.
+     */
+    std::deque<MemResp> held_;
+    Tick heldCycle_ = 0;
+    std::size_t heldAhead_ = 0;
     std::size_t tracedPending_ = static_cast<std::size_t>(-1);
 
     std::uint64_t linesRead_ = 0;

@@ -1,5 +1,8 @@
 #include "noc/noc.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "trace/trace.hh"
@@ -72,25 +75,24 @@ class NocRouter : public Ticked
                 tryForward(*in_[port], now);
         }
 
-        // Idle contract: sleep when every input is visibly empty
-        // (woken by the input channels' commits) or when every
-        // pending head is still serializing onto this hop (woken at
-        // the earliest maturity).  A head that is due but blocked on
-        // an output keeps the router ticking — nothing wakes us when
-        // a downstream queue drains.
-        Tick earliest = 0;
+        // Idle contract: sleep until some head can move.  Empty
+        // inputs wake us by their commits; a head still serializing
+        // onto this hop, or blocked on a link still busy with an
+        // earlier packet, wakes us when that time comes; a head
+        // blocked on a full output arms its space wake, which fires
+        // when the downstream credit returns.
+        Tick wakeAt = kNever;
         for (unsigned p = 0; p < NumDirs; ++p) {
             const Channel<Packet>* ch = in_[p];
             if (ch == nullptr || ch->empty())
                 continue;
-            const Tick nb = ch->front().notBefore;
-            if (nb <= now)
+            const Tick t = movableAt(ch->front(), now);
+            if (t == now)
                 return;
-            if (earliest == 0 || nb < earliest)
-                earliest = nb;
+            wakeAt = std::min(wakeAt, t);
         }
-        if (earliest != 0)
-            sleepUntil(earliest);
+        if (wakeAt != kNever)
+            sleepUntil(wakeAt);
         else
             sleepOnWake();
     }
@@ -101,6 +103,33 @@ class NocRouter : public Ticked
     std::array<Channel<Packet>*, NumDirs> out_;
 
   private:
+    static constexpr Tick kNever = std::numeric_limits<Tick>::max();
+
+    /**
+     * The cycle head @p pkt may next move: @p now when nothing blocks
+     * it, its tail's or a busy link's free cycle, or kNever after
+     * arming the space wake of a full output.  Each condition stays
+     * unmet until that time or wake, because only this router pushes
+     * into its outputs, so waiting for the first one found is exact.
+     */
+    Tick
+    movableAt(const Packet& pkt, Tick now)
+    {
+        if (pkt.notBefore > now)
+            return pkt.notBefore;
+        for (unsigned d = 0; d < NumDirs; ++d) {
+            if ((pkt.dstMask & dirMask_[d]) == 0)
+                continue;
+            if (!out_[d]->canPush()) {
+                out_[d]->armSpaceWake(this);
+                return kNever;
+            }
+            if (d != LocalPort && linkFreeAt_[d] > now)
+                return linkFreeAt_[d];
+        }
+        return now;
+    }
+
     void
     tryForward(Channel<Packet>& in, Tick now)
     {

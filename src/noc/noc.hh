@@ -60,6 +60,17 @@ class Noc
      */
     bool inject(Packet pkt);
 
+    /**
+     * Wake @p t once when node @p node's injection queue frees a slot
+     * (ChannelBase::armSpaceWake): a producer whose inject() failed
+     * sleeps on this instead of retrying every cycle.
+     */
+    void
+    armInjectSpaceWake(std::uint32_t node, Ticked* t)
+    {
+        injectCh_[node]->armSpaceWake(t);
+    }
+
     /** The ejection channel of a node; consumers pop from it. */
     Channel<Packet>& eject(std::uint32_t node);
 

@@ -20,6 +20,11 @@
  * All three hooks are installed by Simulator::addChannel; a channel
  * used standalone (unit tests) behaves exactly as before.
  *
+ * A producer that finds the channel full may arm a one-shot space
+ * wake (armSpaceWake) instead of polling canPush(): it is woken when a
+ * slot frees for it — at the pop on a plain channel, at the commit
+ * that returns the credit on a credit-return channel — and forgotten.
+ *
  * Credit return
  * -------------
  * A channel marked with setCreditReturn() models a router link whose
@@ -78,6 +83,23 @@ class ChannelBase
     const std::vector<Ticked*>& observers() const { return observers_; }
 
     /**
+     * Wake @p t once, the next time a slot frees for the producer:
+     * at the next pop on a plain channel, or at the commit that
+     * applies the next pop's credit on a credit-return channel (so
+     * the producer ticks on the cycle the slot becomes pushable).
+     * Arming twice before the wake is one wake.
+     */
+    void
+    armSpaceWake(Ticked* t)
+    {
+        for (const Ticked* w : spaceWaiters_) {
+            if (w == t)
+                return;
+        }
+        spaceWaiters_.push_back(t);
+    }
+
+    /**
      * Install the simulator-side activity hooks (called by
      * Simulator::addChannel).  If the channel already holds values,
      * the counters are synchronized so late registration is safe.
@@ -127,25 +149,34 @@ class ChannelBase
     }
 
     /**
-     * Consumer-side pop accounting on a credit-return channel: the freed
-     * slot is credited back at the next commit, so the channel marks
-     * itself dirty to be visited even on pop-only cycles.
+     * Consumer-side pop accounting.  A plain channel frees the slot at
+     * once and fires its space wakes; a credit-return channel credits
+     * the slot back at the next commit, so it marks itself dirty to be
+     * visited even on pop-only cycles.
      */
     void
     notePop()
     {
-        if (!creditReturn_)
+        if (!creditReturn_) {
+            if (!spaceWaiters_.empty())
+                fireSpaceWakes();
             return;
+        }
         ++pendingPops_;
         markDirty();
     }
 
-    /** Commit-time credit application (credit-return channels). */
+    /** Commit-time credit application (credit-return channels); the
+     *  returned credits fire the space wakes. */
     void
     applyCredits()
     {
+        if (pendingPops_ == 0)
+            return;
         credit_ -= pendingPops_;
         pendingPops_ = 0;
+        if (!spaceWaiters_.empty())
+            fireSpaceWakes();
     }
 
     /** Producer-visible occupancy of a credit-return channel. */
@@ -166,8 +197,13 @@ class ChannelBase
     }
 
   private:
+    /** Wake and forget every armed producer (simulator.cc). */
+    void fireSpaceWakes();
+
     std::string name_;
     std::vector<Ticked*> observers_;
+    /** Producers armed by armSpaceWake, woken once at the next free. */
+    std::vector<Ticked*> spaceWaiters_;
     std::int64_t* liveCounter_ = nullptr;
     std::vector<ChannelBase*>* dirtyList_ = nullptr;
     /** Producer-view occupancy (credit-return channels only). */

@@ -27,6 +27,7 @@ EventQueue::fireUpTo(Tick now)
         Callback cb = std::move(const_cast<Entry&>(heap_.top()).cb);
         Ticked* owner = heap_.top().owner;
         heap_.pop();
+        ++fired_;
         if (recorder_ != nullptr)
             recorder_->record(now, obs::FlightRecorder::Kind::Event,
                               owner != nullptr ? &owner->name()

@@ -180,6 +180,9 @@ class EventQueue
     /** Number of pending strong events. */
     std::size_t size() const { return heap_.size(); }
 
+    /** Strong events fired so far (host-work proxy). */
+    std::uint64_t fired() const { return fired_; }
+
     /** Whether any weak event is pending. */
     bool hasWeak() const { return !weakHeap_.empty(); }
 
@@ -216,6 +219,7 @@ class EventQueue
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
     std::priority_queue<Entry, std::vector<Entry>, Later> weakHeap_;
     std::uint64_t nextSeq_ = 0;
+    std::uint64_t fired_ = 0;
     obs::FlightRecorder* recorder_ = nullptr;
 };
 

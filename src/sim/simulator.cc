@@ -79,6 +79,14 @@ heapPop(std::vector<W>& h)
 } // namespace
 
 void
+ChannelBase::fireSpaceWakes()
+{
+    for (Ticked* t : spaceWaiters_)
+        t->requestWake();
+    spaceWaiters_.clear();
+}
+
+void
 Simulator::add(Ticked* t)
 {
     TS_ASSERT(t != nullptr);
@@ -554,6 +562,8 @@ Simulator::reportStats(StatSet& stats) const
               static_cast<double>(ticksExecuted_));
     stats.set("sim.host.cyclesFastForwarded",
               static_cast<double>(cyclesFastForwarded_));
+    stats.set("sim.host.eventsFired",
+              static_cast<double>(events_.fired()));
     stats.set("sim.host.avgActiveComponents",
               cyclesExecuted_ == 0
                   ? 0.0

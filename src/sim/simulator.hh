@@ -25,6 +25,9 @@
  *
  *   - the timed wake it asked for (sleepUntil),
  *   - a commit of a channel it observes (ChannelBase::addObserver),
+ *   - a slot freeing on a full channel it armed
+ *     (ChannelBase::armSpaceWake: at the pop, or at the credit
+ *     return's commit on a NoC link),
  *   - an event it owns firing (Simulator::schedule owner), or
  *   - an explicit Ticked::requestWake() from a producer.
  *

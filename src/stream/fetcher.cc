@@ -56,6 +56,7 @@ WordFetcher::pump(Tick now)
     }
 
     TS_ASSERT(mem_ != nullptr, "Dram fetch without a memory port");
+    refused_ = false;
     std::uint32_t issued = 0;
     // Slots before the scan position hold no NeedFetch word, so each
     // issue resumes where the previous one found its line.
@@ -65,8 +66,10 @@ WordFetcher::pump(Tick now)
         while (win_[first].st != St::NeedFetch)
             ++first;
         const Addr line = lineAlign(win_[first].addr);
-        if (!mem_->requestLine(line, *this, gen_))
+        if (!mem_->requestLine(line, *this, gen_)) {
+            refused_ = true;
             break;
+        }
 
         // Coalesce: every queued word on this line rides along.
         std::uint32_t words = 0;

@@ -67,6 +67,7 @@ class WordFetcher : public LineSink
                   "landing mode is for Dram streams");
         space_ = space;
         landing_ = landing;
+        refused_ = false;
         lastLandingLine_ = kNoLine;
         ++gen_;
     }
@@ -139,6 +140,11 @@ class WordFetcher : public LineSink
                inflight_.size() < cfg_.maxOutstanding;
     }
 
+    /** Whether the memory port refused the last line request pump()
+     *  made: until the port frees a slot (MemPortIf::armSpaceWake),
+     *  pump() cannot issue either. */
+    bool portRefused() const { return refused_; }
+
     /** Wake @p t whenever a requested line arrives. */
     void wakeOnArrival(Ticked* t) { arrivalWake_ = t; }
 
@@ -207,6 +213,7 @@ class WordFetcher : public LineSink
     std::uint64_t spmReads_ = 0;
 
     static constexpr Addr kNoLine = static_cast<Addr>(-1);
+    bool refused_ = false;
     bool landing_ = false;
     Addr lastLandingLine_ = kNoLine;
     std::uint64_t landingWords_ = 0;

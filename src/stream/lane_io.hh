@@ -19,6 +19,8 @@
 namespace ts
 {
 
+class Ticked;
+
 /** Receiver of line-read completions. */
 class LineSink
 {
@@ -57,6 +59,13 @@ class MemPortIf
      * @return false when the write path is back-pressured.
      */
     virtual bool writeLine(Addr lineAddr) = 0;
+
+    /**
+     * Wake @p t once when a request this port refused may be taken:
+     * a unit whose requestLine() or writeLine() failed sleeps on this
+     * instead of retrying every cycle.  Spurious wakes are allowed.
+     */
+    virtual void armSpaceWake(Ticked* t) = 0;
 };
 
 /** One chunk of a forwarded output stream, bound for one forward. */
@@ -84,6 +93,10 @@ class PipeTxIf
      * @return false when the network rejects the packet (retry).
      */
     virtual bool sendForward(const ForwardChunk& c) = 0;
+
+    /** Wake @p t once when a chunk this transmitter refused may be
+     *  taken, as MemPortIf::armSpaceWake does for requests. */
+    virtual void armSpaceWake(Ticked* t) = 0;
 };
 
 } // namespace ts

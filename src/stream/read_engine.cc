@@ -29,7 +29,8 @@ streamKindName(StreamDesc::Kind k)
 ReadEngine::ReadEngine(std::string name, const MemImage& img,
                        Scratchpad* spm, MemPortIf* mem, Landing* landing,
                        ReadEngineCfg cfg)
-    : Ticked(std::move(name)), img_(img), spm_(spm), landing_(landing),
+    : Ticked(std::move(name)), img_(img), spm_(spm), mem_(mem),
+      landing_(landing),
       cfg_(cfg), ptrF_(img, spm, mem, cfg.fetcher),
       idxF_(img, spm, mem, cfg.fetcher), dataF_(img, spm, mem,
                                                 cfg.fetcher)
@@ -399,19 +400,25 @@ ReadEngine::tick(Tick now)
             t->end(t->track(name()));
         }
         sleepOnWake();
-    } else if (tokensDelivered_ == delivered &&
+    } else if (const bool refused = ptrF_.portRefused() ||
+                                    idxF_.portRefused() ||
+                                    dataF_.portRefused();
+               tokensDelivered_ == delivered &&
                ptrF_.moves() + idxF_.moves() + dataF_.moves() == moves &&
                d_.kind != StreamDesc::Kind::PipeIn &&
-               !ptrF_.canIssue() && !idxF_.canIssue() &&
-               !dataF_.canIssue() &&
+               !issuable(ptrF_) && !issuable(idxF_) &&
+               !issuable(dataF_) &&
                ((repeatLeft_ == 0 && !dataF_.headReady() &&
-                 waitingOnMem()) ||
+                 (waitingOnMem() || refused)) ||
                 (dest_ != nullptr && dest_->full()))) {
         // Stalled: this tick moved nothing through any window, no
-        // window can issue, and delivery waits on a line in flight
-        // or on a full fabric port.  Until a line arrives or the
+        // window can issue or its request was refused by the port,
+        // and delivery waits on a line in flight or on a full fabric
+        // port.  Until a line arrives, the port frees a slot or the
         // fabric pops the port (each wakes us) every tick would
         // repeat this one, so skip them.
+        if (refused)
+            mem_->armSpaceWake(this);
         sleepOnWake();
     }
     if (probeWatcher_ != nullptr && probes() != probes0)

@@ -84,6 +84,14 @@ class ReadEngine : public Ticked
                unsigned{waitingOnPipe()} << 2;
     }
 
+    /** Whether @p f could issue a request on a later tick without
+     *  a wake: it has one to issue and the port did not refuse it. */
+    static bool
+    issuable(const WordFetcher& f)
+    {
+        return f.canIssue() && !f.portRefused();
+    }
+
     void generate(Tick now);
     void deliver();
     bool generationDone() const;
@@ -95,6 +103,7 @@ class ReadEngine : public Ticked
 
     const MemImage& img_;
     Scratchpad* spm_;
+    MemPortIf* mem_;
     Landing* landing_; ///< pipe tokens (PipeIn streams)
     ReadEngineCfg cfg_;
 

@@ -68,16 +68,22 @@ WriteEngine::flushTraffic()
 {
     // Retry pending DRAM line writes.
     while (!pendingLines_.empty()) {
-        if (!mem_->writeLine(pendingLines_.front()))
+        if (!mem_->writeLine(pendingLines_.front())) {
+            mem_->armSpaceWake(this);
+            refused_ = true;
             return false;
+        }
         pendingLines_.pop_front();
         ++linesWritten_;
     }
     // Retry pending forward chunks, in cut order.
     while (!sendQ_.empty()) {
         const ForwardChunk& c = sendQ_.front();
-        if (!pipeTx_->sendForward(c))
+        if (!pipeTx_->sendForward(c)) {
+            pipeTx_->armSpaceWake(this);
+            refused_ = true;
             return false;
+        }
         if (landingKind(c.to.landing) == LandingKind::Pipe)
             ++chunksSent_;
         else
@@ -108,12 +114,18 @@ WriteEngine::tick(Tick now)
         return;
     }
     const unsigned probes0 = probes();
+    refused_ = false;
     if (drain(now) && sawStreamEnd_ && flushTraffic()) {
         active_ = false;
         if (trace::on()) {
             auto* t = trace::active();
             t->end(t->track(name()));
         }
+        sleepOnWake();
+    } else if (refused_) {
+        // Blocked: every tick would retry the refused line write or
+        // chunk, and consume nothing, until the port or transmitter
+        // frees a slot (the space wake armed at the refusal).
         sleepOnWake();
     } else if (src_->empty() && pendingLines_.empty() && sendQ_.empty() &&
                !sawStreamEnd_) {

@@ -91,6 +91,8 @@ class WriteEngine : public Ticked
     Scratchpad* spm_;
     MemPortIf* mem_;
     PipeTxIf* pipeTx_;
+    /** This tick's flush was refused by the port or transmitter. */
+    bool refused_ = false;
     WriteEngineCfg cfg_;
 
     WriteDesc d_;

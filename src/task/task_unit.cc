@@ -321,14 +321,23 @@ TaskUnit::tick(Tick now)
         // spurious but safe (we just resume per-cycle ticking).
         if (sleepsAs(CycleClass::Busy, true))
             sleepUntil(computeUntil_);
-    } else if (phase_ == Phase::Running) {
+    } else if (phase_ == Phase::Running ||
+               phase_ == Phase::BuiltinRead) {
         // classify() keeps returning classify(false) and the task is
-        // not done until an input of either changes: an engine probe
-        // (the engines wake us), a fabric firing or drain (the fabric
-        // wakes us), or a packet the lane adapter ejects (MSHR fills
-        // and pipe chunks flip probes; the adapter wakes us).
+        // not done (its inputs not staged) until an input of either
+        // changes: an engine probe (the engines wake us), a fabric
+        // firing or drain (the fabric wakes us), or a packet the lane
+        // adapter ejects (MSHR fills and pipe chunks flip probes; the
+        // adapter wakes us).
         if (sleepsAs(classify(false), true))
             sleepOnWake();
+    } else if (phase_ == Phase::BuiltinWrite && builtinWriteBlocked_) {
+        // Every tick would retry the refused line write, and classify
+        // as MemWait, until the memory port frees a slot.
+        if (sleepsAs(CycleClass::MemWait, true)) {
+            ports_.memPort->armSpaceWake(this);
+            sleepOnWake();
+        }
     }
 }
 

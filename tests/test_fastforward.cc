@@ -33,6 +33,7 @@ struct RunResult
     std::string statsJson; ///< full dump minus sim.host.*
     double cycles = 0.0;
     std::uint64_t ticks = 0;
+    std::uint64_t events = 0;
     bool correct = false;
 };
 
@@ -62,6 +63,8 @@ runOnce(Wk wk, const std::string& config, bool noFastForward,
     r.cycles = stats.get("sim.cycles");
     r.ticks =
         static_cast<std::uint64_t>(stats.get("sim.host.ticksExecuted"));
+    r.events =
+        static_cast<std::uint64_t>(stats.get("sim.host.eventsFired"));
     r.correct = wl->check(delta.image());
     return r;
 }
@@ -158,12 +161,14 @@ INSTANTIATE_TEST_SUITE_P(
  * that cuts ticks further lowers the bound in the same change.
  * Before the write engines, fabric, read engines (on a full port) and
  * task units slept through stalls, these runs ticked spmv 24,832,
- * tricount 73,631 and centroid 110,962 times.
+ * tricount 73,631 and centroid 110,962 times; before the back-pressure
+ * sleeps (BuiltinKernelsTickNoMoreThanPinned below), 12,236, 30,109
+ * and 70,925 times.
  */
 TEST(TickRatchet, StaticStreamRunsTickNoMoreThanPinned)
 {
     const std::pair<Wk, std::uint64_t> pinned[] = {
-        {Wk::Spmv, 12236}, {Wk::Tricount, 30109}, {Wk::Centroid, 70925}};
+        {Wk::Spmv, 11803}, {Wk::Tricount, 29216}, {Wk::Centroid, 70475}};
     for (const auto& [wk, maxTicks] : pinned) {
         const RunResult r = runOnce(wk, "static", false);
         EXPECT_TRUE(r.correct) << wkName(wk);
@@ -171,6 +176,46 @@ TEST(TickRatchet, StaticStreamRunsTickNoMoreThanPinned)
             << wkName(wk) << " x static: a lane unit ticks through "
                "cycles it used to sleep through";
     }
+}
+
+/**
+ * The same ratchet on the builtin-kernel workloads, whose host work
+ * was polling on back-pressure: routers behind a full link, the memory
+ * node behind a full queue, one retry event per refused DRAM response
+ * per cycle, read engines refused by the memory port and task units
+ * staging builtin inputs or blocked writing their outputs.  Each now
+ * sleeps until a slot frees (DESIGN.md §6, space wakes).  Before, lu
+ * ticked 228,399 times and fired 73,588 events, and cholesky ticked
+ * 131,516 times.
+ */
+TEST(TickRatchet, BuiltinKernelsTickNoMoreThanPinned)
+{
+    const RunResult lu = runOnce(Wk::Lu, "delta", false);
+    EXPECT_TRUE(lu.correct);
+    EXPECT_LE(lu.ticks, 105592u)
+        << "lu x delta: a unit polls a full channel it used to sleep on";
+    EXPECT_LE(lu.events, 6165u)
+        << "lu x delta: DRAM responses retry by the event again";
+    const RunResult chol = runOnce(Wk::Cholesky, "delta", false);
+    EXPECT_TRUE(chol.correct);
+    EXPECT_LE(chol.ticks, 66975u)
+        << "cholesky x delta: a unit polls a full channel it used to "
+           "sleep on";
+}
+
+/**
+ * msort x delta's write engines forward pipe chunks and write lines
+ * through a lane injection queue the chunks keep full; a refused
+ * engine sleeps on the lane's space wake.  Before the back-pressure
+ * sleeps this run ticked 58,846 times.
+ */
+TEST(TickRatchet, RefusedWriteEnginesTickNoMoreThanPinned)
+{
+    const RunResult r = runOnce(Wk::Msort, "delta", false);
+    EXPECT_TRUE(r.correct);
+    EXPECT_LE(r.ticks, 41319u)
+        << "msort x delta: a write engine retries a refused write or "
+           "chunk every cycle";
 }
 
 } // namespace

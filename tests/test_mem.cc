@@ -199,6 +199,95 @@ TEST(MainMemory, StatsTrackTraffic)
     EXPECT_EQ(stats.get("mem.linesRead"), 5);
 }
 
+/** Pops one response on every k-th cycle, recording (tag, cycle). */
+class PacedRespSink : public Ticked
+{
+  public:
+    PacedRespSink(Channel<MemResp>& ch, Tick k)
+        : Ticked("sink"), ch_(ch), k_(k)
+    {
+    }
+
+    void
+    tick(Tick now) override
+    {
+        if (now % k_ == 0 && !ch_.empty())
+            got.emplace_back(ch_.pop().tag, now);
+        sleepUntil((now / k_ + 1) * k_);
+    }
+
+    bool busy() const override { return false; }
+
+    std::vector<std::pair<std::uint64_t, Tick>> got;
+
+  private:
+    Channel<MemResp>& ch_;
+    Tick k_;
+};
+
+/** 24 reads over 4 banks through a capacity-1 response channel that
+ *  a sink walked ahead of the memory (as the memory node is) pops
+ *  every 3 cycles, so most responses are refused and held. */
+std::vector<std::pair<std::uint64_t, Tick>>
+heldResponses(Tick serviceLatency, bool fastForward)
+{
+    Simulator sim;
+    sim.setFastForward(fastForward);
+    auto& req = sim.makeChannel<MemReq>("req", 64);
+    auto& resp = sim.makeChannel<MemResp>("resp", 1);
+    MainMemoryConfig cfg;
+    cfg.serviceLatency = serviceLatency;
+    cfg.bankOccupancy = 5;
+    cfg.issueWidth = 2;
+    cfg.numBanks = 4;
+    PacedRespSink sink(resp, 3);
+    MainMemory mem(sim, cfg, req, resp);
+    sim.add(&sink);
+    sim.add(&mem);
+    for (std::uint64_t i = 0; i < 24; ++i) {
+        MemReq r;
+        r.lineAddr = i * lineBytes;
+        r.tag = i;
+        EXPECT_TRUE(req.push(r));
+    }
+    sim.run(100000);
+    return sink.got;
+}
+
+TEST(MainMemory, HeldResponsesKeepTheRetryOrderAndCycles)
+{
+    // Recorded from the model that retried every refused response
+    // with its own one-cycle event.  The refusals of one cycle retry
+    // ahead of older ones when responses are scheduled two or more
+    // cycles out, and behind them at serviceLatency 1, where the held
+    // block retries before that cycle's fresh responses.
+    using Got = std::vector<std::pair<std::uint64_t, Tick>>;
+    const std::pair<Tick, Got> want[] = {
+        {1,
+         {{0, 3}, {1, 6}, {2, 9}, {3, 12}, {4, 15}, {5, 18}, {6, 21},
+          {7, 24}, {8, 27}, {9, 30}, {10, 33}, {11, 36}, {12, 39},
+          {13, 42}, {14, 45}, {15, 48}, {16, 51}, {17, 54}, {18, 57},
+          {19, 60}, {20, 63}, {21, 66}, {22, 69}, {23, 72}}},
+        {2,
+         {{0, 6}, {2, 9}, {6, 12}, {8, 15}, {10, 18}, {14, 21},
+          {15, 24}, {18, 27}, {20, 30}, {22, 33}, {23, 36}, {21, 39},
+          {19, 42}, {16, 45}, {17, 48}, {12, 51}, {13, 54}, {11, 57},
+          {9, 60}, {7, 63}, {4, 66}, {5, 69}, {3, 72}, {1, 75}}},
+        {40,
+         {{0, 42}, {2, 45}, {4, 48}, {6, 51}, {10, 54}, {11, 57},
+          {14, 60}, {16, 63}, {18, 66}, {22, 69}, {23, 72}, {20, 75},
+          {21, 78}, {19, 81}, {17, 84}, {15, 87}, {12, 90}, {13, 93},
+          {8, 96}, {9, 99}, {7, 102}, {5, 105}, {3, 108}, {1, 111}}},
+    };
+    for (const auto& [latency, expected] : want) {
+        for (const bool ff : {true, false}) {
+            EXPECT_EQ(heldResponses(latency, ff), expected)
+                << "serviceLatency " << latency
+                << (ff ? ", fast-forward" : ", naive");
+        }
+    }
+}
+
 TEST(Scratchpad, PortBudgetPerCycle)
 {
     Scratchpad spm("spm", ScratchpadConfig{256, 2});

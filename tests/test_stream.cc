@@ -28,9 +28,10 @@ namespace
 class DirectMemPort : public MemPortIf, public Ticked
 {
   public:
-    DirectMemPort(Simulator& sim, const MainMemoryConfig& cfg)
+    DirectMemPort(Simulator& sim, const MainMemoryConfig& cfg,
+                  std::size_t reqCapacity = 16)
         : Ticked("directport"),
-          reqCh_(sim.makeChannel<MemReq>("dp.req", 16)),
+          reqCh_(sim.makeChannel<MemReq>("dp.req", reqCapacity)),
           respCh_(sim.makeChannel<MemResp>("dp.resp", 16)),
           mem_(sim, cfg, reqCh_, respCh_)
     {
@@ -59,6 +60,10 @@ class DirectMemPort : public MemPortIf, public Ticked
         req.write = true;
         return reqCh_.push(req);
     }
+
+    /** Both requests and writes are refused only on a full request
+     *  channel, which MainMemory pops. */
+    void armSpaceWake(Ticked* t) override { reqCh_.armSpaceWake(t); }
 
     void
     tick(Tick) override
@@ -577,11 +582,12 @@ TEST(ReadEngine, SinkModeModelsTrafficWithoutDelivery)
 // --- write engine ----------------------------------------------------------
 
 /** Records every forward chunk the engine sends; rejects all of them
- *  while @c accept is false. */
+ *  while @c accept is false, until open() wakes the refused engine. */
 struct CapturePipeTx : public PipeTxIf
 {
     std::vector<ForwardChunk> sent;
     bool accept = true;
+    Ticked* armed = nullptr;
 
     bool
     sendForward(const ForwardChunk& c) override
@@ -590,6 +596,18 @@ struct CapturePipeTx : public PipeTxIf
             return false;
         sent.push_back(c);
         return true;
+    }
+
+    void armSpaceWake(Ticked* t) override { armed = t; }
+
+    /** Start accepting, waking an engine a refusal put to sleep. */
+    void
+    open()
+    {
+        accept = true;
+        if (armed != nullptr)
+            armed->requestWake();
+        armed = nullptr;
     }
 
     /** The tokens of every chunk sent, in order. */
@@ -699,7 +717,7 @@ TEST(WriteEngine, RetriesWhenPipeTxBackpressured)
     Rig rig;
     CapturePipeTx tx;
     tx.accept = false;
-    WriteEngine we("we", rig.img, &rig.spm, &rig.port, &tx);
+    Counting<WriteEngine> we("we", rig.img, &rig.spm, &rig.port, &tx);
     rig.sim.add(&we);
 
     TokenFifo src(64);
@@ -714,7 +732,9 @@ TEST(WriteEngine, RetriesWhenPipeTxBackpressured)
     we.program(d, &src);
     rig.sim.step(200);
     EXPECT_TRUE(we.active()) << "cannot finish while chunk unsent";
-    tx.accept = true;
+    EXPECT_LT(we.ticks, 10u)
+        << "a refused engine sleeps on the transmitter's space wake";
+    tx.open();
     rig.sim.run(10000);
     EXPECT_FALSE(we.active());
 }
@@ -792,7 +812,7 @@ TEST(WriteEngine, FullSendQueueStallsPipeAndSpatialForwardsAlike)
         EXPECT_TRUE(we.blockedOnNoc());
         EXPECT_TRUE(tx.sent.empty());
 
-        tx.accept = true;
+        tx.open();
         rig.sim.run(10000);
         EXPECT_FALSE(we.active());
         ASSERT_EQ(tx.sent.size(), 20u);
@@ -972,6 +992,54 @@ TEST(ReadEngine, BlockedOnAFullPortResumesTheCycleAfterTheFabricPops)
     ASSERT_LT(k + 1, fast.seen.size()) << "the port never drained";
     EXPECT_EQ(fast.seen[k][0], fast.seen[k - 1][0]);
     EXPECT_EQ(fast.seen[k + 1][0], fast.seen[k][0] + 1);
+}
+
+/** One read engine behind a port that takes a request only when
+ *  DRAM, one bank issuing every ten cycles, frees its one-slot queue;
+ *  returns (tokens delivered, lines requested) per cycle, and ticks. */
+std::pair<std::vector<std::array<std::uint64_t, 2>>, std::uint64_t>
+runRefusedByThePort(bool fastForward)
+{
+    Simulator sim;
+    sim.setFastForward(fastForward);
+    MemImage img;
+    Scratchpad spm("spm", ScratchpadConfig{1 << 10, 4});
+    MainMemoryConfig mc;
+    mc.numBanks = 1;
+    mc.bankOccupancy = 10;
+    mc.issueWidth = 1;
+    mc.queueCapacity = 1;
+    DirectMemPort port(sim, mc, 2);
+    Landing landing(img, spm);
+    const Addr a = img.allocWords(256);
+    for (int i = 0; i < 256; ++i)
+        img.writeInt(a + i * wordBytes, i);
+    Counting<ReadEngine> re("re", img, &spm, &port, &landing);
+    sim.add(&re);
+    TokenFifo dest(0);
+    re.program(StreamDesc::linear(Space::Dram, a, 256), &dest);
+    std::vector<std::array<std::uint64_t, 2>> seen;
+    while (re.active() && sim.now() < 5000) {
+        sim.step(1);
+        seen.push_back({re.tokensDelivered(), re.linesRequested()});
+    }
+    EXPECT_FALSE(re.active());
+    return {seen, re.ticks};
+}
+
+TEST(ReadEngine, RefusedByTheMemoryPortSleepsUntilItFreesASlot)
+{
+    // DirectMemPort refuses a line request on a full request channel
+    // and arms that channel's space wake (MemPortIf::armSpaceWake):
+    // MainMemory's pop wakes the engine, which ticks after it and so
+    // issues in the same cycle, as under naive ticking.
+    const auto [naive, naiveTicks] = runRefusedByThePort(false);
+    const auto [fast, fastTicks] = runRefusedByThePort(true);
+    EXPECT_EQ(fast, naive);
+    ASSERT_FALSE(fast.empty());
+    EXPECT_EQ(fast.back()[0], 256u);
+    EXPECT_LT(fastTicks * 2, naiveTicks)
+        << "the refused engine kept retrying every cycle";
 }
 
 // --- landing table ---------------------------------------------------------

@@ -21,8 +21,10 @@
 
 #include "accel/delta.hh"
 #include "driver/options.hh"
+#include "driver/sweep.hh"
 #include "trace/accounting.hh"
 #include "trace/trace.hh"
+#include "workloads/workload.hh"
 
 namespace ts
 {
@@ -589,6 +591,38 @@ TEST(TraceEndToEnd, LaneStateSpansMatchNaiveTicking)
     }
     EXPECT_GT(spans[0].size(), 8u);
     EXPECT_EQ(spans[0], spans[1]);
+}
+
+TEST(TraceEndToEnd, FastForwardedTraceIsByteIdenticalToNaive)
+{
+    // lu x delta drives every sleep there is: held DRAM responses,
+    // routers and the memory node blocked on full queues, read
+    // engines refused by the memory port, builtin kernels staging
+    // inputs and writing outputs.  Sleeping through a cycle must not
+    // drop or move a single trace event.
+    std::string text[2];
+    for (const bool naive : {false, true}) {
+        const std::string path = tmpPath(naive ? "ts_trace_lu_naive.json"
+                                               : "ts_trace_lu_fast.json");
+        DeltaConfig cfg = driver::sweepConfig("delta").cfg;
+        cfg.noFastForward = naive;
+        cfg.trace.enabled = true;
+        cfg.trace.path = path;
+        SuiteParams sp;
+        sp.scale = 0.25;
+        sp.seed = 7;
+        auto wl = makeWorkload(Wk::Lu, sp);
+        Delta delta(cfg);
+        TaskGraph graph;
+        wl->build(delta, graph);
+        delta.run(graph);
+        EXPECT_TRUE(wl->check(delta.image()));
+        text[naive] = slurp(path);
+        std::remove(path.c_str());
+    }
+    EXPECT_GT(text[0].size(), 1000u);
+    EXPECT_TRUE(text[0] == text[1])
+        << "fast-forwarded and naive traces differ";
 }
 
 TEST(TraceEndToEnd, CycleAccountingBucketsSumToTotal)
