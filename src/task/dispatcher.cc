@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "mem/request.hh"
 
@@ -30,13 +29,6 @@ constexpr Tick kPipelineHoldCycles = 65536;
  *  waits this long so near-simultaneous siblings can coalesce into one
  *  co-dispatched region. */
 constexpr Tick kPipelineGraceCycles = 768;
-
-/** Unique pipe identity for a producer output port. */
-std::uint64_t
-pipeIdOf(TaskId uid, std::uint8_t port)
-{
-    return (static_cast<std::uint64_t>(uid) << 3) | port;
-}
 
 } // namespace
 
@@ -95,7 +87,7 @@ Dispatcher::loadGraph(const TaskGraph& graph)
     edges_.reserve(graph.edges().size());
     for (const DepEdge& e : graph.edges()) {
         const std::size_t idx = edges_.size();
-        edges_.push_back(EdgeState{e, false, false});
+        edges_.push_back(EdgeState{e});
         states_[e.consumer].inEdges.push_back(idx);
         states_[e.consumer].remDeps++;
         states_[e.producer].outEdges.push_back(idx);
@@ -195,7 +187,7 @@ Dispatcher::onComplete(const CompleteMsg& msg, Tick now)
     // serialized.
     for (std::size_t ei : ts.outEdges) {
         const EdgeState& es = edges_[ei];
-        if (es.e.kind != DepKind::Pipeline || !es.activated)
+        if (es.bind != Bind::Pipe)
             continue;
         const TaskState& cs = states_[es.e.consumer];
         if (!cs.started)
@@ -271,7 +263,7 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
     if (set.transferTo != SpawnSet::kNoTransfer) {
         for (std::size_t ei : states_[msg.spawner].outEdges) {
             const EdgeState& es = edges_[ei];
-            if (es.activated || states_[es.e.consumer].dispatched)
+            if (es.bind == Bind::Pipe || states_[es.e.consumer].dispatched)
                 continue;
             transferable.push_back(ei);
         }
@@ -306,10 +298,8 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
         TS_ASSERT(!cs.dispatched,
                   "dynamic edge targets already-dispatched task ", c);
         const std::size_t idx = edges_.size();
-        edges_.push_back(
-            EdgeState{DepEdge{p, c, e.kind, e.producerPort,
-                              e.consumerPort},
-                      false, false});
+        edges_.push_back(EdgeState{
+            DepEdge{p, c, e.kind, e.producerPort, e.consumerPort}});
         cs.inEdges.push_back(idx);
         states_[p].outEdges.push_back(idx);
         if (!states_[p].completed) {
@@ -317,7 +307,7 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
         } else if (e.kind == DepKind::Pipeline) {
             // Nothing left to forward; the consumer reads the memory
             // fallback its descriptor names.
-            edges_[idx].resolved = true;
+            edges_[idx].bind = Bind::Memory;
             ++pipesDegraded_;
         }
     }
@@ -576,8 +566,12 @@ Dispatcher::pickLane(TaskId id,
     };
 
     switch (cfg_.policy) {
-      case SchedPolicy::Static: {
-        const std::size_t l = id % n;
+      case SchedPolicy::Static:
+      case SchedPolicy::Spatial: {
+        // Pinned: owner-compute, or the spatial plan, whose forwarding
+        // decisions already named this lane as the consumer's landing
+        // site.  The task waits for a queue slot rather than migrate.
+        const std::size_t l = plannedLane(id);
         return available(l) ? static_cast<std::int32_t>(l) : -1;
       }
       case SchedPolicy::DynCount: {
@@ -608,19 +602,12 @@ Dispatcher::pickLane(TaskId id,
         }
         return best;
       }
-      case SchedPolicy::Spatial: {
-        // Hard pinning: forwarding decisions already named this lane
-        // as the consumer's landing site, so the task waits for a
-        // queue slot rather than migrate.
-        const std::size_t l = spatialPlannedLane(id);
-        return available(l) ? static_cast<std::int32_t>(l) : -1;
-      }
     }
     return -1;
 }
 
 std::uint32_t
-Dispatcher::spatialPlannedLane(TaskId id) const
+Dispatcher::plannedLane(TaskId id) const
 {
     if (id < plannedLane_.size() && plannedLane_[id] >= 0)
         return static_cast<std::uint32_t>(plannedLane_[id]);
@@ -644,7 +631,7 @@ Dispatcher::spatialPlanSpawned(TaskId spawner, std::size_t base,
     // hatch: when the inherited lane is overloaded relative to the
     // mean, the heir moves to the least-loaded lane (lowest index
     // wins, keeping the decision deterministic).
-    std::uint32_t inherit = spatialPlannedLane(spawner);
+    std::uint32_t inherit = plannedLane(spawner);
     double mean = 0.0;
     for (const double w : laneWork_)
         mean += w;
@@ -691,119 +678,83 @@ Dispatcher::spatialPlanSpawned(TaskId spawner, std::size_t base,
 }
 
 void
-Dispatcher::spatialResolveProducer(TaskId id, DispatchMsg& pm)
+Dispatcher::bindSpatialOutput(DispatchMsg& pm, std::size_t oi)
 {
-    const TaskState& ps = states_[id];
-    const bool builtin =
-        registry_.type(ps.inst.type).isBuiltin();
-    for (std::size_t oi = 0; oi < pm.outputs.size(); ++oi) {
-        WriteDesc& out = pm.outputs[oi];
-        if (!spatial::forwardableOutput(out))
+    WriteDesc& out = pm.outputs[oi];
+    // Forward to every successor whose eligible input covers this
+    // output; suppress the DRAM write-back only when *all* successors
+    // that touch the range were forwarded (an un-analyzable reader
+    // keeps the round-trip).
+    bool touched = false;
+    bool forwardedAll = true;
+    std::vector<std::uint64_t> fwdGroups; // dedupe multi-edges
+    for (std::size_t ei : states_[pm.uid].outEdges) {
+        const TaskId c = edges_[ei].e.consumer;
+        const TaskState& cs = states_[c];
+        if (cs.dispatched || cs.completed)
             continue;
-        // Builtin bodies only stream outputs[0] through the timed
-        // write path (see TaskUnit::BuiltinWrite).
-        if (builtin && oi != 0)
-            continue;
-
-        // Forward to every successor whose eligible input covers this
-        // output; suppress the DRAM write-back only when *all*
-        // successors that touch the range were forwarded (an
-        // un-analyzable reader keeps the round-trip).
-        bool touched = false;
-        bool forwardedAll = true;
-        std::vector<std::uint64_t> fwdGroups; // dedupe multi-edges
-        for (std::size_t ei : ps.outEdges) {
-            const TaskId c = edges_[ei].e.consumer;
-            const TaskState& cs = states_[c];
-            if (cs.dispatched || cs.completed)
+        for (std::size_t p = 0; p < cs.inst.inputs.size(); ++p) {
+            const StreamDesc& in = cs.inst.inputs[p];
+            if (in.dataSpace != Space::Dram)
                 continue;
-            for (std::size_t p = 0; p < cs.inst.inputs.size(); ++p) {
-                const StreamDesc& in = cs.inst.inputs[p];
-                if (in.dataSpace != Space::Dram)
-                    continue;
-                const bool eligible =
-                    spatial::landingEligibleInput(in) &&
-                    cs.inst.inputGroup[p] == kNoGroup;
-                if (!eligible) {
-                    // Gather/CSR reads have no statically known
-                    // range: assume they may touch this output.
-                    if (in.kind != StreamDesc::Kind::Linear ||
-                        spatial::outputFeedsInput(out, in)) {
-                        touched = true;
-                        forwardedAll = false;
-                    }
-                    continue;
-                }
-                if (!spatial::outputFeedsInput(out, in))
-                    continue;
-                touched = true;
-                const std::uint64_t g = spatial::landingGroup(
-                    c, static_cast<std::uint8_t>(p));
-                if (std::find(fwdGroups.begin(), fwdGroups.end(),
-                              g) != fwdGroups.end()) {
-                    continue;
-                }
-                auto it = spatialGroups_.find(g);
-                if (it == spatialGroups_.end()) {
-                    SpatialGroup sg;
-                    sg.consumer = c;
-                    sg.port = static_cast<std::uint8_t>(p);
-                    sg.lane = static_cast<std::int32_t>(
-                        spatialPlannedLane(c));
-                    sg.bufWords = spatial::landingBufWords(in);
-                    if (spatialLaneBufUsed_[sg.lane] + sg.bufWords >
-                        cfg_.spatialBufferWords) {
-                        sg.spilled = true;
-                        ++spatialSpills_;
-                    } else {
-                        spatialLaneBufUsed_[sg.lane] += sg.bufWords;
-                        sg.allocated = true;
-                        ++spatialGroupsAllocated_;
-                        spatialBufPeak_ =
-                            std::max(spatialBufPeak_,
-                                     spatialLaneBufUsed_[sg.lane]);
-                    }
-                    it = spatialGroups_.emplace(g, sg).first;
-                }
-                if (it->second.spilled) {
+            const bool eligible = spatial::landingEligibleInput(in) &&
+                                  cs.inst.inputGroup[p] == kNoGroup;
+            if (!eligible) {
+                // Gather/CSR reads have no statically known range:
+                // assume they may touch this output.
+                if (in.kind != StreamDesc::Kind::Linear ||
+                    spatial::outputFeedsInput(out, in)) {
+                    touched = true;
                     forwardedAll = false;
-                    continue;
                 }
-                out.forwards.push_back(Forward{
-                    Packet::unicast(cfg_.laneNodes[it->second.lane]),
-                    landingId(LandingKind::Spatial, g)});
-                ++it->second.expectedDones;
-                ++spatialForwards_;
-                fwdGroups.push_back(g);
-                if (trace::on()) {
-                    auto* t = trace::active();
-                    t->instant(t->track(name()), "spatialForward",
-                               trace::args("producer", id, "consumer",
-                                           c));
+                continue;
+            }
+            if (!spatial::outputFeedsInput(out, in))
+                continue;
+            touched = true;
+            const std::uint64_t g =
+                spatial::landingGroup(c, static_cast<std::uint8_t>(p));
+            if (std::find(fwdGroups.begin(), fwdGroups.end(), g) !=
+                fwdGroups.end()) {
+                continue;
+            }
+            auto it = spatialGroups_.find(g);
+            if (it == spatialGroups_.end()) {
+                SpatialGroup sg;
+                sg.lane = static_cast<std::int32_t>(plannedLane(c));
+                sg.bufWords = spatial::landingBufWords(in);
+                if (spatialLaneBufUsed_[sg.lane] + sg.bufWords >
+                    cfg_.spatialBufferWords) {
+                    sg.spilled = true;
+                    ++spatialSpills_;
+                } else {
+                    spatialLaneBufUsed_[sg.lane] += sg.bufWords;
+                    ++spatialGroupsAllocated_;
+                    spatialBufPeak_ = std::max(
+                        spatialBufPeak_, spatialLaneBufUsed_[sg.lane]);
                 }
+                it = spatialGroups_.emplace(g, sg).first;
+            }
+            if (it->second.spilled) {
+                forwardedAll = false;
+                continue;
+            }
+            out.forwards.push_back(Forward{
+                Packet::unicast(cfg_.laneNodes[it->second.lane]),
+                landingId(LandingKind::Spatial, g)});
+            ++it->second.expectedDones;
+            ++spatialForwards_;
+            fwdGroups.push_back(g);
+            if (trace::on()) {
+                auto* t = trace::active();
+                t->instant(t->track(name()), "spatialForward",
+                           trace::args("producer", pm.uid, "consumer",
+                                       c));
             }
         }
-        if (touched && forwardedAll && !out.forwards.empty())
-            out.writeBack = false;
     }
-}
-
-void
-Dispatcher::spatialRewriteConsumer(TaskId id, DispatchMsg& m)
-{
-    for (std::size_t p = 0; p < m.inputs.size(); ++p) {
-        const std::uint64_t g = spatial::landingGroup(
-            id, static_cast<std::uint8_t>(p));
-        const auto it = spatialGroups_.find(g);
-        if (it == spatialGroups_.end() || it->second.spilled ||
-            it->second.expectedDones == 0) {
-            continue;
-        }
-        m.inputs[p].spatialLanding = true;
-        m.landings.push_back(
-            LandingGate{landingId(LandingKind::Spatial, g),
-                        it->second.expectedDones, true});
-    }
+    if (touched && forwardedAll && !out.forwards.empty())
+        out.writeBack = false;
 }
 
 void
@@ -812,7 +763,7 @@ Dispatcher::spatialRelease(TaskId uid)
     const std::uint64_t lo = static_cast<std::uint64_t>(uid) << 3;
     auto it = spatialGroups_.lower_bound(lo);
     while (it != spatialGroups_.end() && it->first <= (lo | 7)) {
-        if (it->second.allocated) {
+        if (!it->second.spilled) {
             TS_ASSERT(spatialLaneBufUsed_[it->second.lane] >=
                       it->second.bufWords);
             spatialLaneBufUsed_[it->second.lane] -=
@@ -823,8 +774,105 @@ Dispatcher::spatialRelease(TaskId uid)
 }
 
 void
-Dispatcher::enqueueDispatch(TaskId id, DispatchMsg msg)
+Dispatcher::bind(DispatchMsg& m, std::vector<DispatchMsg>& batch)
 {
+    const TaskInstance& inst = states_[m.uid].inst;
+
+    // Inputs: a shared-group input fires its group once and reads the
+    // scratchpad copy; a spatial landing group, decided by its
+    // producers' dispatches, lands their forwarded streams.
+    for (std::size_t port = 0; port < m.inputs.size(); ++port) {
+        StreamDesc& d = m.inputs[port];
+        const std::uint32_t gId = inst.inputGroup[port];
+        if (cfg_.enableMulticast && gId != kNoGroup) {
+            GroupState& gs = groups_.at(gId);
+            if (!gs.fired)
+                fireGroup(gId);
+            // Unicast-replay cost of this member's read, had the range
+            // not been multicast into every scratchpad.
+            mcastUnicastLinesEquiv_ +=
+                divCeil<std::uint64_t>(d.elementCount(img_), lineWords);
+            d.dataSpace = Space::Spm;
+            d.dataBase = gs.landingOffset +
+                         (d.dataBase - gs.g.rangeBase) / wordBytes;
+            m.landings.push_back(LandingGate{
+                landingId(LandingKind::Multicast, gId), gs.lines, false});
+            continue;
+        }
+        const std::uint64_t g =
+            spatial::landingGroup(m.uid, static_cast<std::uint8_t>(port));
+        const auto sg = spatialGroups_.find(g);
+        if (sg != spatialGroups_.end() && !sg->second.spilled &&
+            sg->second.expectedDones > 0) {
+            d.spatialLanding = true;
+            m.landings.push_back(
+                LandingGate{landingId(LandingKind::Spatial, g),
+                            sg->second.expectedDones, true});
+        }
+    }
+
+    // Pipeline out-edges: consumers in the batch share one forward
+    // per producer port, multicast to each of their lanes.  Two on
+    // one lane would collide in its landing table, and builtin bodies
+    // cannot forward; those edges, and consumers outside the batch,
+    // read the memory fallback.
+    const bool builtin = registry_.type(inst.type).isBuiltin();
+    for (std::size_t ei : states_[m.uid].outEdges) {
+        EdgeState& es = edges_[ei];
+        if (es.e.kind != DepKind::Pipeline || es.bind != Bind::Open)
+            continue;
+        const TaskId c = es.e.consumer;
+        const auto cm =
+            std::find_if(batch.begin(), batch.end(),
+                         [&](const DispatchMsg& x) { return x.uid == c; });
+        es.bind = Bind::Memory;
+        if (!builtin && cm != batch.end()) {
+            const std::uint64_t pid =
+                spatial::landingGroup(m.uid, es.e.producerPort);
+            const std::uint64_t lid = landingId(LandingKind::Pipe, pid);
+            const std::uint64_t dst =
+                Packet::unicast(cfg_.laneNodes[states_[c].lane]);
+            std::vector<Forward>& fwds =
+                m.outputs.at(es.e.producerPort).forwards;
+            auto fwd = std::find_if(
+                fwds.begin(), fwds.end(),
+                [&](const Forward& f) { return f.landing == lid; });
+            if (fwd == fwds.end())
+                fwd = fwds.insert(fwds.end(), Forward{0, lid});
+            if ((fwd->dstMask & dst) == 0) {
+                fwd->dstMask |= dst;
+                cm->inputs.at(es.e.consumerPort) = StreamDesc::pipeIn(pid);
+                cm->landings.push_back(LandingGate{lid, 0, true});
+                es.bind = Bind::Pipe;
+            }
+        }
+        const bool piped = es.bind == Bind::Pipe;
+        ++(piped ? pipesActivated_ : pipesDegraded_);
+        if (trace::on()) {
+            auto* t = trace::active();
+            t->instant(t->track(name()),
+                       piped ? "pipeActivated" : "pipeDegraded",
+                       trace::args("producer", m.uid, "consumer", c));
+        }
+    }
+
+    // Spatial forwards of each forwardable output.  Builtin bodies
+    // only stream outputs[0] through the timed write path (see
+    // TaskUnit::BuiltinWrite).
+    if (cfg_.policy != SchedPolicy::Spatial)
+        return;
+    for (std::size_t oi = 0; oi < m.outputs.size(); ++oi) {
+        if (spatial::forwardableOutput(m.outputs[oi]) &&
+            (!builtin || oi == 0)) {
+            bindSpatialOutput(m, oi);
+        }
+    }
+}
+
+void
+Dispatcher::enqueueDispatch(DispatchMsg msg)
+{
+    const TaskId id = msg.uid;
     TaskState& ts = states_[id];
     TS_ASSERT(ts.lane >= 0);
     ts.dispatched = true;
@@ -922,14 +970,32 @@ Dispatcher::planFor(TaskId root, std::uint32_t freeSlots)
     // landing zones, not co-dispatched pipe batches.
     const bool pipelined =
         cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial;
+    plan.closure.assign(1, root);
     if (pipelined) {
-        plan.closure = pipelineClosure(root);
+        // Dependence order: every in-batch producer before its
+        // consumers, lowest uid first among the members ready to go
+        // (uid order wherever that is already topological).
+        std::vector<TaskId> pending = pipelineClosure(root);
         ++closureEvals_;
-    } else {
-        plan.closure.assign(1, root);
+        const auto ready = [&](TaskId c) {
+            for (std::size_t ei : states_[c].inEdges) {
+                if (std::binary_search(pending.begin(), pending.end(),
+                                       edges_[ei].e.producer)) {
+                    return false;
+                }
+            }
+            return true;
+        };
+        plan.closure.clear();
+        while (!pending.empty()) { // the closure is acyclic
+            const auto next =
+                std::find_if(pending.begin(), pending.end(), ready);
+            plan.closure.push_back(*next);
+            pending.erase(next);
+        }
     }
     // Cap the batch at the total free queue slots (members may share
-    // lanes; intra-batch uid order keeps per-lane queues topological,
+    // lanes; dependence order keeps per-lane queues topological,
     // which makes sharing deadlock-free).
     if (plan.closure.size() > freeSlots)
         plan.closure.resize(freeSlots);
@@ -944,10 +1010,10 @@ Dispatcher::hasSoonJoinableConsumer(
     for (const TaskId member : closure) {
         for (std::size_t ei : states_[member].outEdges) {
             const EdgeState& es = edges_[ei];
-            if (es.e.kind != DepKind::Pipeline || es.resolved)
+            if (es.e.kind != DepKind::Pipeline || es.bind != Bind::Open)
                 continue;
-            if (std::binary_search(closure.begin(), closure.end(),
-                                   es.e.consumer)) {
+            if (std::find(closure.begin(), closure.end(),
+                          es.e.consumer) != closure.end()) {
                 continue;
             }
             if (soonJoinable(es.e.consumer, 0))
@@ -1018,164 +1084,49 @@ Dispatcher::tryDispatchHead(Tick now)
         return Attempt::Advanced;
     }
 
-    // 2. Assign lanes to closure members in uid (topological) order;
+    // 2. Assign lanes to closure members in dependence order;
     // members may share lanes.  If capacity runs out, the
     // consumer-side suffix is dropped — safe, because a dropped task
     // can never be the producer of a kept one.
     std::vector<std::uint32_t> extraLoad(cfg_.laneNodes.size(), 0);
     std::vector<double> extraWork(cfg_.laneNodes.size(), 0.0);
-    std::vector<TaskId> placed;
+    std::vector<DispatchMsg> batch;
     for (const TaskId id : plan.closure) {
         const std::int32_t lane = pickLane(id, extraLoad, extraWork);
         if (lane < 0) {
-            if (placed.empty())
+            if (batch.empty())
                 return Attempt::LanesFull; // not even the root fits
             break;
         }
-        states_[id].lane = lane;
+        TaskState& ts = states_[id];
+        ts.lane = lane;
         ++extraLoad[lane];
-        extraWork[lane] += states_[id].workEst;
-        placed.push_back(id);
-    }
-
-    // (Shared-read groups no longer require co-dispatch: fills go to
-    // every lane, so members are rewritten whenever they dispatch —
-    // see step 4.)
-
-    // 4. Build messages with pipeline/shared rewrites.
-    std::map<TaskId, DispatchMsg> msgs;
-    for (TaskId id : placed) {
-        DispatchMsg m;
+        extraWork[lane] += ts.workEst;
+        DispatchMsg& m = batch.emplace_back();
         m.uid = id;
-        m.type = states_[id].inst.type;
-        m.inputs = states_[id].inst.inputs;
-        m.outputs = states_[id].inst.outputs;
-        m.workEst = states_[id].workEst;
+        m.type = ts.inst.type;
+        m.inputs = ts.inst.inputs;
+        m.outputs = ts.inst.outputs;
+        m.workEst = ts.workEst;
         m.dispatchedAt = now;
-        // Solo dispatches are migratable between lanes: no pipeline
-        // co-dispatch batch whose intra-lane uid order must survive.
-        // Spatial tasks never migrate — the plan pinned their lane.
-        m.stealable = cfg_.steal != StealPolicy::None &&
-                      placed.size() == 1 &&
-                      cfg_.policy != SchedPolicy::Spatial;
-        msgs.emplace(id, std::move(m));
     }
+    // Solo dispatches are migratable between lanes: no pipeline
+    // co-dispatch batch whose intra-lane order must survive.  Spatial
+    // tasks never migrate — the plan pinned their lane.
+    batch.front().stealable = cfg_.steal != StealPolicy::None &&
+                              batch.size() == 1 &&
+                              cfg_.policy != SchedPolicy::Spatial;
 
-    auto inBatch = [&](TaskId id) {
-        return msgs.count(id) != 0;
-    };
-
-    // Pipeline edge resolution (only closure members carry them).
-    // Two consumers of the same producer port share one forwarded
-    // stream, so they must sit on different lanes; a duplicate-lane
-    // consumer degrades to the memory fallback.
-    std::map<std::uint64_t, std::uint64_t> pipeLanesUsed;
-    for (TaskId id : placed) {
-        for (std::size_t ei : states_[id].outEdges) {
-            EdgeState& es = edges_[ei];
-            if (es.e.kind != DepKind::Pipeline || es.resolved)
-                continue;
-            es.resolved = true;
-            const TaskId c = es.e.consumer;
-            bool canForward =
-                !registry_.type(states_[id].inst.type).isBuiltin();
-            if (canForward && inBatch(c)) {
-                const std::uint64_t key =
-                    pipeIdOf(id, es.e.producerPort);
-                const std::uint64_t laneBit =
-                    std::uint64_t{1} << states_[c].lane;
-                if (pipeLanesUsed[key] & laneBit)
-                    canForward = false; // same-lane stream collision
-                else
-                    pipeLanesUsed[key] |= laneBit;
-            }
-            if (cfg_.enablePipeline && inBatch(c) && canForward) {
-                es.activated = true;
-                ++pipesActivated_;
-                if (trace::on()) {
-                    auto* t = trace::active();
-                    t->instant(t->track(name()), "pipeActivated",
-                               trace::args("producer", id, "consumer",
-                                           c));
-                }
-                const std::uint64_t pid = pipeIdOf(id, es.e.producerPort);
-                const std::uint64_t lid =
-                    landingId(LandingKind::Pipe, pid);
-                // Consumers of one producer port share one forward,
-                // multicast to each of their lanes.
-                std::vector<Forward>& fwds =
-                    msgs.at(id).outputs.at(es.e.producerPort).forwards;
-                auto fwd = std::find_if(
-                    fwds.begin(), fwds.end(),
-                    [&](const Forward& f) { return f.landing == lid; });
-                if (fwd == fwds.end())
-                    fwd = fwds.insert(fwds.end(), Forward{0, lid});
-                fwd->dstMask |=
-                    Packet::unicast(cfg_.laneNodes[states_[c].lane]);
-                DispatchMsg& cm = msgs.at(c);
-                cm.inputs.at(es.e.consumerPort) =
-                    StreamDesc::pipeIn(pid);
-                cm.landings.push_back(LandingGate{lid, 0, true});
-            } else {
-                ++pipesDegraded_;
-                if (trace::on()) {
-                    auto* t = trace::active();
-                    t->instant(t->track(name()), "pipeDegraded",
-                               trace::args("producer", id, "consumer",
-                                           c));
-                }
-            }
-        }
-    }
-
-    // Shared-read rewrites: fire each referenced group once, then
-    // point the member's input at the scratchpad landing.
-    if (cfg_.enableMulticast) {
-        for (TaskId id : placed) {
-            const TaskInstance& inst = states_[id].inst;
-            DispatchMsg& mm = msgs.at(id);
-            for (std::size_t port = 0; port < inst.inputs.size();
-                 ++port) {
-                const std::uint32_t gId = inst.inputGroup[port];
-                if (gId == kNoGroup)
-                    continue;
-                GroupState& gs = groups_.at(gId);
-                if (!gs.fired)
-                    fireGroup(gId);
-                StreamDesc& d = mm.inputs[port];
-                // Unicast-replay cost of this member's read, had the
-                // range not been multicast into every scratchpad.
-                mcastUnicastLinesEquiv_ += divCeil<std::uint64_t>(
-                    d.elementCount(img_), lineWords);
-                d.dataSpace = Space::Spm;
-                d.dataBase = gs.landingOffset +
-                             (d.dataBase - gs.g.rangeBase) / wordBytes;
-                mm.landings.push_back(LandingGate{
-                    landingId(LandingKind::Multicast, gId), gs.lines,
-                    false});
-            }
-        }
-    }
-
-    // 4.5 Spatial rewrites: gate the consumer side on forwarded
-    // streams already decided by its producers' dispatches, then
-    // make this batch's own producer-side forwarding decisions.
-    if (cfg_.policy == SchedPolicy::Spatial) {
-        for (TaskId id : placed) {
-            spatialRewriteConsumer(id, msgs.at(id));
-            spatialResolveProducer(id, msgs.at(id));
-        }
-    }
-
-    // 5. Commit: mark dispatched and queue the dispatch packets in
-    // uid order (producers before consumers).
+    // 3. Bind every member's edges, then commit: mark dispatched and
+    // queue the dispatch packets in batch order (producers before
+    // consumers).
+    for (DispatchMsg& m : batch)
+        bind(m, batch);
     readyWait_.sample(static_cast<double>(now - rs.readyAt));
     readyQ_.pop_front();
     ++stateEpoch_;
-    for (TaskId id : placed) {
-        auto node = msgs.extract(id);
-        enqueueDispatch(id, std::move(node.mapped()));
-    }
+    for (DispatchMsg& m : batch)
+        enqueueDispatch(std::move(m));
     return Attempt::Advanced;
 }
 

@@ -119,10 +119,6 @@ class Dispatcher : public Ticked
     std::uint64_t pipesActivated() const { return pipesActivated_; }
     std::uint64_t pipesDegraded() const { return pipesDegraded_; }
     std::uint64_t groupsFired() const { return groupsFired_; }
-    double laneWork(std::uint32_t lane) const
-    {
-        return laneWork_.at(lane);
-    }
 
     // -- Mechanism attribution (see delta.attrib.* in Delta::run) --
 
@@ -216,11 +212,21 @@ class Dispatcher : public Ticked
     double stealImbalanceCyclesRecovered() const;
 
   private:
+    /** How an edge's data reaches its consumer: decided once, at
+     *  the producer's dispatch (Open until then).  Only pipeline
+     *  edges leave Open: Pipe streams through a forward, Memory
+     *  reads the DRAM copy. */
+    enum class Bind : std::uint8_t
+    {
+        Open,
+        Pipe,
+        Memory
+    };
+
     struct EdgeState
     {
         DepEdge e;
-        bool activated = false;
-        bool resolved = false; ///< activation decision made
+        Bind bind = Bind::Open;
     };
 
     struct TaskState
@@ -260,18 +266,16 @@ class Dispatcher : public Ticked
      */
     struct SpatialGroup
     {
-        TaskId consumer = 0;
-        std::uint8_t port = 0;
         std::int32_t lane = -1;       ///< consumer's pinned lane
         std::uint64_t bufWords = 0;   ///< lines-rounded port extent
         std::uint32_t expectedDones = 0; ///< forwarding producers
-        bool spilled = false;
-        bool allocated = false;
+        bool spilled = false;         ///< else bufWords are reserved
     };
 
     /**
-     * A ready root's co-dispatch plan: its pipeline closure truncated
-     * to the free lane slots, and the coalescing-hold scan over it.
+     * A ready root's co-dispatch plan: its pipeline closure in
+     * dependence order truncated to the free lane slots, and the
+     * coalescing-hold scan over it.
      * Both depend only on dependence and lane-queue state, which
      * changes only when an inbox packet is handled or a dispatch
      * commits; each bumps stateEpoch_, and a plan built under an
@@ -315,21 +319,22 @@ class Dispatcher : public Ticked
     std::int32_t pickLane(TaskId id,
                           const std::vector<std::uint32_t>& extraLoad,
                           const std::vector<double>& extraWork) const;
-    void enqueueDispatch(TaskId id, DispatchMsg msg);
+    /** Bind member @p m of @p batch (placed, in dependence order):
+     *  its inputs, its pipeline out-edges and its spatial forwards. */
+    void bind(DispatchMsg& m, std::vector<DispatchMsg>& batch);
+    void enqueueDispatch(DispatchMsg msg);
     void fireGroup(std::uint32_t groupId);
 
-    /** The lane uid will be pinned to under SchedPolicy::Spatial. */
-    std::uint32_t spatialPlannedLane(TaskId id) const;
+    /** The lane Static and Spatial pin uid to: its planned lane,
+     *  else uid % lanes. */
+    std::uint32_t plannedLane(TaskId id) const;
     /** Assign planned lanes to tasks spawned by @p spawner
      *  (inheritance plus the imbalance-remap escape hatch). */
     void spatialPlanSpawned(TaskId spawner, std::size_t base,
                             std::size_t count, std::int64_t heir);
-    /** Producer-dispatch-time forwarding decisions: rewrite @p pm's
-     *  outputs with spatial destinations / suppression. */
-    void spatialResolveProducer(TaskId id, DispatchMsg& pm);
-    /** Consumer-dispatch-time rewrites: landing-mode inputs plus the
-     *  spatial landing gates (done markers to wait for). */
-    void spatialRewriteConsumer(TaskId id, DispatchMsg& m);
+    /** Spatial forwards of producer output @p oi of @p pm, and
+     *  suppression of its write-back when every reader lands it. */
+    void bindSpatialOutput(DispatchMsg& pm, std::size_t oi);
     /** Free @p uid's landing-buffer reservations on completion. */
     void spatialRelease(TaskId uid);
 

@@ -243,8 +243,9 @@ TEST(RunCacheTest, ConcurrentSweepsShareOneDirectory)
             if ((i + salt) % 2 == 0)
                 cache.publish(key, cell, payload);
             std::string got;
-            if (cache.lookup(key, got))
+            if (cache.lookup(key, got)) {
                 EXPECT_EQ(got, payload);
+            }
         }
     };
     std::thread a(worker, 0);

@@ -177,8 +177,9 @@ TEST(Smoke, SharedReadMulticastProducesSameResult)
         }
 
         const StatSet stats = delta.run(g);
-        if (multicast)
+        if (multicast) {
             EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
+        }
         for (std::size_t t = 0; t < tasks; ++t) {
             for (std::size_t i = 0; i < n; ++i) {
                 ASSERT_EQ(img.readInt(y + (t * n + i) * wordBytes),

@@ -291,6 +291,59 @@ TEST(SpatialEndToEnd, UndersizedBudgetSpillsToDramButStaysCorrect)
               roomy.get("delta.attrib.spatial.dramLinesSaved"));
 }
 
+// A producer's write-back is suppressed only when every reader of
+// its range lands the forwarded stream.  A gather reader has no
+// statically known range, so adding one keeps the DRAM write-back.
+// Forwarding is timing-only, so the golden check alone cannot see a
+// wrong suppression: the suppressed-line count pins it.
+TEST(SpatialEndToEnd, GatherReaderKeepsTheWriteBack)
+{
+    auto suppressed = [](bool withGather) {
+        Delta delta(DeltaConfig::spatial(4));
+        const auto ty = addAddType(delta.registry(), "inc");
+        MemImage& img = delta.image();
+        const std::uint64_t n = 256;
+        const Addr a = img.allocWords(n), b = img.allocWords(n),
+                   c = img.allocWords(n), d = img.allocWords(n),
+                   idx = img.allocWords(n);
+        for (std::uint64_t w = 0; w < n; ++w) {
+            img.writeInt(a + w * wordBytes, static_cast<std::int64_t>(w));
+            img.writeInt(idx + w * wordBytes,
+                         static_cast<std::int64_t>(n - 1 - w));
+        }
+        TaskGraph g;
+        WriteDesc outB, outC, outD;
+        outB.base = b;
+        outC.base = c;
+        outD.base = d;
+        const TaskId prod = g.addTask(
+            ty, {StreamDesc::linear(Space::Dram, a, n)}, {outB});
+        const TaskId lin = g.addTask(
+            ty, {StreamDesc::linear(Space::Dram, b, n)}, {outC});
+        g.addBarrier(prod, lin);
+        if (withGather) {
+            const TaskId gather = g.addTask(
+                ty,
+                {StreamDesc::indirect(Space::Dram, idx, n, Space::Dram,
+                                      b)},
+                {outD});
+            g.addBarrier(prod, gather);
+        }
+        const StatSet stats = delta.run(g);
+        for (std::uint64_t w = 0; w < n; ++w) {
+            EXPECT_EQ(img.readInt(c + w * wordBytes),
+                      static_cast<std::int64_t>(w) + 2);
+            if (withGather) {
+                EXPECT_EQ(img.readInt(d + w * wordBytes),
+                          static_cast<std::int64_t>(n - 1 - w) + 2);
+            }
+        }
+        return stats.get("delta.attrib.spatial.linesSuppressed");
+    };
+    EXPECT_EQ(suppressed(false), 32.0);
+    EXPECT_EQ(suppressed(true), 0.0);
+}
+
 TEST(SpatialEndToEnd, SpawnedTasksInheritTheirSpawnersLane)
 {
     // msort-dyn builds its subtrees via runtime spawns; spatial mode

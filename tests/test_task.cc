@@ -425,6 +425,121 @@ TEST(Pipelines, DegradedEdgesStillProduceCorrectData)
         EXPECT_EQ(img.readInt(d + w * wordBytes), 2);
 }
 
+// One pipeline edge, prod (reads a, writes b) -> cons (reads b,
+// writes c), built with the producer created first and then with the
+// consumer created first (a back edge in uid order).  The batch is
+// ordered by dependence, not uid, so both orders place, bind and time
+// the same: the producer is never queued behind a consumer that waits
+// on its pipe, nor truncated out of a batch that keeps the consumer.
+TEST(Pipelines, BatchesFollowDependencesNotUidOrder)
+{
+    struct Outcome
+    {
+        double cycles;
+        std::uint64_t activated;
+        std::uint64_t degraded;
+    };
+    auto run = [](DeltaConfig cfg, bool consumerFirst) {
+        cfg.maxCycles = 100'000;
+        Delta delta(cfg);
+        const auto ty = addScaleType(delta.registry());
+        MemImage& img = delta.image();
+        const std::uint64_t n = 256;
+        const Addr a = img.allocWords(n), b = img.allocWords(n),
+                   c = img.allocWords(n);
+        for (std::uint64_t w = 0; w < n; ++w)
+            img.writeInt(a + w * wordBytes, static_cast<std::int64_t>(w));
+        TaskGraph g;
+        auto addStage = [&](Addr in, Addr out) {
+            WriteDesc wd;
+            wd.base = out;
+            return g.addTask(ty, {StreamDesc::linear(Space::Dram, in, n)},
+                             {wd});
+        };
+        TaskId prod = 0, cons = 0;
+        if (consumerFirst) {
+            cons = addStage(b, c);
+            prod = addStage(a, b);
+        } else {
+            prod = addStage(a, b);
+            cons = addStage(b, c);
+        }
+        g.addPipeline(prod, 0, cons, 0);
+        const StatSet stats = delta.run(g);
+        for (std::uint64_t w = 0; w < n; ++w) {
+            EXPECT_EQ(img.readInt(c + w * wordBytes),
+                      static_cast<std::int64_t>(w) + 2)
+                << "word " << w << (consumerFirst ? ", consumer first" : "");
+        }
+        return Outcome{stats.get("delta.cycles"),
+                       delta.dispatcher().pipesActivated(),
+                       delta.dispatcher().pipesDegraded()};
+    };
+    DeltaConfig oneLane = DeltaConfig::delta(1);
+    DeltaConfig oneSlot = DeltaConfig::delta(1);
+    oneSlot.laneQueueCap = 1;
+    for (const DeltaConfig& cfg :
+         {oneLane, oneSlot, DeltaConfig::delta(2)}) {
+        SCOPED_TRACE(testing::Message()
+                     << cfg.lanes << " lanes, queue cap "
+                     << cfg.laneQueueCap);
+        const Outcome fwd = run(cfg, false);
+        const Outcome back = run(cfg, true);
+        EXPECT_EQ(fwd.cycles, back.cycles);
+        EXPECT_EQ(fwd.activated, back.activated);
+        EXPECT_EQ(fwd.degraded, back.degraded);
+        EXPECT_EQ(fwd.activated + fwd.degraded, 1u);
+    }
+}
+
+// Two consumers of one producer port share one forward, multicast to
+// their lanes; a second consumer on the same lane would collide in
+// that lane's landing table and reads the memory fallback instead.
+TEST(Pipelines, SecondConsumerOnOneLaneReadsMemory)
+{
+    auto run = [](DeltaConfig cfg) {
+        Delta delta(cfg);
+        const auto ty = addScaleType(delta.registry());
+        MemImage& img = delta.image();
+        const std::uint64_t n = 256;
+        const Addr a = img.allocWords(n), b = img.allocWords(n),
+                   c = img.allocWords(n), d = img.allocWords(n);
+        for (std::uint64_t w = 0; w < n; ++w)
+            img.writeInt(a + w * wordBytes, static_cast<std::int64_t>(w));
+        TaskGraph g;
+        WriteDesc outB, outC, outD;
+        outB.base = b;
+        outC.base = c;
+        outD.base = d;
+        const TaskId prod = g.addTask(
+            ty, {StreamDesc::linear(Space::Dram, a, n)}, {outB});
+        const TaskId c1 = g.addTask(
+            ty, {StreamDesc::linear(Space::Dram, b, n)}, {outC});
+        const TaskId c2 = g.addTask(
+            ty, {StreamDesc::linear(Space::Dram, b, n)}, {outD});
+        g.addPipeline(prod, 0, c1, 0);
+        g.addPipeline(prod, 0, c2, 0);
+        delta.run(g);
+        for (std::uint64_t w = 0; w < n; ++w) {
+            EXPECT_EQ(img.readInt(c + w * wordBytes),
+                      static_cast<std::int64_t>(w) + 2);
+            EXPECT_EQ(img.readInt(d + w * wordBytes),
+                      static_cast<std::int64_t>(w) + 2);
+        }
+        return std::pair<std::uint64_t, std::uint64_t>(
+            delta.dispatcher().pipesActivated(),
+            delta.dispatcher().pipesDegraded());
+    };
+    // One lane with room for all three: both consumers share it.
+    DeltaConfig oneLane = DeltaConfig::delta(1);
+    oneLane.laneQueueCap = 3;
+    EXPECT_EQ(run(oneLane), std::make_pair(std::uint64_t{1},
+                                           std::uint64_t{1}));
+    // Two lanes: the consumers land on different lanes.
+    EXPECT_EQ(run(DeltaConfig::delta(2)),
+              std::make_pair(std::uint64_t{2}, std::uint64_t{0}));
+}
+
 // --- multicast accounting ------------------------------------------------------
 
 TEST(Multicast, SingleFetchServesAllSubscribers)
@@ -457,7 +572,7 @@ TEST(Multicast, SingleFetchServesAllSubscribers)
     }
     const StatSet stats = delta.run(g);
     EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
-    EXPECT_EQ(stats.get("dispatcher.fillLines"),
+    EXPECT_EQ(stats.get("delta.attrib.multicast.fillLines"),
               static_cast<double>(n / lineWords));
     // Every subscriber lane landed the fill once.
     EXPECT_EQ(stats.sumPrefix("lane0.fillLinesLanded") +
