@@ -1245,50 +1245,17 @@ Dispatcher::busy() const
 void
 Dispatcher::reportStats(StatSet& stats) const
 {
+    // Attribution is reported once, under delta.* (Delta::run).
     stats.set("dispatcher.pipesActivated",
               static_cast<double>(pipesActivated_));
-    stats.set("dispatcher.pipesDegraded",
-              static_cast<double>(pipesDegraded_));
     stats.set("dispatcher.groupsFired",
               static_cast<double>(groupsFired_));
-    stats.set("dispatcher.fillLines",
-              static_cast<double>(fillLinesRequested_));
     stats.set("dispatcher.tasksCompleted",
               static_cast<double>(completed_));
-    stats.set("sim.host.dispatcher.closureEvals",
-              static_cast<double>(closureEvals_));
-    stats.set("dispatcher.attrib.actualMaxService",
-              actualMaxServiceCycles());
-    stats.set("dispatcher.attrib.shadowStaticMaxService",
-              shadowStaticMaxServiceCycles());
-    stats.set("dispatcher.attrib.imbalanceCyclesAvoided",
-              imbalanceCyclesAvoided());
-    stats.set("dispatcher.attrib.pipeOverlapCycles",
-              pipeOverlapCycles_);
-    stats.set("dispatcher.attrib.mcastUnicastLinesEquiv",
-              static_cast<double>(mcastUnicastLinesEquiv_));
     stats.set("dispatcher.tasksSpawned",
               static_cast<double>(tasksSpawned_));
-    stats.set("dispatcher.attrib.steal.tasksStolen",
-              static_cast<double>(tasksStolen_));
-    stats.set("dispatcher.attrib.steal.hopsTraveled",
-              static_cast<double>(stealHops_));
-    stats.set("dispatcher.attrib.steal.shadowMaxService",
-              stealShadowMaxServiceCycles());
-    stats.set("dispatcher.attrib.steal.imbalanceCyclesRecovered",
-              stealImbalanceCyclesRecovered());
-    if (cfg_.policy == SchedPolicy::Spatial) {
-        stats.set("dispatcher.spatial.forwards",
-                  static_cast<double>(spatialForwards_));
-        stats.set("dispatcher.spatial.spills",
-                  static_cast<double>(spatialSpills_));
-        stats.set("dispatcher.spatial.remaps",
-                  static_cast<double>(spatialRemaps_));
-        stats.set("dispatcher.spatial.groups",
-                  static_cast<double>(spatialGroupsAllocated_));
-        stats.set("dispatcher.spatial.bufPeakWords",
-                  static_cast<double>(spatialBufPeak_));
-    }
+    stats.set("sim.host.dispatcher.closureEvals",
+              static_cast<double>(closureEvals_));
     for (std::size_t l = 0; l < laneDispatched_.size(); ++l) {
         stats.set("dispatcher.lane" + std::to_string(l) + ".dispatched",
                   static_cast<double>(laneDispatched_[l]));
