@@ -827,6 +827,8 @@ Dispatcher::bind(DispatchMsg& m, std::vector<DispatchMsg>& batch)
                          [&](const DispatchMsg& x) { return x.uid == c; });
         es.bind = Bind::Memory;
         if (!builtin && cm != batch.end()) {
+            // The pipe id packs (producer uid, port) as a landing
+            // group packs (consumer uid, port).
             const std::uint64_t pid =
                 spatial::landingGroup(m.uid, es.e.producerPort);
             const std::uint64_t lid = landingId(LandingKind::Pipe, pid);
@@ -970,8 +972,10 @@ Dispatcher::planFor(TaskId root, std::uint32_t freeSlots)
     // landing zones, not co-dispatched pipe batches.
     const bool pipelined =
         cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial;
-    plan.closure.assign(1, root);
-    if (pipelined) {
+    plan.closure.clear();
+    if (!pipelined) {
+        plan.closure.push_back(root);
+    } else {
         // Dependence order: every in-batch producer before its
         // consumers, lowest uid first among the members ready to go
         // (uid order wherever that is already topological).
@@ -986,7 +990,6 @@ Dispatcher::planFor(TaskId root, std::uint32_t freeSlots)
             }
             return true;
         };
-        plan.closure.clear();
         while (!pending.empty()) { // the closure is acyclic
             const auto next =
                 std::find_if(pending.begin(), pending.end(), ready);
@@ -1095,7 +1098,7 @@ Dispatcher::tryDispatchHead(Tick now)
         const std::int32_t lane = pickLane(id, extraLoad, extraWork);
         if (lane < 0) {
             if (batch.empty())
-                return Attempt::LanesFull; // not even the root fits
+                return Attempt::LanesFull; // not even one member fits
             break;
         }
         TaskState& ts = states_[id];
