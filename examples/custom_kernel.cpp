@@ -144,6 +144,6 @@ main(int argc, char** argv)
     std::printf("  cycles            : %.0f\n", r.cycles);
     std::printf("  multicast groups  : %llu fired, %.0f fill lines\n",
                 static_cast<unsigned long long>(groupsFired),
-                r.stats.get("dispatcher.fillLines"));
+                r.stats.get("delta.attrib.multicast.fillLines"));
     return r.correct ? 0 : 1;
 }

@@ -653,6 +653,60 @@ TEST(TraceEndToEnd, CycleAccountingBucketsSumToTotal)
     EXPECT_GT(stats.get("delta.accounting.busy"), 0.0);
 }
 
+TEST(TraceEndToEnd, BindingInstantsFollowTheBatchMemberByMember)
+{
+    // prod reads a shared-read group and pipes into cons; both land in
+    // one co-dispatch batch.  The dispatcher binds each batch member in
+    // turn, inputs before out-edges, so prod's groupFire precedes its
+    // pipeActivated on the same cycle.
+    const std::string path = tmpPath("ts_trace_bind_order.json");
+    DeltaConfig cfg = DeltaConfig::delta(2);
+    cfg.trace.enabled = true;
+    cfg.trace.path = path;
+    Delta delta(cfg);
+    MemImage& img = delta.image();
+
+    auto dfg = std::make_unique<Dfg>("inc");
+    const auto x = dfg->addInput();
+    dfg->addOutput(dfg->add(Op::Add, Operand::ref(x), Operand::immI(1)));
+    const TaskTypeId inc = delta.registry().addDfgType("inc", std::move(dfg));
+
+    const std::uint64_t n = 256;
+    const Addr a = img.allocWords(n), b = img.allocWords(n),
+               c = img.allocWords(n);
+    for (std::uint64_t w = 0; w < n; ++w)
+        img.writeInt(a + w * wordBytes, static_cast<std::int64_t>(w));
+    TaskGraph g;
+    const auto grp = g.addSharedGroup(a, n);
+    WriteDesc outB, outC;
+    outB.base = b;
+    outC.base = c;
+    const TaskId prod =
+        g.addTask(inc, {StreamDesc::linear(Space::Dram, a, n)}, {outB});
+    g.setSharedInput(prod, 0, grp);
+    const TaskId cons =
+        g.addTask(inc, {StreamDesc::linear(Space::Dram, b, n)}, {outC});
+    g.addPipeline(prod, 0, cons, 0);
+    delta.run(g);
+    for (std::uint64_t w = 0; w < n; ++w) {
+        EXPECT_EQ(img.readInt(c + w * wordBytes),
+                  static_cast<std::int64_t>(w) + 2);
+    }
+    EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
+    EXPECT_EQ(delta.dispatcher().pipesActivated(), 1u);
+
+    std::vector<std::string> binds;
+    for (const Json& e : loadEvents(path)) {
+        const std::string& name = e.has("name") ? e.at("name").str : "";
+        if (name == "groupFire" || name == "pipeActivated" ||
+            name == "pipeDegraded")
+            binds.push_back(name);
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(binds,
+              (std::vector<std::string>{"groupFire", "pipeActivated"}));
+}
+
 TEST(TraceEndToEnd, StatSetDumpJsonParsesBack)
 {
     const StatSet stats = runScaleWorkload(DeltaConfig::delta(2));
