@@ -114,8 +114,9 @@ Delta::Delta(const DeltaConfig& cfg)
     for (std::uint32_t i = 0; i < cfg_.lanes; ++i)
         dcfg.laneNodes.push_back(laneNode(i));
     dispatcher_ = std::make_unique<Dispatcher>(*noc_, img_, registry_,
-                                               dcfg);
+                                               dcfg, sim_.stats());
     sim_.add(dispatcher_.get());
+    sim_.setTracer(tracer_.get());
 
     if (cfg_.flightRecorder > 0) {
         recorder_ =
@@ -130,38 +131,13 @@ Delta::Delta(const DeltaConfig& cfg)
 
 Delta::~Delta() = default;
 
-namespace
-{
-
-/** Deactivates tracing on scope exit (including fatal() unwinds). */
-struct TraceActivation
-{
-    explicit TraceActivation(trace::Tracer* t)
-    {
-        trace::Tracer::setActive(t);
-    }
-    ~TraceActivation() { trace::Tracer::setActive(nullptr); }
-};
-
-/** Routes StatProbe samples into the run's StatSet for the
- *  duration of the simulation (cleared even on fatal() unwinds). */
-struct StatsActivation
-{
-    explicit StatsActivation(StatSet* s) { StatSet::setActive(s); }
-    ~StatsActivation() { StatSet::setActive(nullptr); }
-};
-
-} // namespace
-
 StatSet
 Delta::run(const TaskGraph& graph)
 {
     TS_ASSERT(!ran_, "a Delta instance runs one graph");
     ran_ = true;
 
-    StatSet stats;
-    TraceActivation activation(tracer_.get());
-    StatsActivation statsActivation(&stats);
+    StatSet& stats = sim_.stats();
 
     // Ahead-of-time spatial mapping: plan lane placement from the
     // fully-known graph before the first dispatch.  The plan is a
@@ -439,7 +415,7 @@ Delta::run(const TaskGraph& graph)
                   "'");
         inform("stats JSON written to ", cfg_.statsJsonPath);
     }
-    return stats;
+    return std::move(stats);
 }
 
 } // namespace ts

@@ -148,7 +148,8 @@ class Delta
      *   delta.busyMax/Mean    lane busy-cycle imbalance
      *   mem.linesRead         DRAM read traffic
      *   noc.wordHops          network traffic
-     * One run per Delta instance.
+     * One run per Delta instance: the returned set is the
+     * simulator's, moved out.
      */
     StatSet run(const TaskGraph& graph);
 

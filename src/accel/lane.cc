@@ -25,7 +25,7 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
 
     fabric_ = std::make_unique<Fabric>(prefix + ".fabric", cfg.fabric);
     spm_ = std::make_unique<Scratchpad>(prefix + ".spm", cfg.spm);
-    landing_ = std::make_unique<Landing>(img, *spm_);
+    landing_ = std::make_unique<Landing>(img, *spm_, sim.stats());
 
     for (std::uint32_t i = 0; i < cfg.numReadEngines; ++i) {
         readEngines_.push_back(std::make_unique<ReadEngine>(
@@ -47,6 +47,7 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
     ports.landing = landing_.get();
     ports.memPort = this;
     ports.image = &img;
+    ports.stats = &sim.stats();
     ports.send = [this](Packet pkt) { return noc_.inject(pkt); };
     ports.selfNode = selfNode;
     ports.dispatcherNode = dispatcherNode;
@@ -109,9 +110,9 @@ Lane::requestLine(Addr lineAddr, LineSink& sink, std::uint64_t cookie)
     freeMshrs_.pop_back();
     mshrs_[slot] = Mshr{&sink, cookie};
     ++lineReads_;
-    if (trace::on()) {
-        trace::active()->counter((name() + ".mshr").c_str(), "inflight",
-                                 static_cast<double>(mshrsInUse()));
+    if (auto* t = tracer()) {
+        t->counter((name() + ".mshr").c_str(), "inflight",
+                   static_cast<double>(mshrsInUse()));
     }
     return true;
 }
@@ -185,10 +186,9 @@ Lane::tick(Tick)
             for (Ticked* t : mshrWaiters_)
                 t->requestWake();
             mshrWaiters_.clear();
-            if (trace::on()) {
-                trace::active()->counter(
-                    (name() + ".mshr").c_str(), "inflight",
-                    static_cast<double>(mshrsInUse()));
+            if (auto* t = tracer()) {
+                t->counter((name() + ".mshr").c_str(), "inflight",
+                           static_cast<double>(mshrsInUse()));
             }
             m.sink->lineArrived(resp.lineAddr, m.cookie);
             break;

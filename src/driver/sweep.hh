@@ -6,12 +6,12 @@
  * deterministically.
  *
  * Every point is fully isolated — its own Delta, its own workload
- * instance, its own RNG seeded from the point — and the per-thread
- * activation of tracing and stat sampling (see trace.hh / stats.hh)
- * means N concurrent simulations never share mutable state.  Results
- * are stored by grid index, so per-run StatSets and every aggregate
- * are bit-identical between `-j 1` and `-j N`; only wall-clock
- * changes.
+ * instance, its own RNG seeded from the point — and each run's
+ * tracer and stat set belong to its own Simulator (see trace.hh /
+ * stats.hh), so N concurrent simulations never share mutable state.
+ * Results are stored by grid index, so per-run StatSets and every
+ * aggregate are bit-identical between `-j 1` and `-j N`; only
+ * wall-clock changes.
  *
  * Aggregation:
  *  - per-run StatSets keyed by point (workload, config, seed, scale);

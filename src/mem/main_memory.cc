@@ -56,8 +56,7 @@ MainMemory::tick(Tick now)
         bankFreeAt_[bank] = now + cfg_.bankOccupancy;
         ++issued;
         queueWait_.sample(static_cast<double>(now - it->enqueuedAt));
-        if (trace::on()) {
-            auto* t = trace::active();
+        if (auto* t = tracer()) {
             if (now > it->enqueuedAt) {
                 t->complete(t->track("dram.queue"), it->enqueuedAt,
                             now - it->enqueuedAt, "qwait",
@@ -85,11 +84,11 @@ MainMemory::tick(Tick now)
     }
     // Sampled after issuing, so the tick before a sleep records the
     // queue the sleep keeps.
-    if (trace::on() && pending_.size() != tracedPending_) {
+    if (auto* t = tracer();
+        t != nullptr && pending_.size() != tracedPending_) {
         tracedPending_ = pending_.size();
-        trace::active()->counter(
-            "dram.queue", "pending",
-            static_cast<double>(tracedPending_));
+        t->counter("dram.queue", "pending",
+                   static_cast<double>(tracedPending_));
     }
 
     // A non-empty pending queue must keep ticking: the per-scan

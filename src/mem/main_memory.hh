@@ -108,7 +108,7 @@ class MainMemory : public Ticked
     std::uint64_t bankConflictStalls_ = 0;
     std::uint64_t inflight_ = 0;
 
-    StatProbe queueWait_{"dram.queueWait"};
+    StatProbe queueWait_{sim_.stats(), "dram.queueWait"};
 };
 
 } // namespace ts

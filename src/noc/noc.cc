@@ -163,12 +163,11 @@ class NocRouter : public Ticked
         const PktKind kind = head.kind;
         const Tick ser = std::max<Tick>(
             1, divCeil<std::uint32_t>(words, noc_.cfg_.linkWords));
-        if (trace::on()) {
+        if (auto* t = tracer()) {
             unsigned branches = 0;
             for (unsigned d = 0; d < NumDirs; ++d)
                 branches += masks[d] != 0 ? 1 : 0;
             if (branches > 1) {
-                auto* t = trace::active();
                 t->instant(t->track("noc.mcast"), "fanout",
                            trace::args("router", id_, "branches",
                                        branches, "words", words));
@@ -193,10 +192,9 @@ class NocRouter : public Ticked
                 noc_.latency_.sample(lat);
                 noc_.kindLatency_[static_cast<unsigned>(kind)].sample(
                     lat);
-                if (trace::on()) {
-                    trace::active()->counter(
-                        "noc.traffic", "delivered",
-                        static_cast<double>(noc_.delivered_));
+                if (auto* t = tracer()) {
+                    t->counter("noc.traffic", "delivered",
+                               static_cast<double>(noc_.delivered_));
                 }
             } else {
                 linkFreeAt_[d] = now + ser;
@@ -222,8 +220,8 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg) : sim_(sim), cfg_(cfg)
     kindLatency_.reserve(kNumPktKinds);
     for (unsigned k = 0; k < kNumPktKinds; ++k) {
         kindLatency_.emplace_back(
-            std::string("noc.pktLatency.") +
-            pktKindName(static_cast<PktKind>(k)));
+            sim.stats(), std::string("noc.pktLatency.") +
+                             pktKindName(static_cast<PktKind>(k)));
     }
 
     routers_.reserve(n);
@@ -319,8 +317,7 @@ Noc::inject(Packet pkt)
                 words;
         }
     }
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = sim_.tracer()) {
         t->instant(t->track("noc.inject"), pktKindName(kind),
                    trace::args("src", src, "dstMask", dstMask, "words",
                                words));

@@ -136,7 +136,7 @@ class Noc
     std::uint64_t mcastDeliveries_ = 0;
 
     /** Delivery latency, overall and per packet kind. */
-    StatProbe latency_{"noc.pktLatency"};
+    StatProbe latency_{sim_.stats(), "noc.pktLatency"};
     std::vector<StatProbe> kindLatency_;
 };
 

@@ -137,6 +137,12 @@ Simulator::setFlightRecorder(obs::FlightRecorder* rec)
 }
 
 void
+Simulator::setTracer(trace::Tracer* t)
+{
+    tracer_ = (t != nullptr && t->enabled()) ? t : nullptr;
+}
+
+void
 Simulator::applySleep(Ticked* t)
 {
     t->sleepPending_ = false;
@@ -218,8 +224,8 @@ template <bool Obs>
 void
 Simulator::doCycleFast()
 {
-    if (trace::on())
-        trace::active()->setNow(now_);
+    if (tracer_ != nullptr)
+        tracer_->setNow(now_);
     {
         ProfScope<Obs> ps(profiler_, obs::HostProfiler::Events);
         events_.fireUpTo(now_);
@@ -272,8 +278,8 @@ template <bool Obs>
 void
 Simulator::doCycleNaive()
 {
-    if (trace::on())
-        trace::active()->setNow(now_);
+    if (tracer_ != nullptr)
+        tracer_->setNow(now_);
     {
         ProfScope<Obs> ps(profiler_, obs::HostProfiler::Events);
         events_.fireUpTo(now_);

@@ -83,6 +83,11 @@ namespace obs
 class HostProfiler;
 }
 
+namespace trace
+{
+class Tracer;
+}
+
 /** Base class for every cycle-stepped hardware model. */
 class Ticked
 {
@@ -134,6 +139,10 @@ class Ticked
 
     /** From inside tick(): skip subsequent ticks until a wake. */
     void sleepOnWake();
+
+    /** The run's enabled tracer (Simulator::tracer), or nullptr;
+     *  always nullptr before the component is registered. */
+    trace::Tracer* tracer() const;
 
   private:
     friend class Simulator;
@@ -266,6 +275,23 @@ class Simulator
      */
     void setHostProfiler(obs::HostProfiler* prof) { profiler_ = prof; }
 
+    /**
+     * Attach the run's tracer (null detaches).  A disabled tracer
+     * counts as none: tracer() then stays null, so every
+     * instrumentation site skips its work.
+     */
+    void setTracer(trace::Tracer* t);
+
+    /** The attached tracer when it is enabled, else nullptr. */
+    trace::Tracer* tracer() const { return tracer_; }
+
+    /**
+     * The run's statistics: every StatProbe of a component built on
+     * this simulator samples into it, and Delta::run reports the
+     * run's counters into it too.
+     */
+    StatSet& stats() { return stats_; }
+
   private:
     friend class Ticked;
 
@@ -375,8 +401,12 @@ class Simulator
     obs::FlightRecorder* recorder_ = nullptr;
     /** Optional host profiler (see setHostProfiler). */
     obs::HostProfiler* profiler_ = nullptr;
+    /** Enabled tracer or null (see setTracer). */
+    trace::Tracer* tracer_ = nullptr;
     /** Per-component host-profiler tick bucket, filled by add(). */
     std::vector<unsigned char> profClass_;
+    /** The run's statistics (see stats()). */
+    StatSet stats_;
 };
 
 inline void
@@ -398,6 +428,12 @@ Ticked::sleepOnWake()
 {
     if (sim_ != nullptr)
         sim_->sleepRequest(this, Simulator::kNoWakeTick);
+}
+
+inline trace::Tracer*
+Ticked::tracer() const
+{
+    return sim_ != nullptr ? sim_->tracer_ : nullptr;
 }
 
 inline void

@@ -11,10 +11,9 @@
  * max, p50, p95, p99) as ordinary dotted-path values so dumps, JSON
  * output, and prefix queries see them transparently.
  *
- * During a simulation run one StatSet may be made *active* (see
- * StatSet::setActive), mirroring the tracer's activation model; probe
- * sites then sample through a StatProbe member without plumbing a
- * StatSet reference through every component.
+ * Hot probe sites sample through a StatProbe member, which holds the
+ * set it samples into (a run's set is its Simulator's, see
+ * Simulator::stats) and looks its histogram up once.
  */
 
 #ifndef TS_SIM_STATS_HH
@@ -104,15 +103,6 @@ class Histogram
 class StatSet
 {
   public:
-    StatSet() = default;
-
-    // Copies and moves give both sides a fresh identity: a StatProbe
-    // bound to either must look its histogram up again.
-    StatSet(const StatSet& o);
-    StatSet(StatSet&& o) noexcept;
-    StatSet& operator=(const StatSet& o);
-    StatSet& operator=(StatSet&& o) noexcept;
-
     /** Record (or overwrite) a statistic under a dotted path. */
     void set(const std::string& name, double value);
 
@@ -129,8 +119,9 @@ class StatSet
     /**
      * The histogram behind distribution @p name, created empty if
      * absent, for a StatProbe to sample directly.  The reference
-     * stays valid while id() is unchanged; the caller must call
-     * markSampled() after sampling through it.
+     * stays valid until the set is cleared, assigned to or
+     * destroyed; the caller must call markSampled() after sampling
+     * through it.
      */
     Histogram& probeHistogram(const std::string& name)
     {
@@ -139,13 +130,6 @@ class StatSet
 
     /** Note that a histogram was sampled outside sample(). */
     void markSampled() { histsDirty_ = true; }
-
-    /**
-     * Identity of this set's histogram storage, unique within the
-     * process; it changes whenever references handed out by
-     * probeHistogram() may dangle (clear, copy, move).
-     */
-    std::uint64_t id() const { return id_; }
 
     /** The histogram behind a sampled distribution, or nullptr. */
     const Histogram* histogram(const std::string& name) const;
@@ -187,67 +171,48 @@ class StatSet
         values_.clear();
         hists_.clear();
         histsDirty_ = false;
-        id_ = freshId();
     }
 
     /** Number of statistics recorded (including derived ones). */
     std::size_t size() const;
 
-    /**
-     * The StatSet receiving this thread's StatProbe samples, or
-     * nullptr.  The active pointer is thread_local: each thread runs
-     * at most one simulation at a time, and concurrent Delta
-     * instances on different threads collect samples independently.
-     * Delta::run activates its result set for the duration of the
-     * simulation.
-     */
-    static StatSet* active();
-
-    /** Make @p s the calling thread's sampling sink (nullptr
-     *  deactivates). */
-    static void setActive(StatSet* s);
-
   private:
     /** Materialize derived histogram statistics into values_. */
     void sync() const;
 
-    static std::uint64_t freshId();
-
     mutable std::map<std::string, double> values_;
     std::map<std::string, Histogram> hists_;
     mutable bool histsDirty_ = false;
-    std::uint64_t id_ = freshId();
 };
 
 /**
- * A handle on one distribution of the active run StatSet.  The
- * string-keyed lookup runs once per StatSet instead of once per
- * sample, so a component holding a probe as a member can sample on
- * its hot path (per packet, per DRAM request, per task) without
- * building a key.  Samples are dropped while no set is active.
+ * A handle on one distribution of a StatSet fixed at construction.
+ * The string-keyed lookup runs once, on the first sample, instead of
+ * once per sample, so a component holding a probe as a member can
+ * sample on its hot path (per packet, per DRAM request, per task)
+ * without building a key; a probe that never samples adds no key.
+ * The set must outlive the probe and must not be cleared or assigned
+ * to while the probe samples into it.
  */
 class StatProbe
 {
   public:
-    explicit StatProbe(std::string name) : name_(std::move(name)) {}
+    StatProbe(StatSet& set, std::string name)
+        : set_(&set), name_(std::move(name))
+    {}
 
     void
     sample(double value)
     {
-        StatSet* s = StatSet::active();
-        if (s == nullptr)
-            return;
-        if (s->id() != setId_) {
-            hist_ = &s->probeHistogram(name_);
-            setId_ = s->id();
-        }
+        if (hist_ == nullptr)
+            hist_ = &set_->probeHistogram(name_);
         hist_->sample(value);
-        s->markSampled();
+        set_->markSampled();
     }
 
   private:
+    StatSet* set_;
     std::string name_;
-    std::uint64_t setId_ = 0; ///< StatSet ids start at 1
     Histogram* hist_ = nullptr;
 };
 
@@ -262,14 +227,6 @@ std::string jsonEscape(const std::string& s);
  * render as "null" (JSON has no NaN/inf).
  */
 std::string jsonNumber(double value);
-
-/** Whether a run StatSet is collecting samples (guard for probe
- *  sites with work to do before they can sample). */
-inline bool
-statsOn()
-{
-    return StatSet::active() != nullptr;
-}
 
 } // namespace ts
 

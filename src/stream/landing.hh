@@ -98,7 +98,11 @@ struct LandingGate
 class Landing
 {
   public:
-    Landing(const MemImage& img, Scratchpad& spm) : img_(img), spm_(spm)
+    /** @p stats receives the spatial group peak samples (the lane
+     *  passes its simulator's set). */
+    Landing(const MemImage& img, Scratchpad& spm, StatSet& stats)
+        : img_(img), spm_(spm),
+          groupPeakWords_(stats, "spatial.groupPeakWords")
     {}
 
     // -- Arrivals (the lane's NoC adapter) --
@@ -166,7 +170,7 @@ class Landing
     std::uint64_t fillLines_ = 0;
     std::uint64_t spatialChunks_ = 0;
     std::uint64_t spatialWords_ = 0;
-    StatProbe groupPeakWords_{"spatial.groupPeakWords"};
+    StatProbe groupPeakWords_;
 };
 
 } // namespace ts

@@ -78,8 +78,7 @@ ReadEngine::program(const StreamDesc& d, TokenFifo* dest)
                  d.spatialLanding && d.dataSpace == Space::Dram &&
                      d.kind == StreamDesc::Kind::Linear);
 
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->begin(t->track(name()), streamKindName(d_.kind),
                  trace::args("count", d_.count, "repeat", d_.repeat));
     }
@@ -395,10 +394,8 @@ ReadEngine::tick(Tick now)
     deliver();
     if (generationDone() && repeatLeft_ == 0) {
         active_ = false;
-        if (trace::on()) {
-            auto* t = trace::active();
+        if (auto* t = tracer())
             t->end(t->track(name()));
-        }
         sleepOnWake();
     } else if (const bool refused = ptrF_.portRefused() ||
                                     idxF_.portRefused() ||

@@ -39,8 +39,7 @@ WriteEngine::program(const WriteDesc& d, TokenFifo* src)
     sendQ_.clear();
     ++streamsRun_;
 
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->begin(t->track(name()),
                  pipeForward_ ? "write+pipe" : "write",
                  trace::args("base", d_.base));
@@ -117,10 +116,8 @@ WriteEngine::tick(Tick now)
     refused_ = false;
     if (drain(now) && sawStreamEnd_ && flushTraffic()) {
         active_ = false;
-        if (trace::on()) {
-            auto* t = trace::active();
+        if (auto* t = tracer())
             t->end(t->track(name()));
-        }
         sleepOnWake();
     } else if (refused_) {
         // Blocked: every tick would retry the refused line write or

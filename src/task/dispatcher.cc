@@ -56,9 +56,9 @@ schedPolicyFromName(const std::string& s, SchedPolicy& out)
 
 Dispatcher::Dispatcher(Noc& noc, const MemImage& img,
                        const TaskTypeRegistry& registry,
-                       const DispatcherConfig& cfg)
+                       const DispatcherConfig& cfg, StatSet& stats)
     : Ticked("dispatcher"), noc_(noc), img_(img), registry_(registry),
-      cfg_(cfg)
+      cfg_(cfg), readyWait_(stats, "dispatcher.readyWait")
 {
     if (cfg_.laneNodes.empty())
         fatal("dispatcher needs at least one lane");
@@ -131,8 +131,7 @@ Dispatcher::processInbox(Tick now)
             TaskState& ts = states_.at(msg.uid);
             ts.started = true;
             ts.startAt = now;
-            if (trace::on()) {
-                auto* t = trace::active();
+            if (auto* t = tracer()) {
                 t->instant(t->track(name()), "taskStart",
                            trace::args("uid", msg.uid, "lane",
                                        msg.lane));
@@ -199,8 +198,7 @@ Dispatcher::onComplete(const CompleteMsg& msg, Tick now)
                 static_cast<double>(overlapEnd - cs.startAt);
         }
     }
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->instant(t->track(name()), "taskComplete",
                    trace::args("uid", msg.uid, "lane", msg.lane));
         t->counter("dispatcher.tasks", "completed",
@@ -376,8 +374,7 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
             readyQ_.push_back(static_cast<TaskId>(base + k));
     }
 
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->instant(t->track(name()), "taskSpawn",
                    trace::args("spawner", msg.spawner, "tasks",
                                set.tasks.size(), "edges",
@@ -402,8 +399,7 @@ Dispatcher::applyStealMove(TaskId uid, std::uint32_t toLane)
     ++tasksStolen_;
     stealHops_ += noc_.hopDistance(cfg_.laneNodes[from],
                                    cfg_.laneNodes[toLane]);
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->instant(t->track(name()), "taskStolen",
                    trace::args("uid", uid, "from", from, "to",
                                toLane));
@@ -745,8 +741,7 @@ Dispatcher::bindSpatialOutput(DispatchMsg& pm, std::size_t oi)
             ++it->second.expectedDones;
             ++spatialForwards_;
             fwdGroups.push_back(g);
-            if (trace::on()) {
-                auto* t = trace::active();
+            if (auto* t = tracer()) {
                 t->instant(t->track(name()), "spatialForward",
                            trace::args("producer", pm.uid, "consumer",
                                        c));
@@ -850,8 +845,7 @@ Dispatcher::bind(DispatchMsg& m, std::vector<DispatchMsg>& batch)
         }
         const bool piped = es.bind == Bind::Pipe;
         ++(piped ? pipesActivated_ : pipesDegraded_);
-        if (trace::on()) {
-            auto* t = trace::active();
+        if (auto* t = tracer()) {
             t->instant(t->track(name()),
                        piped ? "pipeActivated" : "pipeDegraded",
                        trace::args("producer", m.uid, "consumer", c));
@@ -883,8 +877,7 @@ Dispatcher::enqueueDispatch(DispatchMsg msg)
     ++laneQueued_[ts.lane];
     laneWork_[ts.lane] += ts.workEst;
     ++laneDispatched_[ts.lane];
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->instant(t->track(name()), "dispatch",
                    trace::args("uid", id, "lane", ts.lane, "workEst",
                                ts.workEst));
@@ -907,8 +900,7 @@ Dispatcher::fireGroup(std::uint32_t groupId)
     TS_ASSERT(!gs.fired);
     gs.fired = true;
     ++groupsFired_;
-    if (trace::on()) {
-        auto* t = trace::active();
+    if (auto* t = tracer()) {
         t->instant(t->track(name()), "groupFire",
                    trace::args("group", groupId, "words", gs.g.words));
     }
@@ -1159,11 +1151,11 @@ Dispatcher::tick(Tick now)
         --dispatches;
     }
 
-    if (trace::on() && readyQ_.size() != tracedReadyDepth_) {
+    if (auto* t = tracer();
+        t != nullptr && readyQ_.size() != tracedReadyDepth_) {
         tracedReadyDepth_ = readyQ_.size();
-        trace::active()->counter(
-            "dispatcher.readyQ", "depth",
-            static_cast<double>(tracedReadyDepth_));
+        t->counter("dispatcher.readyQ", "depth",
+                   static_cast<double>(tracedReadyDepth_));
     }
 
     // With no inbound packets and nothing to send, every future tick

@@ -88,9 +88,10 @@ struct DispatcherConfig
 class Dispatcher : public Ticked
 {
   public:
+    /** @p stats receives the ready-wait samples (the run's set). */
     Dispatcher(Noc& noc, const MemImage& img,
                const TaskTypeRegistry& registry,
-               const DispatcherConfig& cfg);
+               const DispatcherConfig& cfg, StatSet& stats);
 
     /** Load a whole task graph (host enqueue). */
     void loadGraph(const TaskGraph& graph);
@@ -399,7 +400,7 @@ class Dispatcher : public Ticked
     std::uint64_t spatialRemaps_ = 0;
     std::uint64_t spatialGroupsAllocated_ = 0;
 
-    StatProbe readyWait_{"dispatcher.readyWait"};
+    StatProbe readyWait_;
 };
 
 } // namespace ts

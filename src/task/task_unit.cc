@@ -16,7 +16,7 @@ TaskUnit::TaskUnit(std::string name, const TaskTypeRegistry& registry,
 {
     TS_ASSERT(ports_.fabric != nullptr && ports_.landing != nullptr &&
               ports_.send && ports_.memPort != nullptr &&
-              ports_.image != nullptr);
+              ports_.image != nullptr && ports_.stats != nullptr);
     // The inputs of classify() and dfgExecutionDone() that change
     // outside our own tick, so the Running sleep can wake on them.
     ports_.fabric->wakeOnProgress(this);
@@ -73,9 +73,9 @@ TaskUnit::typeProbes(TaskTypeId type)
         const std::string& name =
             registry_.type(static_cast<TaskTypeId>(typeProbes_.size()))
                 .name;
-        typeProbes_.push_back(
-            TypeProbes{StatProbe("task." + name + ".serviceCycles"),
-                       StatProbe("task." + name + ".latencyCycles")});
+        typeProbes_.push_back(TypeProbes{
+            StatProbe(*ports_.stats, "task." + name + ".serviceCycles"),
+            StatProbe(*ports_.stats, "task." + name + ".latencyCycles")});
     }
     return typeProbes_[type];
 }
@@ -284,8 +284,8 @@ TaskUnit::accountCycle()
     const CycleClass cls = classify(firings != lastFirings_);
     lastFirings_ = firings;
     buckets_.account(cls);
-    if (trace::on() && (cls != lastClass_ || !stateSpanOpen_)) {
-        auto* t = trace::active();
+    if (auto* t = tracer();
+        t != nullptr && (cls != lastClass_ || !stateSpanOpen_)) {
         const trace::TrackId tid = t->track(name() + ".state");
         if (stateSpanOpen_)
             t->end(tid);
@@ -346,7 +346,7 @@ TaskUnit::sleepsAs(CycleClass gap, bool busy)
 {
     // A traced run only sleeps when the skipped cycles continue the
     // state span just traced: a change would be a trace event.
-    if (trace::on() && gap != lastClass_)
+    if (tracer() != nullptr && gap != lastClass_)
         return false;
     gapClass_ = gap;
     gapBusy_ = busy;
@@ -383,8 +383,7 @@ TaskUnit::step(Tick now)
         inbox_.pop_front();
         startedAt_ = now;
         ++busyCycles_;
-        if (trace::on()) {
-            auto* t = trace::active();
+        if (auto* t = tracer()) {
             t->begin(t->track(name()),
                      registry_.type(cur_.type).name.c_str(),
                      trace::args("uid", cur_.uid, "workEst",
@@ -545,13 +544,12 @@ TaskUnit::step(Tick now)
         queueMsg(PktKind::TaskComplete,
                  CompleteMsg{cur_.uid, ports_.laneIndex}, 1);
         ++tasksRun_;
-        if (statsOn()) {
+        {
             TypeProbes& p = typeProbes(cur_.type);
             p.service.sample(static_cast<double>(now - startedAt_));
             p.latency.sample(static_cast<double>(now - cur_.dispatchedAt));
         }
-        if (trace::on()) {
-            auto* t = trace::active();
+        if (auto* t = tracer()) {
             t->end(t->track(name()));
             t->counter(name().c_str(), "queueDepth",
                        static_cast<double>(inbox_.size()));

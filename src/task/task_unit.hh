@@ -33,6 +33,7 @@ struct TaskUnitPorts
     Landing* landing = nullptr; ///< the lane's landing table
     MemPortIf* memPort = nullptr; ///< builtin output traffic
     MemImage* image = nullptr;    ///< builtin functional effects
+    StatSet* stats = nullptr;     ///< the run's set (type probes)
 
     /** Inject a packet at this lane's NoC node (false = retry). */
     std::function<bool(Packet)> send;

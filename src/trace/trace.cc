@@ -8,11 +8,6 @@ namespace ts
 namespace trace
 {
 
-namespace detail
-{
-thread_local Tracer* gActive = nullptr;
-} // namespace detail
-
 namespace
 {
 
@@ -62,14 +57,6 @@ Tracer::~Tracer()
     // here is only a warning.
     if (!closeDocument())
         warn("trace: cannot write '", cfg_.path, "'");
-    if (detail::gActive == this)
-        detail::gActive = nullptr;
-}
-
-void
-Tracer::setActive(Tracer* t)
-{
-    detail::gActive = (t != nullptr && t->enabled()) ? t : nullptr;
 }
 
 void

@@ -19,18 +19,15 @@
  *  - counter events ("C") sample numeric series (queue depths,
  *    per-lane cycle classes).
  *
- * Cost model: exactly one Tracer may be *active* per thread (the
- * active-sink pointer is thread_local, so concurrent Delta instances
- * on different threads each trace independently).  Instrumentation
- * sites guard with `if (trace::on())`, which compiles to a
- * load-and-branch when tracing is compiled in and to a constant
- * `false` (dead-code eliminating the whole site) when built with
- * -DTS_TRACE_DISABLED.  A disabled run therefore produces
- * bit-identical simulation results.
+ * Cost model: a run's Simulator holds its tracer
+ * (Simulator::setTracer), and components reach it through
+ * Ticked::tracer() or their Simulator, which return nullptr unless an
+ * enabled tracer is attached.  Instrumentation sites guard with
+ * `if (auto* t = tracer())`, a load-and-branch when tracing is off.
+ * A traced run produces bit-identical simulation results.
  *
- * Activation is runtime-gated and programmatic: DeltaConfig::trace
- * carries the configuration, which the --trace flag fills in
- * through the options layer (src/driver/options.hh).
+ * DeltaConfig::trace carries the configuration, which the --trace
+ * flag fills in through the options layer (src/driver/options.hh).
  */
 
 #ifndef TS_TRACE_TRACE_HH
@@ -60,33 +57,6 @@ struct TracerConfig
     std::string processName = "delta";
 };
 
-class Tracer;
-
-namespace detail
-{
-/** The tracer receiving this thread's events, or nullptr when
- *  tracing is off on this thread. */
-extern thread_local Tracer* gActive;
-} // namespace detail
-
-/** Whether any instrumentation site should emit events. */
-inline bool
-on()
-{
-#ifdef TS_TRACE_DISABLED
-    return false;
-#else
-    return detail::gActive != nullptr;
-#endif
-}
-
-/** The active tracer; only meaningful when on() is true. */
-inline Tracer*
-active()
-{
-    return detail::gActive;
-}
-
 /** Track handle; returned by Tracer::track(). */
 using TrackId = std::uint32_t;
 
@@ -107,13 +77,6 @@ class Tracer
 
     bool enabled() const { return enabled_; }
     const std::string& path() const { return cfg_.path; }
-
-    /**
-     * Make this tracer the calling thread's event sink (trace::on()
-     * becomes true on this thread when it is enabled).  Passing
-     * nullptr deactivates tracing on this thread.
-     */
-    static void setActive(Tracer* t);
 
     /** Advance trace time; called once per simulated cycle. */
     void setNow(Tick now) { now_ = now; }
@@ -202,7 +165,7 @@ argsInto(std::ostringstream& os, const char* key, const V& v,
  * Build a JSON object body from key/value pairs:
  *   trace::args("uid", 3, "lane", 1) -> `"uid":3,"lane":1`
  * Values may be arithmetic or string-like.  Only call under a
- * trace::on() guard; the formatting is not free.
+ * tracer guard; the formatting is not free.
  */
 template <typename... KV>
 std::string

@@ -112,17 +112,17 @@ TEST(AnalysisHistogram, StatSetSampleDerivesDottedStats)
 
 TEST(AnalysisHistogram, StatSampleRoutesToActiveSet)
 {
-    EXPECT_EQ(StatSet::active(), nullptr);
-    StatProbe probe("probe");
-    probe.sample(1.0); // no active set: dropped, no crash
-    StatSet s;
-    StatSet::setActive(&s);
-    EXPECT_TRUE(statsOn());
+    // A probe samples only into the set it was built with; one that
+    // never samples adds no key.
+    StatSet own, other;
+    StatProbe probe(own, "probe");
+    StatProbe idle(other, "idle");
     probe.sample(42.0);
-    StatSet::setActive(nullptr);
-    probe.sample(7.0); // inactive again: dropped
-    EXPECT_EQ(s.get("probe.count"), 1.0);
-    EXPECT_EQ(s.get("probe.max"), 42.0);
+    EXPECT_EQ(own.get("probe.count"), 1.0);
+    EXPECT_EQ(own.get("probe.max"), 42.0);
+    EXPECT_EQ(other.histogram("probe"), nullptr);
+    EXPECT_EQ(other.histogram("idle"), nullptr);
+    EXPECT_EQ(other.size(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -364,13 +364,15 @@ TEST(AnalysisAttribution, StaticBaselineRespectsCritPathBound)
 
 TEST(AnalysisAttribution, ProbesInactiveOutsideRun)
 {
-    // Delta::run deactivates the sampling sink on exit, even though
-    // the StatSet it returned is still alive.
+    // The run's probes sample into the set Delta::run returns, and
+    // a probe the run never samples adds no key: a non-spatial run
+    // releases no spatial group.
     const StatSet s =
         runSuiteWorkload(Wk::Centroid, DeltaConfig::delta(2), 0.25);
-    EXPECT_EQ(StatSet::active(), nullptr);
     EXPECT_GT(s.get("noc.pktLatency.count"), 0.0);
     EXPECT_GT(s.get("dram.queueWait.count"), 0.0);
+    EXPECT_EQ(s.histogram("spatial.groupPeakWords"), nullptr);
+    EXPECT_FALSE(s.has("spatial.groupPeakWords.count"));
 }
 
 // ---------------------------------------------------------------------

@@ -472,49 +472,17 @@ TEST(Stats, HistogramBucketsAndMoments)
 TEST(Stats, ProbeMatchesStringKeyedSamples)
 {
     StatSet keyed, probed;
-    StatProbe probe("lat");
-    StatSet::setActive(&keyed);
+    StatProbe probe(probed, "lat");
     for (double v : {0.0, 3.0, 17.0, 17.0, 900.0})
         keyed.sample("lat", v);
-    StatSet::setActive(&probed);
     for (double v : {0.0, 3.0, 17.0, 17.0, 900.0})
         probe.sample(v);
-    StatSet::setActive(nullptr);
 
     std::ostringstream a, b;
     keyed.dumpJson(a);
     probed.dumpJson(b);
     EXPECT_EQ(a.str(), b.str());
     EXPECT_EQ(probed.get("lat.count"), 5);
-}
-
-TEST(Stats, ProbeRebindsWhenTheSetChanges)
-{
-    StatProbe probe("p");
-    StatSet first;
-    StatSet::setActive(&first);
-    probe.sample(1);
-
-    // A different set (or the same one after clear) gets its own
-    // histogram, never the stale reference.
-    StatSet second;
-    StatSet::setActive(&second);
-    probe.sample(2);
-    probe.sample(2);
-    second.clear();
-    probe.sample(4);
-
-    // Moving a set out from under the probe: the moved-to set keeps
-    // the samples, and the probe rebinds on the next sample.
-    StatSet moved = std::move(first);
-    StatSet::setActive(&moved);
-    probe.sample(8);
-    StatSet::setActive(nullptr);
-
-    EXPECT_EQ(moved.get("p.count"), 2);
-    EXPECT_EQ(moved.get("p.max"), 8);
-    EXPECT_EQ(second.get("p.count"), 1);
-    EXPECT_EQ(second.get("p.max"), 4);
 }
 
 TEST(Ring, FifoAcrossGrowthAndWraparound)

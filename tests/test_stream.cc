@@ -103,7 +103,7 @@ struct Rig
     MemImage img;
     Scratchpad spm{"spm", ScratchpadConfig{1 << 14, 4}};
     DirectMemPort port{sim, MainMemoryConfig{}};
-    Landing landing{img, spm};
+    Landing landing{img, spm, sim.stats()};
 
     Rig() { sim.add(&spm); }
 
@@ -1010,7 +1010,7 @@ runRefusedByThePort(bool fastForward)
     mc.issueWidth = 1;
     mc.queueCapacity = 1;
     DirectMemPort port(sim, mc, 2);
-    Landing landing(img, spm);
+    Landing landing(img, spm, sim.stats());
     const Addr a = img.allocWords(256);
     for (int i = 0; i < 256; ++i)
         img.writeInt(a + i * wordBytes, i);
@@ -1048,7 +1048,8 @@ TEST(Landing, PipeFifoPerPipeAndOccupancyStats)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
     l.pipeChunk(1, {Token{fromInt(1), 0}, Token{fromInt(2), 0}});
     l.pipeChunk(2, {Token{fromInt(9), 0}});
     EXPECT_TRUE(l.hasToken(1));
@@ -1057,7 +1058,6 @@ TEST(Landing, PipeFifoPerPipeAndOccupancyStats)
     EXPECT_EQ(asInt(l.popToken(1).value), 2);
     EXPECT_FALSE(l.hasToken(1));
 
-    StatSet stats;
     l.reportStats(stats, "lane");
     EXPECT_EQ(stats.get("lane.pipeTokens"), 3);
     EXPECT_EQ(stats.get("lane.pipeMaxOccupancy"), 3);
@@ -1069,7 +1069,8 @@ TEST(Landing, ReleaseRequiresDrainedPipe)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
     const std::uint64_t id = landingId(LandingKind::Pipe, 5);
     l.pipeChunk(5, {Token{fromInt(1), 0}});
     EXPECT_THROW(l.release(id), PanicError);
@@ -1084,7 +1085,8 @@ TEST(Landing, StashesFillsThatBeatTheSetup)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
     const LandingGate gate{landingId(LandingKind::Multicast, 3), 2, false};
 
     const Addr base = 256; // line-aligned
@@ -1108,7 +1110,8 @@ TEST(Landing, UnalignedRangeLandsAtCorrectOffsets)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
 
     const Addr base = 256 + 3 * wordBytes; // mid-line start
     for (unsigned w = 0; w < 8; ++w)
@@ -1125,7 +1128,8 @@ TEST(Landing, GatesOnDoneMarkersAndTracksPeak)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
     const std::uint64_t g = spatial::landingGroup(3, 1);
     const std::uint64_t id = landingId(LandingKind::Spatial, g);
 
@@ -1140,7 +1144,6 @@ TEST(Landing, GatesOnDoneMarkersAndTracksPeak)
     EXPECT_TRUE(l.ready({id, 2, true}));
 
     EXPECT_EQ(l.spatialWordsReceived(), 40u);
-    StatSet stats;
     l.reportStats(stats, "lane");
     EXPECT_EQ(stats.get("lane.spatialChunksRecv"), 3);
     EXPECT_EQ(stats.get("lane.spatialWordsRecv"), 40);
@@ -1150,10 +1153,10 @@ TEST(Landing, GatesOnDoneMarkersAndTracksPeak)
     EXPECT_FALSE(l.ready(
         {landingId(LandingKind::Spatial, spatial::landingGroup(9, 0)), 1,
          true}));
-    StatSet::setActive(&stats);
+    EXPECT_EQ(stats.histogram("spatial.groupPeakWords"), nullptr)
+        << "no group released yet: the probe adds no key";
     l.release(id);
     l.release(id);
-    StatSet::setActive(nullptr);
     EXPECT_FALSE(l.ready({id, 2, true}));
     ASSERT_NE(stats.histogram("spatial.groupPeakWords"), nullptr);
     EXPECT_EQ(stats.histogram("spatial.groupPeakWords")->count(), 1u);
@@ -1164,7 +1167,8 @@ TEST(Landing, DoneMarkerBeforeTheGateIsChecked)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
     const std::uint64_t g = spatial::landingGroup(4, 0);
     const std::uint64_t id = landingId(LandingKind::Spatial, g);
 
@@ -1181,7 +1185,8 @@ TEST(Landing, KindsShareKeysWithoutColliding)
 {
     MemImage img;
     Scratchpad spm("spm", ScratchpadConfig{1024, 4});
-    Landing l(img, spm);
+    StatSet stats;
+    Landing l(img, spm, stats);
 
     // Producer 5 port 0 pipes into a lane where consumer 5 port 0
     // also lands a spatial group: the same packed key, two entries.

@@ -22,6 +22,7 @@
 #include "accel/delta.hh"
 #include "driver/options.hh"
 #include "driver/sweep.hh"
+#include "noc/noc.hh"
 #include "trace/accounting.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
@@ -256,9 +257,10 @@ TEST(Trace, DisabledTracerEmitsNothing)
         trace::Tracer t(cfg);
         EXPECT_FALSE(t.enabled());
 
-        // A disabled tracer never becomes the active sink.
-        trace::Tracer::setActive(&t);
-        EXPECT_FALSE(trace::on());
+        // A disabled tracer counts as none: sites see no tracer.
+        Simulator sim;
+        sim.setTracer(&t);
+        EXPECT_EQ(sim.tracer(), nullptr);
 
         t.begin(t.track("lane0"), "task");
         t.end(t.track("lane0"));
@@ -268,27 +270,100 @@ TEST(Trace, DisabledTracerEmitsNothing)
     }
     std::ifstream in(path);
     EXPECT_FALSE(in.good()) << "disabled tracer must not create a file";
-    EXPECT_FALSE(trace::on());
 }
+
+/** A component that exposes the tracer its simulator hands it. */
+struct TracerProbe : Ticked
+{
+    TracerProbe() : Ticked("probe") {}
+    void tick(Tick) override {}
+    bool busy() const override { return false; }
+    using Ticked::tracer;
+};
 
 TEST(Trace, ActivationFollowsEnabledTracerOnly)
 {
     trace::TracerConfig cfg;
     cfg.enabled = true;
     cfg.path = tmpPath("ts_trace_active.json");
-    {
-        trace::Tracer t(cfg);
-        ASSERT_TRUE(t.enabled());
-        trace::Tracer::setActive(&t);
-        EXPECT_TRUE(trace::on());
-        EXPECT_EQ(trace::active(), &t);
-        trace::Tracer::setActive(nullptr);
-        EXPECT_FALSE(trace::on());
-        trace::Tracer::setActive(&t);
-        EXPECT_TRUE(trace::on());
-        // Destruction deactivates; the global must not dangle.
+    trace::Tracer t(cfg);
+    ASSERT_TRUE(t.enabled());
+
+    Simulator sim;
+    TracerProbe component;
+    sim.setTracer(&t);
+    EXPECT_EQ(sim.tracer(), &t);
+    EXPECT_EQ(component.tracer(), nullptr) << "not registered yet";
+    sim.add(&component);
+    EXPECT_EQ(component.tracer(), &t);
+    sim.setTracer(nullptr);
+    EXPECT_EQ(sim.tracer(), nullptr);
+    EXPECT_EQ(component.tracer(), nullptr);
+    sim.setTracer(&t);
+    EXPECT_EQ(component.tracer(), &t);
+}
+
+/** Instant events on the track named @p track. */
+std::size_t
+instantsOnTrack(const std::vector<Json>& events, const std::string& track)
+{
+    double tid = -1;
+    for (const Json& e : events) {
+        if (e.at("ph").str == "M" && e.at("name").str == "thread_name" &&
+            e.at("args").at("name").str == track)
+            tid = e.at("tid").num;
     }
-    EXPECT_FALSE(trace::on());
+    return static_cast<std::size_t>(
+        std::count_if(events.begin(), events.end(), [&](const Json& e) {
+            return e.at("ph").str == "i" && e.at("tid").num == tid;
+        }));
+}
+
+TEST(Trace, TwoSimulatorsOnOneThreadKeepTheirOwnSinks)
+{
+    // Each simulator holds its own tracer and stat set, so two meshes
+    // stepped alternately on one thread never see each other's
+    // events or samples.
+    const auto enabledAt = [](const std::string& path) {
+        trace::TracerConfig cfg;
+        cfg.enabled = true;
+        cfg.path = path;
+        return cfg;
+    };
+    const std::string pathA = tmpPath("ts_trace_mesh_a.json");
+    const std::string pathB = tmpPath("ts_trace_mesh_b.json");
+    trace::Tracer tracerA(enabledAt(pathA)), tracerB(enabledAt(pathB));
+    Simulator simA, simB;
+    simA.setTracer(&tracerA);
+    simB.setTracer(&tracerB);
+    Noc nocA(simA, NocConfig{4, 4, 4, 2});
+    Noc nocB(simB, NocConfig{4, 4, 4, 2});
+
+    const auto toNode = [](std::uint32_t dst) {
+        Packet p;
+        p.src = 0;
+        p.dstMask = Packet::unicast(dst);
+        p.kind = PktKind::Generic;
+        p.sizeWords = 1;
+        return p;
+    };
+    ASSERT_TRUE(nocA.inject(toNode(15)));
+    for (const std::uint32_t dst : {5u, 10u, 15u})
+        ASSERT_TRUE(nocB.inject(toNode(dst)));
+    for (int i = 0; i < 100; ++i) {
+        simA.step();
+        simB.step();
+    }
+    ASSERT_EQ(nocA.delivered(), 1u);
+    ASSERT_EQ(nocB.delivered(), 3u);
+
+    EXPECT_EQ(simA.stats().get("noc.pktLatency.count"), 1);
+    EXPECT_EQ(simB.stats().get("noc.pktLatency.count"), 3);
+
+    tracerA.finish();
+    tracerB.finish();
+    EXPECT_EQ(instantsOnTrack(loadEvents(pathA), "noc.inject"), 1u);
+    EXPECT_EQ(instantsOnTrack(loadEvents(pathB), "noc.inject"), 3u);
 }
 
 TEST(Trace, ArgsFormatsKeyValuePairs)
@@ -311,7 +386,6 @@ TEST(Trace, SpansNestAndJsonIsWellFormed)
     cfg.processName = "unit \"quoted\"";
 
     trace::Tracer t(cfg);
-    trace::Tracer::setActive(&t);
     const trace::TrackId lane = t.track("lane0.tu");
     const trace::TrackId other = t.track("lane1.tu");
 
@@ -329,7 +403,6 @@ TEST(Trace, SpansNestAndJsonIsWellFormed)
     t.instant(lane, "blip");
     const std::uint64_t emitted = t.events();
     t.finish();
-    trace::Tracer::setActive(nullptr);
 
     const std::vector<Json> events = loadEvents(path);
     ASSERT_EQ(events.size(), emitted);
