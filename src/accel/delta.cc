@@ -91,12 +91,11 @@ Delta::Delta(const DeltaConfig& cfg)
     for (std::uint32_t i = 0; i < cfg_.lanes; ++i)
         laneNodes.push_back(laneNode(i));
 
-    LaneConfig lcfg = cfg_.lane;
-    lcfg.steal = cfg_.steal;
     for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
         lanes_.push_back(std::make_unique<Lane>(
             sim_, *noc_, img_, registry_, i, laneNode(i),
-            dispatcherNode, memNodeId, lcfg, laneNodes));
+            dispatcherNode, memNodeId, cfg_.lane, laneNodes,
+            cfg_.steal));
     }
 
     DispatcherConfig dcfg;
@@ -108,7 +107,6 @@ Delta::Delta(const DeltaConfig& cfg)
     dcfg.laneQueueCap = cfg_.laneQueueCap;
     dcfg.spmLandingWords = cfg_.lane.spm.sizeWords;
     dcfg.spatialBufferWords = cfg_.spatialBufferWords;
-    dcfg.spatialRemapFactor = cfg_.spatialRemapFactor;
     dcfg.selfNode = dispatcherNode;
     dcfg.memNode = memNodeId;
     for (std::uint32_t i = 0; i < cfg_.lanes; ++i)
@@ -208,6 +206,8 @@ Delta::run(const TaskGraph& graph)
         }
     }
 
+    // Each component writes its own keys, delta.* attribution
+    // included; below is only what no one component can write.
     sim_.reportStats(stats);
     noc_->reportStats(stats);
     if (timeline != nullptr)
@@ -248,74 +248,6 @@ Delta::run(const TaskGraph& graph)
                              : 0.0);
     }
 
-    // -- Per-mechanism attribution (why Delta beats the static
-    // baseline, not just that it does) --
-    stats.set("delta.attrib.loadbalance.actualMaxService",
-              dispatcher_->actualMaxServiceCycles());
-    stats.set("delta.attrib.loadbalance.shadowStaticMaxService",
-              dispatcher_->shadowStaticMaxServiceCycles());
-    stats.set("delta.attrib.loadbalance.imbalanceCyclesAvoided",
-              dispatcher_->imbalanceCyclesAvoided());
-
-    // Dynamic-spawn volume and steal attribution: how much the NoC
-    // steal protocol moved, how far it traveled, and how many
-    // imbalance cycles it clawed back relative to the dispatch-time
-    // lane assignment.
-    stats.set("delta.tasksSpawned",
-              static_cast<double>(dispatcher_->tasksSpawned()));
-    if (cfg_.steal != StealPolicy::None) {
-        std::uint64_t reqs = 0, grants = 0, denies = 0;
-        for (const auto& lane : lanes_) {
-            reqs += lane->taskUnit().stealRequestsSent();
-            grants += lane->taskUnit().stealGrantsReceived();
-            denies += lane->taskUnit().stealDeniesReceived();
-        }
-        stats.set("delta.attrib.steal.tasksStolen",
-                  static_cast<double>(dispatcher_->tasksStolen()));
-        stats.set("delta.attrib.steal.hopsTraveled",
-                  static_cast<double>(
-                      dispatcher_->stealHopsTraveled()));
-        stats.set("delta.attrib.steal.requests",
-                  static_cast<double>(reqs));
-        stats.set("delta.attrib.steal.grants",
-                  static_cast<double>(grants));
-        stats.set("delta.attrib.steal.denies",
-                  static_cast<double>(denies));
-        stats.set("delta.attrib.steal.shadowMaxService",
-                  dispatcher_->stealShadowMaxServiceCycles());
-        stats.set("delta.attrib.steal.imbalanceCyclesRecovered",
-                  dispatcher_->stealImbalanceCyclesRecovered());
-    }
-
-    stats.set("delta.attrib.pipeline.overlapCycles",
-              dispatcher_->pipeOverlapCycles());
-    stats.set("delta.attrib.pipeline.pipesActivated",
-              static_cast<double>(dispatcher_->pipesActivated()));
-    stats.set("delta.attrib.pipeline.pipesDegraded",
-              static_cast<double>(dispatcher_->pipesDegraded()));
-
-    const auto fillLines =
-        static_cast<double>(dispatcher_->fillLinesRequested());
-    const auto equivLines =
-        static_cast<double>(dispatcher_->mcastUnicastLinesEquiv());
-    const double linesSaved = std::max(0.0, equivLines - fillLines);
-    stats.set("delta.attrib.multicast.fillLines", fillLines);
-    stats.set("delta.attrib.multicast.unicastLinesEquiv", equivLines);
-    stats.set("delta.attrib.multicast.dramLinesSaved", linesSaved);
-    stats.set("delta.attrib.multicast.dramBytesSaved",
-              linesSaved * lineBytes);
-    const auto mcastHops =
-        static_cast<double>(noc_->mcastWordHops());
-    const auto mcastEquivHops =
-        static_cast<double>(noc_->mcastUnicastEquivWordHops());
-    stats.set("delta.attrib.multicast.wordHops", mcastHops);
-    stats.set("delta.attrib.multicast.unicastEquivWordHops",
-              mcastEquivHops);
-    stats.set("delta.attrib.multicast.wordHopsSaved",
-              std::max(0.0, mcastEquivHops - mcastHops));
-    stats.set("delta.attrib.multicast.packets",
-              static_cast<double>(noc_->mcastPackets()));
-
     // Spatial-mapping attribution: DRAM traffic the lane-to-lane
     // forwarding suppressed (producer write-backs) and avoided
     // (consumer landing-zone reads), plus the NoC cost it paid.
@@ -329,14 +261,6 @@ Delta::run(const TaskGraph& graph)
             fwdWords += lane->landing().spatialWordsReceived();
             chunks += lane->spatialChunksSent();
         }
-        stats.set("delta.spatial.forwards",
-                  static_cast<double>(dispatcher_->spatialForwards()));
-        stats.set("delta.spatial.spills",
-                  static_cast<double>(dispatcher_->spatialSpills()));
-        stats.set("delta.spatial.remaps",
-                  static_cast<double>(dispatcher_->spatialRemaps()));
-        stats.set("delta.spatial.groups",
-                  static_cast<double>(dispatcher_->spatialGroups()));
         const double saved =
             static_cast<double>(suppressed + landingLines);
         stats.set("delta.attrib.spatial.dramLinesSaved", saved);
@@ -352,9 +276,6 @@ Delta::run(const TaskGraph& graph)
                   static_cast<double>(fwdWords));
         stats.set("delta.attrib.spatial.chunks",
                   static_cast<double>(chunks));
-        stats.set("delta.attrib.spatial.bufPeakWords",
-                  static_cast<double>(
-                      dispatcher_->spatialBufPeakWords()));
         stats.set("delta.attrib.spatial.plannedMakespan",
                   static_cast<double>(plan.predictedMakespan));
         stats.set("delta.attrib.spatial.plannedCritPath",

@@ -44,11 +44,6 @@ struct DeltaConfig
      *  (SchedPolicy::Spatial only, DESIGN.md §8). */
     std::uint64_t spatialBufferWords = 1u << 15;
 
-    /** Spawned tasks inherit their spawner's mapped lane unless that
-     *  lane's planned work exceeds this factor times the mean, in
-     *  which case they remap to the least-loaded lane. */
-    double spatialRemapFactor = 1.5;
-
     LaneConfig lane;
     MainMemoryConfig mem;
     NocConfig nocLinks; ///< width/height are derived from lanes
@@ -158,7 +153,6 @@ class Delta
     /** The run's tracer (disabled unless configured; never null). */
     const trace::Tracer& tracer() const { return *tracer_; }
     const Lane& lane(std::uint32_t i) const { return *lanes_.at(i); }
-    const Dispatcher& dispatcher() const { return *dispatcher_; }
     const Noc& noc() const { return *noc_; }
     Simulator& sim() { return sim_; }
     const DeltaConfig& config() const { return cfg_; }

@@ -13,7 +13,8 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
            const TaskTypeRegistry& registry, std::uint32_t laneIndex,
            std::uint32_t selfNode, std::uint32_t dispatcherNode,
            std::uint32_t memNode, const LaneConfig& cfg,
-           const std::vector<std::uint32_t>& laneNodes)
+           const std::vector<std::uint32_t>& laneNodes,
+           StealPolicy steal)
     : Ticked("lane" + std::to_string(laneIndex)), noc_(noc),
       selfNode_(selfNode), memNode_(memNode), cfg_(cfg)
 {
@@ -52,8 +53,8 @@ Lane::Lane(Simulator& sim, Noc& noc, MemImage& img,
     ports.selfNode = selfNode;
     ports.dispatcherNode = dispatcherNode;
     ports.laneIndex = laneIndex;
-    ports.steal = cfg.steal;
-    if (cfg.steal != StealPolicy::None) {
+    ports.steal = steal;
+    if (steal != StealPolicy::None) {
         // Locality-aware victim order: nearest peers first by NoC hop
         // distance, lane index breaking ties (deterministic).
         for (std::uint32_t j = 0;

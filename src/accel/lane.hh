@@ -27,7 +27,6 @@ struct LaneConfig
     std::uint32_t numReadEngines = 4;
     std::uint32_t numWriteEngines = 2;
     std::uint32_t maxOutstandingLines = 16; ///< memory-port MSHRs
-    StealPolicy steal = StealPolicy::None;  ///< task-unit work stealing
     FabricConfig fabric;
     ScratchpadConfig spm;
     ReadEngineCfg read;
@@ -39,12 +38,13 @@ class Lane : public Ticked, public MemPortIf, public PipeTxIf
 {
   public:
     /** @p laneNodes maps every lane index to its NoC node (for the
-     *  steal victim probe order); empty disables stealing here. */
+     *  @p steal victim probe order); empty disables stealing here. */
     Lane(Simulator& sim, Noc& noc, MemImage& img,
          const TaskTypeRegistry& registry, std::uint32_t laneIndex,
          std::uint32_t selfNode, std::uint32_t dispatcherNode,
          std::uint32_t memNode, const LaneConfig& cfg,
-         const std::vector<std::uint32_t>& laneNodes = {});
+         const std::vector<std::uint32_t>& laneNodes = {},
+         StealPolicy steal = StealPolicy::None);
 
     // MemPortIf
     bool requestLine(Addr lineAddr, LineSink& sink,

@@ -166,7 +166,6 @@ canonicalConfig(const DeltaConfig& cfg)
        << " noc=" << cfg.nocLinks.channelCapacity << "/"
        << cfg.nocLinks.linkWords
        << " spatialBuf=" << cfg.spatialBufferWords
-       << " spatialRemap=" << cfg.spatialRemapFactor
        << " maxCycles=" << cfg.maxCycles
        << " noFastForward=" << cfg.noFastForward
        << " timeline=" << cfg.timelineInterval << "/"
@@ -219,7 +218,7 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
 {
     std::ostringstream os;
     // v3: spatial scheduling extended the canonical-config
-    // vocabulary (policy=spatial, spatialBuf, spatialRemap).
+    // vocabulary (policy=spatial, spatialBuf).
     os << "v3 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "

@@ -366,6 +366,15 @@ Noc::reportStats(StatSet& stats) const
     stats.set("noc.mcast.wordHops", static_cast<double>(mcastWordHops_));
     stats.set("noc.mcast.unicastEquivWordHops",
               static_cast<double>(mcastUnicastEquivWordHops_));
+
+    const auto hops = static_cast<double>(mcastWordHops_);
+    const auto equivHops = static_cast<double>(mcastUnicastEquivWordHops_);
+    stats.set("delta.attrib.multicast.wordHops", hops);
+    stats.set("delta.attrib.multicast.unicastEquivWordHops", equivHops);
+    stats.set("delta.attrib.multicast.wordHopsSaved",
+              std::max(0.0, equivHops - hops));
+    stats.set("delta.attrib.multicast.packets",
+              static_cast<double>(mcastPackets_));
 }
 
 } // namespace ts

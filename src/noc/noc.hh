@@ -80,26 +80,8 @@ class Noc
     /** Total packets delivered to local ports. */
     std::uint64_t delivered() const { return delivered_; }
 
-    /** Total packets accepted by inject(). */
-    std::uint64_t injected() const { return injected_; }
-
-    /** Word-hops traversed by multicast (fanout > 1) packets. */
-    std::uint64_t mcastWordHops() const { return mcastWordHops_; }
-
-    /** Word-hops the same multicast traffic would have cost as one
-     *  unicast packet per destination (sum of Manhattan distances
-     *  times payload size, accumulated at injection). */
-    std::uint64_t
-    mcastUnicastEquivWordHops() const
-    {
-        return mcastUnicastEquivWordHops_;
-    }
-
-    /** Multicast packets injected / local deliveries they produced. */
-    std::uint64_t mcastPackets() const { return mcastPackets_; }
-    std::uint64_t mcastDeliveries() const { return mcastDeliveries_; }
-
-    /** Report traffic statistics. */
+    /** Report traffic statistics: noc.* and the word-hop side of
+     *  the delta.attrib.multicast attribution. */
     void reportStats(StatSet& stats) const;
 
     /** Manhattan distance between two nodes (for tests). */
@@ -129,7 +111,7 @@ class Noc
      *  forwarding-side ones by the routers. */
     std::uint64_t injected_ = 0;
     std::uint64_t mcastPackets_ = 0;
-    std::uint64_t mcastUnicastEquivWordHops_ = 0;
+    std::uint64_t mcastUnicastEquivWordHops_ = 0; ///< as unicasts
     std::uint64_t wordHops_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t mcastWordHops_ = 0;

@@ -75,9 +75,6 @@ struct DispatcherConfig
      *  group whose buffer does not fit spills permanently to the
      *  DRAM round-trip. */
     std::uint64_t spatialBufferWords = 1u << 15;
-    /** Spatial: a spawned task escapes its inherited lane when that
-     *  lane's outstanding work exceeds this multiple of the mean. */
-    double spatialRemapFactor = 1.5;
 
     std::uint32_t selfNode = 0;
     std::uint32_t memNode = 0;
@@ -114,46 +111,11 @@ class Dispatcher : public Ticked
 
     void tick(Tick now) override;
     bool busy() const override;
+    /** dispatcher.* plus the delta.* keys the dispatcher counts:
+     *  tasksSpawned, the loadbalance, pipeline and multicast
+     *  attribution, steal attribution under stealing, and the
+     *  spatial counts under Spatial. */
     void reportStats(StatSet& stats) const override;
-
-    // Experiment-facing counters.
-    std::uint64_t pipesActivated() const { return pipesActivated_; }
-    std::uint64_t pipesDegraded() const { return pipesDegraded_; }
-    std::uint64_t groupsFired() const { return groupsFired_; }
-
-    // -- Mechanism attribution (see delta.attrib.* in Delta::run) --
-
-    /** Measured per-lane service cycles under the actual assignment;
-     *  max over lanes is the compute-critical lane. */
-    double actualMaxServiceCycles() const;
-
-    /** Max per-lane service cycles under the shadow static
-     *  owner-compute assignment (lane = uid % lanes) fed with the
-     *  same measured service times. */
-    double shadowStaticMaxServiceCycles() const;
-
-    /**
-     * Cycles of load imbalance the dispatch policy avoided relative
-     * to the shadow static assignment (clamped at zero).
-     */
-    double imbalanceCyclesAvoided() const;
-
-    /** Producer/consumer execution overlap enabled by activated
-     *  pipeline edges (cycles, summed over edges). */
-    double pipeOverlapCycles() const { return pipeOverlapCycles_; }
-
-    /** DRAM lines shared-fill multicast actually requested. */
-    std::uint64_t fillLinesRequested() const
-    {
-        return fillLinesRequested_;
-    }
-
-    /** DRAM lines the same shared reads would have cost with one
-     *  unicast fetch per member (replay estimate). */
-    std::uint64_t mcastUnicastLinesEquiv() const
-    {
-        return mcastUnicastLinesEquiv_;
-    }
 
     /** Measured execution spans of all completed tasks (for
      *  TaskGraph::criticalPath). */
@@ -162,55 +124,6 @@ class Dispatcher : public Ticked
     /** Tasks currently ready but not yet issued to a lane (timeline
      *  probe). */
     std::size_t readyQueueDepth() const { return readyQ_.size(); }
-
-    // -- Dynamic-spawn and steal attribution --
-
-    /** Tasks submitted by running tasks (SpawnMsg). */
-    std::uint64_t tasksSpawned() const { return tasksSpawned_; }
-
-    /** Tasks that migrated lanes via the steal protocol. */
-    std::uint64_t tasksStolen() const { return tasksStolen_; }
-
-    /** NoC hops the stolen tasks traveled victim -> thief. */
-    std::uint64_t stealHopsTraveled() const { return stealHops_; }
-
-    // -- Spatial-mapping attribution --
-
-    /** Forwarding decisions made (producer output -> consumer
-     *  landing zone). */
-    std::uint64_t spatialForwards() const { return spatialForwards_; }
-
-    /** Landing groups that fell back to the DRAM round-trip because
-     *  the consumer lane's buffer budget was exhausted. */
-    std::uint64_t spatialSpills() const { return spatialSpills_; }
-
-    /** Spawned tasks that escaped their inherited lane (imbalance
-     *  remap). */
-    std::uint64_t spatialRemaps() const { return spatialRemaps_; }
-
-    /** Landing groups ever allocated buffer space. */
-    std::uint64_t spatialGroups() const
-    {
-        return spatialGroupsAllocated_;
-    }
-
-    /** High-water mark of any one lane's landing-buffer occupancy. */
-    std::uint64_t spatialBufPeakWords() const
-    {
-        return spatialBufPeak_;
-    }
-
-    /** Max per-lane service cycles charged to the *dispatch-time*
-     *  lane assignment (what the run would have cost had nothing
-     *  been stolen), analogous to shadowStaticMaxServiceCycles. */
-    double stealShadowMaxServiceCycles() const;
-
-    /**
-     * Imbalance cycles the steal protocol recovered: the gap between
-     * the dispatch-time shadow max-service and the post-steal actual
-     * max-service (clamped at zero).
-     */
-    double stealImbalanceCyclesRecovered() const;
 
   private:
     /** How an edge's data reaches its consumer: decided once, at

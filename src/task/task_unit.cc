@@ -589,6 +589,14 @@ TaskUnit::reportStats(StatSet& stats) const
                   static_cast<double>(tasksStolenIn_));
         stats.set(name() + ".steal.tasksGivenOut",
                   static_cast<double>(tasksGivenOut_));
+        // Integer counts, so the run-wide sums do not depend on the
+        // order the units report in.
+        stats.add("delta.attrib.steal.requests",
+                  static_cast<double>(stealReqSent_));
+        stats.add("delta.attrib.steal.grants",
+                  static_cast<double>(stealGrants_));
+        stats.add("delta.attrib.steal.denies",
+                  static_cast<double>(stealDenies_));
     }
     buckets_.report(stats, name());
 }

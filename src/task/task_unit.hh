@@ -74,18 +74,12 @@ class TaskUnit : public Ticked
     void tick(Tick now) override;
     void catchUp(Tick now) override;
     bool busy() const override;
+    /** This unit's counters under its name, and, under stealing, its
+     *  share of the run-wide delta.attrib.steal probe counts. */
     void reportStats(StatSet& stats) const override;
 
     /** Tasks executed to completion. */
     std::uint64_t tasksRun() const { return tasksRun_; }
-
-    // Steal counters (thief and victim roles of this unit).
-    std::uint64_t stealRequestsSent() const { return stealReqSent_; }
-    std::uint64_t stealRequestsReceived() const { return stealReqRecv_; }
-    std::uint64_t stealGrantsReceived() const { return stealGrants_; }
-    std::uint64_t stealDeniesReceived() const { return stealDenies_; }
-    std::uint64_t tasksStolenIn() const { return tasksStolenIn_; }
-    std::uint64_t tasksGivenOut() const { return tasksGivenOut_; }
 
     /** Cycles this lane spent with a task in flight. */
     std::uint64_t busyCycles() const { return busyCycles_; }

@@ -883,8 +883,6 @@ TEST(CanonicalConfigTest, EveryBehaviourFieldParticipates)
     TS_EXPECT_CANONICAL(nocLinks.linkWords, c.nocLinks.linkWords = 9);
     TS_EXPECT_CANONICAL(spatialBufferWords,
                         c.spatialBufferWords = 4096);
-    TS_EXPECT_CANONICAL(spatialRemapFactor,
-                        c.spatialRemapFactor = 2.25);
     TS_EXPECT_CANONICAL(maxCycles, c.maxCycles = 1234);
     TS_EXPECT_CANONICAL(noFastForward, c.noFastForward = true);
     TS_EXPECT_CANONICAL(timelineInterval, c.timelineInterval = 100);

@@ -119,10 +119,8 @@ TEST(Smoke, PipelineDependenceProducesSameResult)
         g.addPipeline(producer, 0, consumer, 0);
 
         const StatSet stats = delta.run(g);
-        if (pipeline)
-            EXPECT_EQ(delta.dispatcher().pipesActivated(), 1u);
-        else
-            EXPECT_EQ(delta.dispatcher().pipesActivated(), 0u);
+        EXPECT_EQ(stats.get("delta.attrib.pipeline.pipesActivated"),
+                  pipeline ? 1 : 0);
         for (std::size_t i = 0; i < n; ++i) {
             const std::int64_t v = static_cast<std::int64_t>(i % 31);
             ASSERT_EQ(img.readInt(y + i * wordBytes),
@@ -178,7 +176,7 @@ TEST(Smoke, SharedReadMulticastProducesSameResult)
 
         const StatSet stats = delta.run(g);
         if (multicast) {
-            EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
+            EXPECT_EQ(stats.get("dispatcher.groupsFired"), 1);
         }
         for (std::size_t t = 0; t < tasks; ++t) {
             for (std::size_t i = 0; i < n; ++i) {

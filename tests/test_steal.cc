@@ -171,6 +171,53 @@ TEST(Steal, StealingActuallyMovesTasksOnSkewedWork)
         << "steal-half on tricount should relocate at least one task";
 }
 
+// The steal attribution has three writers: the dispatcher counts the
+// tasks that moved, each task unit its probes, and the per-lane keys
+// both sides of every probe.  Each protocol message has a sender and
+// a receiver, so the writers must agree.
+TEST(StealAttribution, ProtocolCountersBalance)
+{
+    for (const Wk wk : {Wk::Lu, Wk::Cholesky, Wk::Tricount}) {
+        for (const StealPolicy steal :
+             {StealPolicy::StealHalf, StealPolicy::StealOne}) {
+            SCOPED_TRACE(std::string(wkName(wk)) + " " +
+                         stealPolicyName(steal));
+            SuiteParams sp;
+            sp.scale = 0.25;
+            sp.seed = 7;
+            auto wl = makeWorkload(wk, sp);
+            Delta delta(stealConfig(steal));
+            TaskGraph graph;
+            wl->build(delta, graph);
+            const StatSet stats = delta.run(graph);
+            ASSERT_TRUE(wl->check(delta.image()));
+
+            double stolenIn = 0, givenOut = 0, sent = 0, received = 0,
+                   grants = 0, denies = 0;
+            for (std::uint32_t i = 0; i < delta.numLanes(); ++i) {
+                const std::string tu =
+                    "lane" + std::to_string(i) + ".tu.steal.";
+                stolenIn += stats.get(tu + "tasksStolenIn");
+                givenOut += stats.get(tu + "tasksGivenOut");
+                sent += stats.get(tu + "requestsSent");
+                received += stats.get(tu + "requestsReceived");
+                grants += stats.get(tu + "grantsReceived");
+                denies += stats.get(tu + "deniesReceived");
+            }
+            const double stolen =
+                stats.get("delta.attrib.steal.tasksStolen");
+            EXPECT_EQ(stolen, stolenIn);
+            EXPECT_EQ(stolen, givenOut);
+            EXPECT_GT(sent, 0.0) << "idle lanes never probed";
+            EXPECT_EQ(sent, received);
+            EXPECT_EQ(received, grants + denies);
+            EXPECT_EQ(stats.get("delta.attrib.steal.requests"), sent);
+            EXPECT_EQ(stats.get("delta.attrib.steal.grants"), grants);
+            EXPECT_EQ(stats.get("delta.attrib.steal.denies"), denies);
+        }
+    }
+}
+
 TEST(Steal, PolicyChangesTheCanonicalConfig)
 {
     const std::string none =

@@ -379,14 +379,14 @@ TEST(Pipelines, ChainActivatesAndOverlaps)
             prev = id;
         }
         const StatSet stats = delta.run(g);
-        return std::pair<double, std::uint64_t>(
+        return std::pair<double, double>(
             stats.get("delta.cycles"),
-            delta.dispatcher().pipesActivated());
+            stats.get("delta.attrib.pipeline.pipesActivated"));
     };
     const auto [offCycles, offActs] = run(false);
     const auto [onCycles, onActs] = run(true);
-    EXPECT_EQ(offActs, 0u);
-    EXPECT_EQ(onActs, 2u);
+    EXPECT_EQ(offActs, 0);
+    EXPECT_EQ(onActs, 2);
     EXPECT_LT(onCycles * 1.8, offCycles)
         << "a 3-stage pipelined chain must overlap substantially";
 }
@@ -436,8 +436,8 @@ TEST(Pipelines, BatchesFollowDependencesNotUidOrder)
     struct Outcome
     {
         double cycles;
-        std::uint64_t activated;
-        std::uint64_t degraded;
+        double activated;
+        double degraded;
     };
     auto run = [](DeltaConfig cfg, bool consumerFirst) {
         cfg.maxCycles = 100'000;
@@ -471,9 +471,10 @@ TEST(Pipelines, BatchesFollowDependencesNotUidOrder)
                       static_cast<std::int64_t>(w) + 2)
                 << "word " << w << (consumerFirst ? ", consumer first" : "");
         }
-        return Outcome{stats.get("delta.cycles"),
-                       delta.dispatcher().pipesActivated(),
-                       delta.dispatcher().pipesDegraded()};
+        return Outcome{
+            stats.get("delta.cycles"),
+            stats.get("delta.attrib.pipeline.pipesActivated"),
+            stats.get("delta.attrib.pipeline.pipesDegraded")};
     };
     DeltaConfig oneLane = DeltaConfig::delta(1);
     DeltaConfig oneSlot = DeltaConfig::delta(1);
@@ -488,7 +489,7 @@ TEST(Pipelines, BatchesFollowDependencesNotUidOrder)
         EXPECT_EQ(fwd.cycles, back.cycles);
         EXPECT_EQ(fwd.activated, back.activated);
         EXPECT_EQ(fwd.degraded, back.degraded);
-        EXPECT_EQ(fwd.activated + fwd.degraded, 1u);
+        EXPECT_EQ(fwd.activated + fwd.degraded, 1);
     }
 }
 
@@ -519,25 +520,23 @@ TEST(Pipelines, SecondConsumerOnOneLaneReadsMemory)
             ty, {StreamDesc::linear(Space::Dram, b, n)}, {outD});
         g.addPipeline(prod, 0, c1, 0);
         g.addPipeline(prod, 0, c2, 0);
-        delta.run(g);
+        const StatSet stats = delta.run(g);
         for (std::uint64_t w = 0; w < n; ++w) {
             EXPECT_EQ(img.readInt(c + w * wordBytes),
                       static_cast<std::int64_t>(w) + 2);
             EXPECT_EQ(img.readInt(d + w * wordBytes),
                       static_cast<std::int64_t>(w) + 2);
         }
-        return std::pair<std::uint64_t, std::uint64_t>(
-            delta.dispatcher().pipesActivated(),
-            delta.dispatcher().pipesDegraded());
+        return std::pair<double, double>(
+            stats.get("delta.attrib.pipeline.pipesActivated"),
+            stats.get("delta.attrib.pipeline.pipesDegraded"));
     };
     // One lane with room for all three: both consumers share it.
     DeltaConfig oneLane = DeltaConfig::delta(1);
     oneLane.laneQueueCap = 3;
-    EXPECT_EQ(run(oneLane), std::make_pair(std::uint64_t{1},
-                                           std::uint64_t{1}));
+    EXPECT_EQ(run(oneLane), std::make_pair(1.0, 1.0));
     // Two lanes: the consumers land on different lanes.
-    EXPECT_EQ(run(DeltaConfig::delta(2)),
-              std::make_pair(std::uint64_t{2}, std::uint64_t{0}));
+    EXPECT_EQ(run(DeltaConfig::delta(2)), std::make_pair(2.0, 0.0));
 }
 
 // --- multicast accounting ------------------------------------------------------
@@ -571,7 +570,7 @@ TEST(Multicast, SingleFetchServesAllSubscribers)
         g.setSharedInput(id, 1, grp);
     }
     const StatSet stats = delta.run(g);
-    EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
+    EXPECT_EQ(stats.get("dispatcher.groupsFired"), 1);
     EXPECT_EQ(stats.get("delta.attrib.multicast.fillLines"),
               static_cast<double>(n / lineWords));
     // Every subscriber lane landed the fill once.

@@ -760,13 +760,13 @@ TEST(TraceEndToEnd, BindingInstantsFollowTheBatchMemberByMember)
     const TaskId cons =
         g.addTask(inc, {StreamDesc::linear(Space::Dram, b, n)}, {outC});
     g.addPipeline(prod, 0, cons, 0);
-    delta.run(g);
+    const StatSet stats = delta.run(g);
     for (std::uint64_t w = 0; w < n; ++w) {
         EXPECT_EQ(img.readInt(c + w * wordBytes),
                   static_cast<std::int64_t>(w) + 2);
     }
-    EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
-    EXPECT_EQ(delta.dispatcher().pipesActivated(), 1u);
+    EXPECT_EQ(stats.get("dispatcher.groupsFired"), 1);
+    EXPECT_EQ(stats.get("delta.attrib.pipeline.pipesActivated"), 1);
 
     std::vector<std::string> binds;
     for (const Json& e : loadEvents(path)) {
