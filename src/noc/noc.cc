@@ -363,9 +363,6 @@ Noc::reportStats(StatSet& stats) const
     stats.set("noc.mcast.packets", static_cast<double>(mcastPackets_));
     stats.set("noc.mcast.deliveries",
               static_cast<double>(mcastDeliveries_));
-    stats.set("noc.mcast.wordHops", static_cast<double>(mcastWordHops_));
-    stats.set("noc.mcast.unicastEquivWordHops",
-              static_cast<double>(mcastUnicastEquivWordHops_));
 
     const auto hops = static_cast<double>(mcastWordHops_);
     const auto equivHops = static_cast<double>(mcastUnicastEquivWordHops_);
