@@ -111,7 +111,7 @@ class Noc
      *  forwarding-side ones by the routers. */
     std::uint64_t injected_ = 0;
     std::uint64_t mcastPackets_ = 0;
-    std::uint64_t mcastUnicastEquivWordHops_ = 0; ///< as unicasts
+    std::uint64_t mcastUnicastEquivWordHops_ = 0; ///< if unicast
     std::uint64_t wordHops_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t mcastWordHops_ = 0;

@@ -78,9 +78,6 @@ class TaskUnit : public Ticked
      *  share of the run-wide delta.attrib.steal probe counts. */
     void reportStats(StatSet& stats) const override;
 
-    /** Tasks executed to completion. */
-    std::uint64_t tasksRun() const { return tasksRun_; }
-
     /** Cycles this lane spent with a task in flight. */
     std::uint64_t busyCycles() const { return busyCycles_; }
 

@@ -171,10 +171,10 @@ TEST(Steal, StealingActuallyMovesTasksOnSkewedWork)
         << "steal-half on tricount should relocate at least one task";
 }
 
-// The steal attribution has three writers: the dispatcher counts the
-// tasks that moved, each task unit its probes, and the per-lane keys
-// both sides of every probe.  Each protocol message has a sender and
-// a receiver, so the writers must agree.
+// The dispatcher counts the tasks that moved; each task unit counts
+// both sides of every probe under its lane and adds its probes into
+// the run-wide delta.attrib.steal keys.  Every protocol message has a
+// sender and a receiver, so the counts must agree.
 TEST(StealAttribution, ProtocolCountersBalance)
 {
     for (const Wk wk : {Wk::Lu, Wk::Cholesky, Wk::Tricount}) {
