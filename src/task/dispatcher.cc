@@ -1,8 +1,6 @@
 #include "task/dispatcher.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "mem/request.hh"
 
@@ -33,6 +31,32 @@ constexpr Tick kPipelineGraceCycles = 768;
 /** Spatial: a spawned task escapes its inherited lane when that
  *  lane's outstanding work exceeds this multiple of the mean. */
 constexpr double kSpatialRemapFactor = 1.5;
+
+/** The lane filter that passes every lane. */
+struct AnyLane
+{
+    bool operator()(std::size_t) const { return true; }
+};
+
+/** The lane among the first @p lanes that passes @p ok with the lowest
+ *  @p key (lowest index on ties), or -1 when none passes. */
+template <typename Key, typename Ok = AnyLane>
+std::int32_t
+leastLoaded(std::size_t lanes, Key key, Ok ok = {})
+{
+    std::int32_t best = -1;
+    decltype(key(0)) bestKey{};
+    for (std::size_t l = 0; l < lanes; ++l) {
+        if (!ok(l))
+            continue;
+        const auto k = key(l);
+        if (best < 0 || k < bestKey) {
+            best = static_cast<std::int32_t>(l);
+            bestKey = k;
+        }
+    }
+    return best;
+}
 
 } // namespace
 
@@ -89,35 +113,67 @@ Dispatcher::loadGraph(const TaskGraph& graph)
             registry_.estimateWork(img_, states_[i].inst);
     }
     edges_.reserve(graph.edges().size());
-    for (const DepEdge& e : graph.edges()) {
-        const std::size_t idx = edges_.size();
-        edges_.push_back(EdgeState{e});
-        states_[e.consumer].inEdges.push_back(idx);
-        states_[e.consumer].remDeps++;
-        states_[e.producer].outEdges.push_back(idx);
-    }
+    for (const DepEdge& e : graph.edges())
+        addEdge(e);
     for (const SharedGroup& g : graph.groups())
         groups_.push_back(GroupState{g, false, 0});
+    admit(0);
+}
 
+void
+Dispatcher::addEdge(const DepEdge& e)
+{
+    TS_ASSERT(e.producer != e.consumer, "self-dependence on task ",
+              e.producer);
+    TaskState& cs = states_[e.consumer];
+    // The oneTBB dynamic-dependence contract: predecessors may only be
+    // added to tasks that have not started executing.  Producers may
+    // be running or even complete.
+    TS_ASSERT(!cs.dispatched,
+              "dynamic edge targets already-dispatched task ", e.consumer);
+    const std::size_t idx = edges_.size();
+    edges_.push_back(EdgeState{e});
+    cs.inEdges.push_back(idx);
+    states_[e.producer].outEdges.push_back(idx);
+    if (!states_[e.producer].completed) {
+        ++cs.remDeps;
+    } else if (e.kind == DepKind::Pipeline) {
+        // Nothing left to forward; the consumer reads the memory
+        // fallback its descriptor names.
+        edges_[idx].bind = Bind::Memory;
+        ++pipesDegraded_;
+    }
+}
+
+void
+Dispatcher::admit(std::size_t base)
+{
     // Dependence levels (longest path from the roots), used by the
     // bulk-synchronous static-parallel mode.  Edges may point in
-    // either uid direction now, so walk a topological order.
-    std::uint32_t maxLevel = 0;
-    for (const TaskId i : graph.topoOrder()) {
-        std::uint32_t lvl = 0;
-        for (std::size_t ei : states_[i].inEdges) {
-            lvl = std::max(lvl,
-                           states_[edges_[ei].e.producer].level + 1);
+    // either uid direction, so iterate to a fixpoint: in uid order
+    // wherever that is topological, one pass settles every level and
+    // a second confirms it.
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (std::size_t i = base; i < states_.size(); ++i) {
+            TaskState& ts = states_[i];
+            for (std::size_t ei : ts.inEdges) {
+                const std::uint32_t lvl =
+                    states_[edges_[ei].e.producer].level + 1;
+                if (lvl > ts.level) {
+                    ts.level = lvl;
+                    changed = true;
+                }
+            }
         }
-        states_[i].level = lvl;
-        maxLevel = std::max(maxLevel, lvl);
     }
-    levelRemaining_.assign(maxLevel + 1, 0);
-    for (const TaskState& ts : states_)
+    for (std::size_t i = base; i < states_.size(); ++i) {
+        const TaskState& ts = states_[i];
+        if (ts.level >= levelRemaining_.size())
+            levelRemaining_.resize(ts.level + 1, 0);
         ++levelRemaining_[ts.level];
-
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].remDeps == 0)
+        if (ts.remDeps == 0)
             readyQ_.push_back(static_cast<TaskId>(i));
     }
 }
@@ -259,10 +315,13 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
         return static_cast<TaskId>(base + k);
     };
 
+    const bool transfer = set.transferTo != SpawnSet::kNoTransfer;
+    const TaskId heir = transfer ? resolve(set.transferTo) : 0;
+
     // Capture the spawner's pending successors *before* new edges are
     // wired: transfer covers the edges that predate this spawn.
     std::vector<std::size_t> transferable;
-    if (set.transferTo != SpawnSet::kNoTransfer) {
+    if (transfer) {
         for (std::size_t ei : states_[msg.spawner].outEdges) {
             const EdgeState& es = edges_[ei];
             if (es.bind == Bind::Pipe || states_[es.e.consumer].dispatched)
@@ -284,38 +343,14 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
     }
     tasksSpawned_ += set.tasks.size();
     spatialPlanSpawned(msg.spawner, base, set.tasks.size(),
-                       set.transferTo != SpawnSet::kNoTransfer
-                           ? static_cast<std::int64_t>(
-                                 resolve(set.transferTo))
-                           : -1);
+                       transfer ? static_cast<std::int64_t>(heir) : -1);
 
     for (const SpawnSet::Edge& e : set.edges) {
-        const TaskId p = resolve(e.producer);
-        const TaskId c = resolve(e.consumer);
-        TS_ASSERT(p != c, "spawned self-dependence on task ", p);
-        TaskState& cs = states_[c];
-        // The oneTBB dynamic-dependence contract: predecessors may
-        // only be added to tasks that have not started executing.
-        // Producers may be running or even complete.
-        TS_ASSERT(!cs.dispatched,
-                  "dynamic edge targets already-dispatched task ", c);
-        const std::size_t idx = edges_.size();
-        edges_.push_back(EdgeState{
-            DepEdge{p, c, e.kind, e.producerPort, e.consumerPort}});
-        cs.inEdges.push_back(idx);
-        states_[p].outEdges.push_back(idx);
-        if (!states_[p].completed) {
-            ++cs.remDeps;
-        } else if (e.kind == DepKind::Pipeline) {
-            // Nothing left to forward; the consumer reads the memory
-            // fallback its descriptor names.
-            edges_[idx].bind = Bind::Memory;
-            ++pipesDegraded_;
-        }
+        addEdge(DepEdge{resolve(e.producer), resolve(e.consumer), e.kind,
+                        e.producerPort, e.consumerPort});
     }
 
-    if (set.transferTo != SpawnSet::kNoTransfer) {
-        const TaskId heir = resolve(set.transferTo);
+    if (transfer) {
         TS_ASSERT(heir != msg.spawner,
                   "cannot transfer successors to the spawner itself");
         TS_ASSERT(!states_[heir].completed);
@@ -324,59 +359,17 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
             TS_ASSERT(es.e.consumer != heir,
                       "successor transfer would make task ", heir,
                       " depend on itself");
-            es.e.producer = heir;
-            // Forwarded stream identity does not survive a producer
-            // change; the consumer falls back to memory.
-            if (es.e.kind == DepKind::Pipeline) {
-                es.e.kind = DepKind::Barrier;
-                es.e.producerPort = 0;
-                es.e.consumerPort = 0;
-            }
+            es.e.rehang(heir);
             states_[heir].outEdges.push_back(ei);
         }
-        if (!transferable.empty()) {
-            auto& out = states_[msg.spawner].outEdges;
-            out.erase(std::remove_if(
-                          out.begin(), out.end(),
-                          [&](std::size_t ei) {
-                              return std::find(transferable.begin(),
-                                               transferable.end(),
-                                               ei) !=
-                                     transferable.end();
-                          }),
-                      out.end());
-        }
+        std::erase_if(states_[msg.spawner].outEdges, [&](std::size_t ei) {
+            return std::find(transferable.begin(), transferable.end(),
+                             ei) != transferable.end();
+        });
     }
 
     checkLiveAcyclic();
-
-    // Dependence levels of the new tasks (bulk-sync bookkeeping).
-    // Local producers may appear in any order, so iterate to a
-    // fixpoint (bounded by the set size; spawn sets are small).
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t k = 0; k < set.tasks.size(); ++k) {
-            TaskState& ns = states_[base + k];
-            std::uint32_t lvl = 0;
-            for (std::size_t ei : ns.inEdges) {
-                lvl = std::max(
-                    lvl, states_[edges_[ei].e.producer].level + 1);
-            }
-            if (lvl > ns.level) {
-                ns.level = lvl;
-                changed = true;
-            }
-        }
-    }
-    for (std::size_t k = 0; k < set.tasks.size(); ++k) {
-        TaskState& ns = states_[base + k];
-        if (ns.level >= levelRemaining_.size())
-            levelRemaining_.resize(ns.level + 1, 0);
-        ++levelRemaining_[ns.level];
-        if (ns.remDeps == 0)
-            readyQ_.push_back(static_cast<TaskId>(base + k));
-    }
+    admit(base);
 
     if (auto* t = tracer()) {
         t->instant(t->track(name()), "taskSpawn",
@@ -574,34 +567,14 @@ Dispatcher::pickLane(TaskId id,
         const std::size_t l = plannedLane(id);
         return available(l) ? static_cast<std::int32_t>(l) : -1;
       }
-      case SchedPolicy::DynCount: {
-        std::int32_t best = -1;
-        std::uint32_t bestLoad = 0;
-        for (std::size_t l = 0; l < n; ++l) {
-            if (!available(l))
-                continue;
-            const std::uint32_t load = laneQueued_[l] + extraLoad[l];
-            if (best < 0 || load < bestLoad) {
-                best = static_cast<std::int32_t>(l);
-                bestLoad = load;
-            }
-        }
-        return best;
-      }
-      case SchedPolicy::WorkAware: {
-        std::int32_t best = -1;
-        double bestWork = 0;
-        for (std::size_t l = 0; l < n; ++l) {
-            if (!available(l))
-                continue;
-            const double w = laneWork_[l] + extraWork[l];
-            if (best < 0 || w < bestWork) {
-                best = static_cast<std::int32_t>(l);
-                bestWork = w;
-            }
-        }
-        return best;
-      }
+      case SchedPolicy::DynCount:
+        return leastLoaded(
+            n, [&](std::size_t l) { return laneQueued_[l] + extraLoad[l]; },
+            available);
+      case SchedPolicy::WorkAware:
+        return leastLoaded(
+            n, [&](std::size_t l) { return laneWork_[l] + extraWork[l]; },
+            available);
     }
     return -1;
 }
@@ -637,11 +610,8 @@ Dispatcher::spatialPlanSpawned(TaskId spawner, std::size_t base,
         mean += w;
     mean /= static_cast<double>(laneWork_.size());
     if (laneWork_[inherit] > kSpatialRemapFactor * mean) {
-        std::uint32_t best = 0;
-        for (std::uint32_t l = 1; l < laneWork_.size(); ++l) {
-            if (laneWork_[l] < laneWork_[best])
-                best = l;
-        }
+        const auto best = static_cast<std::uint32_t>(leastLoaded(
+            laneWork_.size(), [&](std::size_t l) { return laneWork_[l]; }));
         if (best != inherit) {
             inherit = best;
             ++spatialRemaps_;
@@ -667,11 +637,8 @@ Dispatcher::spatialPlanSpawned(TaskId spawner, std::size_t base,
         const std::size_t id = base + k;
         if (heirLocal && static_cast<std::size_t>(heir) == id)
             continue;
-        std::uint32_t best = 0;
-        for (std::uint32_t l = 1; l < load.size(); ++l) {
-            if (load[l] < load[best])
-                best = l;
-        }
+        const auto best = static_cast<std::uint32_t>(leastLoaded(
+            load.size(), [&](std::size_t l) { return load[l]; }));
         plannedLane_[id] = static_cast<std::int32_t>(best);
         load[best] += states_[id].workEst;
     }
@@ -1047,10 +1014,11 @@ Dispatcher::tryDispatchHead(Tick now)
     }
 
     std::uint32_t freeSlots = 0;
-    for (std::size_t l = 0; l < cfg_.laneNodes.size(); ++l) {
-        freeSlots += cfg_.laneQueueCap > laneQueued_[l]
-                         ? cfg_.laneQueueCap - laneQueued_[l]
-                         : 0;
+    bool allLanesBusy = true;
+    for (const std::uint32_t queued : laneQueued_) {
+        freeSlots +=
+            cfg_.laneQueueCap > queued ? cfg_.laneQueueCap - queued : 0;
+        allLanesBusy = allLanesBusy && queued > 0;
     }
     if (freeSlots == 0)
         return Attempt::LanesFull;
@@ -1066,13 +1034,6 @@ Dispatcher::tryDispatchHead(Tick now)
     // co-dispatch.
     // Holding is only free while every lane has work; if any lane
     // is idle, dispatch immediately.
-    bool allLanesBusy = true;
-    for (std::size_t l = 0; l < cfg_.laneNodes.size(); ++l) {
-        if (laneQueued_[l] == 0) {
-            allLanesBusy = false;
-            break;
-        }
-    }
     const Tick waited = now - rs.readyAt;
     const bool withinHold =
         (allLanesBusy && waited < kPipelineHoldCycles) ||

@@ -212,6 +212,12 @@ class Dispatcher : public Ticked
         LanesFull  ///< no queue slot for the head until a packet
     };
 
+    /** Loaded and spawned tasks enter the live graph one way: each
+     *  edge through addEdge (its consumer not yet dispatched; a
+     *  completed producer leaves it satisfied), then admit(base) sets
+     *  the levels of tasks [base, end) and queues the ready ones. */
+    void addEdge(const DepEdge& e);
+    void admit(std::size_t base);
     void processInbox(Tick now);
     void onComplete(const CompleteMsg& msg, Tick now);
     void onSpawn(const SpawnMsg& msg, Tick now);

@@ -7,7 +7,7 @@
 namespace ts
 {
 
-TaskHandle
+TaskId
 TaskGraph::addTask(TaskTypeId type, std::vector<StreamDesc> inputs,
                    std::vector<WriteDesc> outputs)
 {
@@ -19,14 +19,7 @@ TaskGraph::addTask(TaskTypeId type, std::vector<StreamDesc> inputs,
     inst.inputGroup.assign(inst.inputs.size(), kNoGroup);
     tasks_.push_back(std::move(inst));
     outEdges_.emplace_back();
-    return TaskHandle{tasks_.back().uid};
-}
-
-CompletionHandle
-TaskGraph::completion(TaskId task) const
-{
-    TS_ASSERT(task < tasks_.size());
-    return CompletionHandle{task};
+    return tasks_.back().uid;
 }
 
 bool
@@ -68,39 +61,32 @@ TaskGraph::checkAcyclicEdge(TaskId producer, TaskId consumer) const
 }
 
 void
-TaskGraph::addBarrier(TaskId producer, TaskId consumer)
+TaskGraph::addEdge(const DepEdge& e)
 {
-    TS_ASSERT(producer < tasks_.size());
-    TS_ASSERT(consumer < tasks_.size());
-    checkAcyclicEdge(producer, consumer);
-    edges_.push_back(DepEdge{producer, consumer, DepKind::Barrier, 0, 0});
-    outEdges_[producer].push_back(
+    TS_ASSERT(e.producer < tasks_.size());
+    TS_ASSERT(e.consumer < tasks_.size());
+    checkAcyclicEdge(e.producer, e.consumer);
+    edges_.push_back(e);
+    outEdges_[e.producer].push_back(
         static_cast<std::uint32_t>(edges_.size() - 1));
-    if (producer >= consumer)
+    if (e.producer >= e.consumer)
         creationOrdered_ = false;
 }
 
 void
-TaskGraph::addBarrier(const CompletionHandle& producer, TaskId consumer)
+TaskGraph::addBarrier(TaskId producer, TaskId consumer)
 {
-    addBarrier(producer.task(), consumer);
+    addEdge(DepEdge{producer, consumer, DepKind::Barrier, 0, 0});
 }
 
 void
 TaskGraph::addPipeline(TaskId producer, std::uint8_t producerPort,
                        TaskId consumer, std::uint8_t consumerPort)
 {
-    TS_ASSERT(producer < tasks_.size());
-    TS_ASSERT(consumer < tasks_.size());
-    TS_ASSERT(producerPort < tasks_[producer].outputs.size());
-    TS_ASSERT(consumerPort < tasks_[consumer].inputs.size());
-    checkAcyclicEdge(producer, consumer);
-    edges_.push_back(DepEdge{producer, consumer, DepKind::Pipeline,
-                             producerPort, consumerPort});
-    outEdges_[producer].push_back(
-        static_cast<std::uint32_t>(edges_.size() - 1));
-    if (producer >= consumer)
-        creationOrdered_ = false;
+    TS_ASSERT(producerPort < task(producer).outputs.size());
+    TS_ASSERT(consumerPort < task(consumer).inputs.size());
+    addEdge(DepEdge{producer, consumer, DepKind::Pipeline, producerPort,
+                    consumerPort});
 }
 
 void
@@ -110,7 +96,7 @@ TaskGraph::transferSuccessors(TaskId from, TaskId to)
     TS_ASSERT(to < tasks_.size());
     TS_ASSERT(from != to, "cannot transfer successors to self");
     for (const std::uint32_t ei : outEdges_[from]) {
-        DepEdge& e = edges_[ei];
+        const DepEdge& e = edges_[ei];
         TS_ASSERT(e.consumer != to,
                   "successor transfer ", from, " -> ", to,
                   " would make task ", to, " depend on itself");
@@ -118,14 +104,7 @@ TaskGraph::transferSuccessors(TaskId from, TaskId to)
     }
     for (const std::uint32_t ei : outEdges_[from]) {
         DepEdge& e = edges_[ei];
-        e.producer = to;
-        // The forwarded stream identity does not survive a producer
-        // change; the consumer falls back to its memory descriptor.
-        if (e.kind == DepKind::Pipeline) {
-            e.kind = DepKind::Barrier;
-            e.producerPort = 0;
-            e.consumerPort = 0;
-        }
+        e.rehang(to);
         outEdges_[to].push_back(ei);
         if (to >= e.consumer)
             creationOrdered_ = false;

@@ -38,55 +38,6 @@ enum class DepKind : std::uint8_t
     Pipeline,
 };
 
-class CompletionHandle;
-
-/**
- * A handle to a submitted task.  Implicitly convertible to its
- * `TaskId`, so existing `TaskId id = graph.addTask(...)` call sites
- * keep working; the handle form exists so edges can name tasks that
- * were submitted at any earlier point (the oneTBB dynamic-dependence
- * model), not just the immediately preceding ones.
- */
-class TaskHandle
-{
-  public:
-    TaskHandle() = default;
-    TaskHandle(TaskId uid) : uid_(uid) {}
-
-    operator TaskId() const { return uid_; }
-    TaskId id() const { return uid_; }
-
-    /** The completion event of this task (see CompletionHandle). */
-    CompletionHandle completion() const;
-
-  private:
-    TaskId uid_ = 0;
-};
-
-/**
- * Names the *completion event* of a task.  Valid as an edge producer
- * for the task's whole lifetime — including after it started or
- * finished (an edge from a finished producer is immediately
- * satisfied).  Consumers, by contrast, must not have been dispatched
- * yet when an edge is added; the dispatcher enforces that.
- */
-class CompletionHandle
-{
-  public:
-    explicit CompletionHandle(TaskId uid) : uid_(uid) {}
-
-    TaskId task() const { return uid_; }
-
-  private:
-    TaskId uid_ = 0;
-};
-
-inline CompletionHandle
-TaskHandle::completion() const
-{
-    return CompletionHandle{uid_};
-}
-
 /** An annotated dependence edge. */
 struct DepEdge
 {
@@ -95,6 +46,20 @@ struct DepEdge
     DepKind kind = DepKind::Barrier;
     std::uint8_t producerPort = 0; ///< Pipeline: forwarded output port
     std::uint8_t consumerPort = 0; ///< Pipeline: consuming input port
+
+    /** Successor transfer: make @p heir the producer.  A Pipeline
+     *  edge becomes a Barrier edge (the forwarded stream does not
+     *  survive a producer change; the consumer reads memory). */
+    void
+    rehang(TaskId heir)
+    {
+        producer = heir;
+        if (kind == DepKind::Pipeline) {
+            kind = DepKind::Barrier;
+            producerPort = 0;
+            consumerPort = 0;
+        }
+    }
 };
 
 /**
@@ -218,12 +183,13 @@ struct CritPathResult
 class TaskGraph
 {
   public:
-    /** Add a task; edges may name it in either direction later. */
-    TaskHandle addTask(TaskTypeId type, std::vector<StreamDesc> inputs,
-                       std::vector<WriteDesc> outputs);
-
-    /** The completion handle of an existing task. */
-    CompletionHandle completion(TaskId task) const;
+    /**
+     * Add a task.  The returned id names it as an edge endpoint at any
+     * later point — as a producer for its whole lifetime, including
+     * after it finished (the oneTBB dynamic-dependence model).
+     */
+    TaskId addTask(TaskTypeId type, std::vector<StreamDesc> inputs,
+                   std::vector<WriteDesc> outputs);
 
     /**
      * Add a completion-ordering edge.  Any producer/consumer pair is
@@ -231,7 +197,6 @@ class TaskGraph
      * an edge that would close a cycle is rejected (panic).
      */
     void addBarrier(TaskId producer, TaskId consumer);
-    void addBarrier(const CompletionHandle& producer, TaskId consumer);
 
     /**
      * Add a pipelined dependence: @p consumer's input port
@@ -245,9 +210,7 @@ class TaskGraph
 
     /**
      * Re-hang every pending successor edge of @p from onto @p to
-     * (successor transfer).  Pipeline edges become Barrier edges
-     * across the transfer — the forwarded stream identity does not
-     * survive a producer change.
+     * (successor transfer, DepEdge::rehang).
      */
     void transferSuccessors(TaskId from, TaskId to);
 
@@ -290,6 +253,9 @@ class TaskGraph
     criticalPath(const std::vector<TaskSpan>& spans) const;
 
   private:
+    /** Append @p e after the range and cycle checks. */
+    void addEdge(const DepEdge& e);
+
     /** True when a path @p from ->* @p to exists over current edges. */
     bool reaches(TaskId from, TaskId to) const;
 

@@ -65,25 +65,25 @@ copyBody(Addr src, Addr dst, std::uint64_t cycles = 8)
 TEST(TaskGraphDynamic, EdgesAcceptedInAnyOrder)
 {
     TaskGraph g;
-    const TaskHandle a = g.addTask(0, {}, {});
-    const TaskHandle b = g.addTask(0, {}, {});
-    const TaskHandle c = g.addTask(0, {}, {});
+    const TaskId a = g.addTask(0, {}, {});
+    const TaskId b = g.addTask(0, {}, {});
+    const TaskId c = g.addTask(0, {}, {});
 
     // A back edge (later task gates an earlier one) — rejected by the
     // old topological-submission precondition, legal now.
     g.addBarrier(c, a);
-    g.addBarrier(b.completion(), a);
+    g.addBarrier(b, a);
 
     const std::vector<TaskId> order = g.topoOrder();
     ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order.back(), a.id());
+    EXPECT_EQ(order.back(), a);
 }
 
 TEST(TaskGraphDynamic, CycleIsRejectedAtEdgeAddTime)
 {
     TaskGraph g;
-    const TaskHandle a = g.addTask(0, {}, {});
-    const TaskHandle b = g.addTask(0, {}, {});
+    const TaskId a = g.addTask(0, {}, {});
+    const TaskId b = g.addTask(0, {}, {});
     g.addBarrier(a, b);
     EXPECT_THROW(g.addBarrier(b, a), PanicError);
     EXPECT_THROW(g.addBarrier(a, a), PanicError);
@@ -95,9 +95,9 @@ TEST(TaskGraphDynamic, TransferSuccessorsRehangsPendingEdges)
     WriteDesc out;
     out.base = 0;
     const StreamDesc in = StreamDesc::linear(Space::Dram, 0, 8);
-    const TaskHandle a = g.addTask(0, {in}, {out});
-    const TaskHandle b = g.addTask(0, {in}, {out});
-    const TaskHandle c = g.addTask(0, {in}, {out});
+    const TaskId a = g.addTask(0, {in}, {out});
+    const TaskId b = g.addTask(0, {in}, {out});
+    const TaskId c = g.addTask(0, {in}, {out});
     g.addBarrier(a, c);
     g.addPipeline(a, 0, c, 0);
 
@@ -105,8 +105,8 @@ TEST(TaskGraphDynamic, TransferSuccessorsRehangsPendingEdges)
 
     ASSERT_EQ(g.edges().size(), 2u);
     for (const DepEdge& e : g.edges()) {
-        EXPECT_EQ(e.producer, b.id());
-        EXPECT_EQ(e.consumer, c.id());
+        EXPECT_EQ(e.producer, b);
+        EXPECT_EQ(e.consumer, c);
         // Forwarded stream identity does not survive the transfer.
         EXPECT_EQ(e.kind, DepKind::Barrier);
     }
@@ -169,8 +169,8 @@ TEST(DispatcherDynamic, TransferOnEarlyFinishRegatesConsumer)
         delta.registry().addBuiltinType("reader", copyBody(x, y));
 
     TaskGraph g;
-    const TaskHandle a = g.addTask(spawnerTy, {}, {});
-    const TaskHandle c = g.addTask(readerTy, {}, {});
+    const TaskId a = g.addTask(spawnerTy, {}, {});
+    const TaskId c = g.addTask(readerTy, {}, {});
     g.addBarrier(a, c);
 
     const StatSet stats = delta.run(g);
@@ -195,8 +195,7 @@ TEST(DispatcherDynamic, EdgeFromCompletedProducerIsSatisfied)
         delta.registry().addBuiltinType("reader", copyBody(x, y));
 
     TaskGraph g;
-    const TaskHandle p = g.addTask(writerTy, {}, {});
-    const TaskId pid = p.id();
+    const TaskId p = g.addTask(writerTy, {}, {});
 
     // The spawner is gated on the writer, so by the time it spawns,
     // the writer has completed; the spawned reader's edge from that
@@ -209,14 +208,14 @@ TEST(DispatcherDynamic, EdgeFromCompletedProducerIsSatisfied)
     spawner.outputWords = [](const MemImage&, const TaskInstance&) {
         return std::uint64_t(0);
     };
-    spawner.spawn = [readerTy, pid](MemImage&, const TaskInstance&,
+    spawner.spawn = [readerTy, p](MemImage&, const TaskInstance&,
                                     SpawnSet& set) {
         const auto reader = set.add(readerTy, {}, {});
-        set.barrier(static_cast<std::int64_t>(pid), reader);
+        set.barrier(static_cast<std::int64_t>(p), reader);
     };
     const TaskTypeId spawnerTy =
         delta.registry().addBuiltinType("spawner", std::move(spawner));
-    const TaskHandle s = g.addTask(spawnerTy, {}, {});
+    const TaskId s = g.addTask(spawnerTy, {}, {});
     g.addBarrier(p, s);
 
     const StatSet stats = delta.run(g);

@@ -75,7 +75,7 @@ TEST(TaskGraph, ValidateRejectsEmptyGroups)
 namespace
 {
 
-TaskHandle
+TaskId
 addPlainTask(TaskGraph& g, TaskTypeId ty, Addr outBase = 1024)
 {
     WriteDesc out;
@@ -109,8 +109,8 @@ TEST(TaskGraphCritPath, TransferredSuccessorsRehangThePath)
     // pipeline edge degrades to a barrier across the transfer.
     g.transferSuccessors(a, c);
     ASSERT_EQ(g.edges().size(), 1u);
-    EXPECT_EQ(g.edges()[0].producer, c.id());
-    EXPECT_EQ(g.edges()[0].consumer, b.id());
+    EXPECT_EQ(g.edges()[0].producer, c);
+    EXPECT_EQ(g.edges()[0].consumer, b);
     EXPECT_EQ(g.edges()[0].kind, DepKind::Barrier);
 
     const std::vector<TaskSpan> spans = {
@@ -119,8 +119,8 @@ TEST(TaskGraphCritPath, TransferredSuccessorsRehangThePath)
     EXPECT_EQ(r.serialCycles, 115u);
     EXPECT_EQ(r.criticalPathCycles, 105u);
     ASSERT_EQ(r.path.size(), 2u);
-    EXPECT_EQ(r.path[0], c.id());
-    EXPECT_EQ(r.path[1], b.id());
+    EXPECT_EQ(r.path[0], c);
+    EXPECT_EQ(r.path[1], b);
 }
 
 TEST(TaskGraphCritPath, SpawnedSubgraphEdgesAgainstUidOrder)
@@ -148,9 +148,9 @@ TEST(TaskGraphCritPath, SpawnedSubgraphEdgesAgainstUidOrder)
     // root -> s2 -> join dominates: 10 + 50 + 7.
     EXPECT_EQ(r.criticalPathCycles, 67u);
     ASSERT_EQ(r.path.size(), 3u);
-    EXPECT_EQ(r.path[0], root.id());
-    EXPECT_EQ(r.path[1], s2.id());
-    EXPECT_EQ(r.path[2], join.id());
+    EXPECT_EQ(r.path[0], root);
+    EXPECT_EQ(r.path[1], s2);
+    EXPECT_EQ(r.path[2], join);
     // The 2-lane bound is the path (67 > ceil(97/2)).
     EXPECT_EQ(r.boundCycles(2), 67u);
 }
@@ -177,8 +177,8 @@ TEST(TaskGraphCritPath, EdgesFromCompletedProducersWeighZero)
     // The unmeasured producer may or may not appear at the head of
     // the path; the measured suffix must be mid -> tail.
     ASSERT_GE(r.path.size(), 2u);
-    EXPECT_EQ(r.path[r.path.size() - 2], mid.id());
-    EXPECT_EQ(r.path.back(), tail.id());
+    EXPECT_EQ(r.path[r.path.size() - 2], mid);
+    EXPECT_EQ(r.path.back(), tail);
 }
 
 // --- work estimation -------------------------------------------------------
